@@ -84,21 +84,27 @@ def criterion_words_oracle(max_total: int = 8) -> tuple[bool, str]:
 
 
 def criterion_dinf_oracle(max_len: int = 10) -> tuple[bool, str]:
-    """2: generation decision agrees with semidirect-product arithmetic."""
+    """2: generation and primitivity decisions agree with semidirect-product
+    arithmetic; a pair is primitive exactly when it generates and both of its
+    elements are reflections."""
     t0 = time.time()
     forms = [D.nth_normal_form(i) for i in range(2 * max_len + 1)]
     disagreements = 0
-    primitive_found = []
+    primitive_mismatches = 0
+    primitive_count = 0
     for u in forms:
         for v in forms:
-            if D.is_generating_pair(u, v) != D.oracle_is_generating_pair(u, v):
+            generating = D.oracle_is_generating_pair(u, v)
+            if D.is_generating_pair(u, v) != generating:
                 disagreements += 1
-            if D.is_primitive_pair(u, v):
-                primitive_found.append((u.letters, v.letters))
-    orbit_ok = sorted(primitive_found) == [("a", "b"), ("b", "a")]
-    detail = (f"{len(forms)**2} pairs, {disagreements} disagreements, "
-              f"primitive pairs {primitive_found}, {time.time()-t0:.1f}s")
-    return disagreements == 0 and orbit_ok, detail
+            primitive = D.is_primitive_pair(u, v)
+            primitive_count += primitive
+            if primitive != (generating and D.to_element(u).flip and D.to_element(v).flip):
+                primitive_mismatches += 1
+    detail = (f"{len(forms)**2} pairs, {disagreements} generation disagreements, "
+              f"{primitive_mismatches} primitivity disagreements, "
+              f"{primitive_count} primitive pairs, {time.time()-t0:.1f}s")
+    return disagreements == 0 and primitive_mismatches == 0, detail
 
 
 def criterion_finite_scott(max_order: int = 12) -> tuple[bool, str]:

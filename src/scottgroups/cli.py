@@ -87,7 +87,7 @@ def _cmd_words_nielsen(args) -> dict:
     reduced, moves = W.nielsen_reduce(t)
     return {"tuple": [W.format_word(w) for w in reduced.words],
             "moves": [_move_json(m) for m in moves],
-            "primitive": W.is_primitive(t)}
+            "primitive": W.is_basis(reduced)}
 
 
 # ---------------------------------------------------------------------------

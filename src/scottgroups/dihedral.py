@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import formula as F
+from .numtheory import diagonal_pair
 
 
 @dataclass(frozen=True)
@@ -187,10 +188,12 @@ def is_generating_pair(w1: DihedralWord, w2: DihedralWord) -> bool:
 def is_primitive_pair(w1: DihedralWord, w2: DihedralWord) -> bool:
     """Whether the pair lies in the automorphism orbit of (a, b).
 
-    The only generating pairs of involutions are (a, b) and (b, a), so the
-    orbit check degenerates to comparing normal forms.
+    Automorphisms carry (a, b) to generating pairs of reflections, and every
+    generating pair of reflections is such an image, so the orbit is the set
+    of generating pairs of odd-length words: (a, aba) and (aba, ababa) are
+    in it as well as (a, b) and (b, a).
     """
-    return (w1, w2) in ((A, B), (B, A))
+    return len(w1) % 2 == 1 and len(w2) % 2 == 1 and is_generating_pair(w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +222,13 @@ def nth_normal_form(i: int) -> DihedralWord:
         for j in range(length)))
 
 
-def _pairs_diagonal(i: int) -> tuple[int, int]:
-    # Cantor order on index pairs: (0,0), (0,1), (1,0), (0,2), (1,1), ...
-    s = 0
-    while (s + 1) * (s + 2) // 2 <= i:
-        s += 1
-    a = i - s * (s + 1) // 2
-    return (a, s - a)
-
-
 @lru_cache(maxsize=None)
 def nth_imprimitive_pair(i: int) -> tuple[DihedralWord, DihedralWord]:
     """i-th imprimitive pair of normal forms, in shortlex-diagonal order."""
     seen = 0
     j = 0
     while True:
-        u, v = (nth_normal_form(k) for k in _pairs_diagonal(j))
+        u, v = (nth_normal_form(k) for k in diagonal_pair(j))
         j += 1
         if is_primitive_pair(u, v):
             continue

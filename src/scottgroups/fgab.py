@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from . import formula as F
 from .formula import FiniteStructure as FiniteGroupTable
+from .numtheory import factorize
 
 __all__ = [
     "FgAbelianDesc", "FiniteGroupTable", "normalize_torsion",
@@ -58,19 +59,6 @@ def desc_from_json(data: dict) -> FgAbelianDesc:
     return FgAbelianDesc(int(data["rank"]), tuple(int(x) for x in data["torsion"]))
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def normalize_torsion(cyclic_orders: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """Invariant factors of ⊕ Z/c for the given cyclic orders.
 
@@ -85,7 +73,7 @@ def normalize_torsion(cyclic_orders: tuple[int, ...] | list[int]) -> tuple[int, 
     for c in cyclic_orders:
         if c < 2:
             raise ValueError("cyclic orders must be >= 2")
-        for p, e in _factorize(c).items():
+        for p, e in factorize(c):
             primary.setdefault(p, []).append(e)
     for exps in primary.values():
         exps.sort(reverse=True)
@@ -164,7 +152,7 @@ def abelian_invariant_factor_lists(order: int) -> list[tuple[int, ...]]:
     if order == 1:
         return [()]
     per_prime = []
-    for p, e in sorted(_factorize(order).items()):
+    for p, e in factorize(order):
         per_prime.append([(p, part) for part in _partitions(e)])
     out = []
 

@@ -28,6 +28,7 @@ from typing import Any, Sequence
 from . import dihedral as D
 from . import rank1 as R
 from .fgab import int_tuple
+from .numtheory import primes_upto, valuation
 
 PREFIX_CAVEAT = ("verdicts describe the final stage's belief; a genuine limit "
                  "is not observable on a finite trace prefix")
@@ -472,19 +473,6 @@ def _fraction_gcd(x: Fraction, y: Fraction) -> Fraction:
                     x.denominator * y.denominator)
 
 
-def _valuation(x: Fraction, p: int) -> int:
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
 class _Rank1Run:
     def __init__(self, c: R.Rank1Char, p: int, q: int, growth: int):
         self.char = c
@@ -512,7 +500,8 @@ class _Rank1Run:
 
     def depth(self, unit_value: Fraction, prime: int) -> int:
         """Highest power of ``prime`` dividing the unit in the built group."""
-        return _valuation(unit_value / self.content(), prime)
+        x = unit_value / self.content()
+        return valuation(x.numerator, prime) - valuation(x.denominator, prime)
 
     def new_const(self, value: Fraction) -> int:
         c = self.next_const
@@ -668,18 +657,18 @@ def run_cofinality(c: R.Rank1Char, m: int, w_enum: set[int] | Sequence[int],
     if not R._rule_class_flags(c)[1]:
         raise ValueError("Pfin must be infinite under the representation")
     w = set(int(x) for x in w_enum)
+    window = primes_upto(bound)
     a_primes: list[int] = []
-    i = 0
-    while len(a_primes) < m:
-        p = R.nth_prime(i)
-        i += 1
-        if p > bound:
-            raise ValueError(f"only {len(a_primes)} Pfin primes under bound {bound}, need {m}")
+    for p in window:
+        if len(a_primes) >= m:
+            break
         v = R.exponent(c, p)
         if v != R.INF and v > 0:
             a_primes.append(p)
+    if len(a_primes) < m:
+        raise ValueError(f"only {len(a_primes)} Pfin primes under bound {bound}, need {m}")
     table: dict[int, int | float] = {}
-    for p in R.primes_upto(bound):
+    for p in window:
         v = R.exponent(c, p)
         if p in a_primes:
             idx = a_primes.index(p)
@@ -702,7 +691,7 @@ def _verify_cofinality(c: R.Rank1Char, result: CofinalityResult, w: set[int],
                        bound: int) -> VerificationReport:
     checks: list = []
     conform = True
-    for p in R.primes_upto(bound):
+    for p in primes_upto(bound):
         v = R.exponent(c, p)
         got = result.table[p]
         if p in result.a_primes:
@@ -714,16 +703,9 @@ def _verify_cofinality(c: R.Rank1Char, result: CofinalityResult, w: set[int],
             conform = False
     _check(checks, "rule-conformance", conform)
     if result.verdict == "isomorphic":
-        fixed = all(result.table[p] + multiplicity_of(p, result.multiplier)
+        fixed = all(result.table[p] + valuation(result.multiplier, p)
                     == R.exponent(c, p) for p in result.a_primes)
         _check(checks, "multiplier-restores-window", fixed,
                f"multiplier {result.multiplier}")
     return VerificationReport(all(ok for _, ok, _ in checks), tuple(checks))
 
-
-def multiplicity_of(p: int, n: int) -> int:
-    out = 0
-    while n % p == 0 and n > 0:
-        n //= p
-        out += 1
-    return out

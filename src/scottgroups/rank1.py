@@ -20,60 +20,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from . import fgab
 from . import formula as F
+# re-exported: rank1 code calls these through its own names, so that a
+# wrapper installed on rank1.prime_index sees every call made here
+from .numtheory import diagonal_pair, factorize, is_prime, nth_prime, prime_index, \
+    primes, primes_upto
 
 INF = math.inf
 
 # default rules: ("zero",) | ("inf",) | ("linear", a, b) | ("residue", (sub, ...))
 Rule = tuple
-
-
-# ---------------------------------------------------------------------------
-# Primes
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _prime_list(n: int) -> tuple[int, ...]:
-    out: list[int] = []
-    cand = 2
-    while len(out) < n:
-        if all(cand % p for p in out if p * p <= cand):
-            out.append(cand)
-        cand += 1
-    return tuple(out)
-
-
-def nth_prime(i: int) -> int:
-    """0-indexed: nth_prime(0) == 2."""
-    return _prime_list(i + 1)[i]
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
-def prime_index(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    i = 0
-    while nth_prime(i) != p:
-        i += 1
-    return i
-
-
-def primes_upto(bound: int) -> list[int]:
-    return [n for n in range(2, bound + 1) if is_prime(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +65,16 @@ def _rule_value(rule: Rule, index: int) -> int | float:
     if rule[0] == "linear":
         return rule[1] * index + rule[2]
     return _rule_value(rule[1][index % len(rule[1])], index)
+
+
+def _default_exponent(rule: Rule, p: int) -> int | float:
+    """The rule's exponent at the prime p; only index-dependent rules read
+    its index, and ``prime_index`` rejects a non-prime itself."""
+    if rule == ("zero",) or rule == ("inf",):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return 0 if rule == ("zero",) else INF
+    return _rule_value(rule, prime_index(p))
 
 
 def _rule_modulus(rule: Rule) -> int:
@@ -149,7 +118,7 @@ def char(exceptions: dict[int, int | float] | None = None,
     """Canonical constructor: drops exceptions that repeat the rule's value."""
     items = []
     for p, v in sorted((exceptions or {}).items()):
-        if v != _rule_value(default, prime_index(p)):
+        if v != _default_exponent(default, p):
             items.append((p, v))
     return Rank1Char(tuple(items), default)
 
@@ -160,27 +129,17 @@ Q_CHAR = char(default=INF_RULE)
 
 def exponent(c: Rank1Char, p: int) -> int | float:
     """Divisor exponent of the designated 1 at the prime p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     for q, v in c.exceptions:
         if q == p:
             return v
-    return _rule_value(c.default, prime_index(p))
+    return _default_exponent(c.default, p)
 
 
 def contains(c: Rank1Char, q: Fraction) -> bool:
     """Whether the reduced fraction q lies in the subgroup described by c."""
-    den = q.denominator
-    p = 2
-    while den > 1:
-        if den % p == 0:
-            k = 0
-            while den % p == 0:
-                den //= p
-                k += 1
-            if k > exponent(c, p):
-                return False
-        p += 1
+    for p, k in factorize(q.denominator):  # smallest prime first
+        if k > exponent(c, p):
+            return False
     return True
 
 
@@ -233,21 +192,11 @@ def _inf_set_is_empty(c: Rank1Char) -> bool:
 
 def pinf_primes(c: Rank1Char) -> Iterator[int]:
     """The primes with infinite exponent, in increasing order."""
-    i = 0
-    while True:
-        p = nth_prime(i)
-        if exponent(c, p) == INF:
-            yield p
-        i += 1
+    return (p for p in primes() if exponent(c, p) == INF)
 
 
 def non_pinf_primes(c: Rank1Char) -> Iterator[int]:
-    i = 0
-    while True:
-        p = nth_prime(i)
-        if exponent(c, p) != INF:
-            yield p
-        i += 1
+    return (p for p in primes() if exponent(c, p) != INF)
 
 
 def is_isomorphic(c1: Rank1Char, c2: Rank1Char) -> bool:
@@ -491,7 +440,7 @@ def _build_pinf_divisible(params: dict):
 
     def gen(i: int) -> F.Formula:
         if rule_inf:
-            a, k = _diag_pair(i)
+            a, k = diagonal_pair(i)
             return member(_nth_from(pinf_primes(c), a), k + 1)
         m = len(finite_pinf)
         return member(finite_pinf[i % m], i // m + 1)
@@ -521,14 +470,6 @@ def _build_all_primes_divisible(params: dict):
         return F.Exists(("z",), F.Atomic(F.lin({"z": nth_prime(i), target: -1}), F.ZERO))
 
     return gen, None
-
-
-def _diag_pair(i: int) -> tuple[int, int]:
-    s = 0
-    while (s + 1) * (s + 2) // 2 <= i:
-        s += 1
-    a = i - s * (s + 1) // 2
-    return (a, s - a)
 
 
 def _nth_from(it: Iterator[int], n: int) -> int:

@@ -378,5 +378,9 @@ def is_primitive(t: WordTuple) -> bool:
     """Whether some composition of elementary moves carries ``t`` to the basis."""
     if t.arity != t.rank:
         raise ValueError("primitivity is decided for tuples with arity equal to rank")
-    reduced, _ = nielsen_reduce(t)
-    return reduced.key() == tuple(((i, 1),) for i in range(t.rank))
+    return is_basis(nielsen_reduce(t)[0])
+
+
+def is_basis(t: WordTuple) -> bool:
+    """Whether ``t`` is exactly the identity basis (x0, ..., x{rank-1})."""
+    return t.key() == tuple(((i, 1),) for i in range(t.rank))

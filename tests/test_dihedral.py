@@ -79,6 +79,11 @@ class TestPrimitivePair:
     def test_swapped_pair(self):
         assert D.is_primitive_pair(D.B, D.A) is True
 
+    def test_orbit_pairs_off_the_standard_pair(self):
+        # automorphism images of (a, b): generating pairs of reflections
+        assert D.is_primitive_pair(D.A, nf("aba")) is True
+        assert D.is_primitive_pair(nf("aba"), nf("ababa")) is True
+
     def test_mixed_pair(self):
         assert D.is_primitive_pair(nf("ab"), D.B) is False
 
@@ -107,13 +112,17 @@ class TestScottSentence:
         assert (sigma3.kind, sigma3.level) == ("Sigma", 2)
 
     def test_imprimitive_family_members(self):
-        # (aba, bab) sits at index 69 of the shortlex-diagonal enumeration,
-        # so a 70-member prefix witnesses it; (a, b) and (b, a) never occur
+        # (aba, bab) sits at index 65 of the shortlex-diagonal enumeration,
+        # so a 70-member prefix witnesses it; no pair of the orbit of (a, b)
+        # occurs, (a, aba) included
         pairs = [D.nth_imprimitive_pair(i) for i in range(70)]
         as_text = [(u.letters, v.letters) for u, v in pairs]
         assert ("aba", "bab") in as_text
-        assert ("a", "b") not in as_text
-        assert ("b", "a") not in as_text
+        for orbit_pair in (("a", "b"), ("b", "a"), ("a", "aba"), ("aba", "a"), ("b", "bab")):
+            assert orbit_pair not in as_text
+        for u, v in pairs:
+            g, h = D.to_element(u), D.to_element(v)
+            assert not (g.flip and h.flip and D.oracle_is_generating_pair(u, v))
 
     def test_relations_family_separates(self):
         fam = F.family("and", "dinf-relations", {"pair": ["x1", "x2"]})
