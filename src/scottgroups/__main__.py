@@ -1,0 +1,8 @@
+"""``python -m scottgroups …`` runs the same command line as ``scottgroups …``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -193,10 +193,6 @@ def _cmd_formula_render(args) -> dict:
 # sim
 # ---------------------------------------------------------------------------
 
-def _vec_json(v):
-    return list(v)
-
-
 def _emit_stage_reports(reports, mapper) -> None:
     for r in reports:
         print(json.dumps({
@@ -208,28 +204,28 @@ def _emit_stage_reports(reports, mapper) -> None:
         }, sort_keys=True))
 
 
-def _verification_json(ver: L.VerificationReport) -> dict:
-    return {"ok": ver.ok,
-            "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in ver.checks],
-            "caveat": ver.caveat}
+def _verification_json(ver: L.VerificationReport, verify: bool) -> dict:
+    """The report's payload; under ``verify`` a failed report is an error."""
+    payload = {"ok": ver.ok,
+               "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in ver.checks],
+               "caveat": ver.caveat}
+    if verify and not ver.ok:
+        raise ValueError("verification failed: " + json.dumps(payload))
+    return payload
 
 
 def _cmd_sim_abelian(args) -> dict:
     reports, tag, ver = L.run_abelian(args.k, _read_trace(args.trace), args.growth)
-    _emit_stage_reports(reports, _vec_json)
-    if args.verify and not ver.ok:
-        raise ValueError("verification failed: " + json.dumps(_verification_json(ver)))
-    return {"final": tag, "verification": _verification_json(ver)}
+    _emit_stage_reports(reports, list)
+    return {"final": tag, "verification": _verification_json(ver, args.verify)}
 
 
 def _cmd_sim_dihedral(args) -> dict:
     reports, tag, ver = L.run_dihedral(_read_trace(args.trace), args.growth)
     _emit_stage_reports(reports, lambda e: {"t": str(e.translation), "flip": e.flip})
-    if args.verify and not ver.ok:
-        raise ValueError("verification failed: " + json.dumps(_verification_json(ver)))
     return {"final": tag,
             "tower_depth": L.dihedral_tower_depth(reports),
-            "verification": _verification_json(ver)}
+            "verification": _verification_json(ver, args.verify)}
 
 
 def _cmd_sim_rank1(args) -> dict:
@@ -237,22 +233,18 @@ def _cmd_sim_rank1(args) -> dict:
     reports, final_char, ver = L.run_rank1(c, args.p, args.q, _read_trace(args.trace),
                                            args.growth)
     _emit_stage_reports(reports, str)
-    if args.verify and not ver.ok:
-        raise ValueError("verification failed: " + json.dumps(_verification_json(ver)))
     return {"final_char": R.char_to_json(final_char),
-            "verification": _verification_json(ver)}
+            "verification": _verification_json(ver, args.verify)}
 
 
 def _cmd_sim_cof(args) -> dict:
     c = R.char_from_json(_read_structured(args.char))
     w = set(int(x) for x in args.w.split(",")) if args.w else set()
     result, ver = L.run_cofinality(c, args.m, w, args.bound)
-    if args.verify and not ver.ok:
-        raise ValueError("verification failed: " + json.dumps(_verification_json(ver)))
     return {"table": {str(p): ("inf" if v == R.INF else v) for p, v in result.table.items()},
             "verdict": result.verdict, "multiplier": result.multiplier,
             "missed": list(result.missed), "a_primes": list(result.a_primes),
-            "verification": _verification_json(ver)}
+            "verification": _verification_json(ver, args.verify)}
 
 
 # ---------------------------------------------------------------------------

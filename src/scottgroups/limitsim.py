@@ -15,15 +15,27 @@ sentence stays true.  The four constructions:
 * run_cofinality builds a divisibility table whose agreement with the base
                 characteristic is controlled by an enumerated index set
 
+The three stage-based simulators share one core, ``_Run``, which names
+constants, records facts, checks each fact as it is recorded and writes the
+stage reports; a simulator adds only its value algebra and its stage
+policy.  Each reports ``diagram-monotone``, ``stage-soundness`` (every fact
+recorded by stage s holds in stage s's map) and ``final-replay``, then its
+own: ``final-rank`` (abelian); ``involutions-consistent``,
+``frozen-adds-nothing`` and ``tower-depth-replay`` (dihedral);
+``members-in-final-group`` (rank1).  ``run_cofinality`` is not stage-based
+and reports ``rule-conformance`` and, on an "isomorphic" verdict,
+``multiplier-restores-window``.
+
 Traces are finite, so "limit" verdicts are relative to the final stage's
 belief; every report says so.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import dihedral as D
 from . import rank1 as R
@@ -56,25 +68,6 @@ def trace_from_json(data: dict) -> ConstructionTrace:
     return ConstructionTrace.from_bits(data["steps"])
 
 
-@dataclass
-class PartialDiagram:
-    """Growing set of atomic facts over integer-named constants."""
-
-    constants: list[int] = field(default_factory=list)
-    facts: list[tuple] = field(default_factory=list)
-    _seen: set = field(default_factory=set)
-
-    def add_constant(self, c: int) -> None:
-        self.constants.append(c)
-
-    def add_fact(self, fact: tuple) -> bool:
-        if fact in self._seen:
-            return False
-        self._seen.add(fact)
-        self.facts.append(fact)
-        return True
-
-
 @dataclass(frozen=True)
 class StageReport:
     stage: int
@@ -97,6 +90,96 @@ def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
 
 
 # ---------------------------------------------------------------------------
+# The stage-based core
+# ---------------------------------------------------------------------------
+
+class _Run:
+    """Constants with their values in the current target, the recorded facts
+    and one report per stage.  A subclass supplies ``relations(c)``, the
+    facts a fresh constant c takes part in, and ``holds_relation(fact)``;
+    values change only through ``rewrite``, after which the stage re-checks
+    every fact at its end."""
+
+    def __init__(self, growth: int):
+        if growth < 1:
+            raise ValueError("growth must be >= 1")
+        self.growth = growth
+        self.values: dict[int, Any] = {}
+        self.used: dict[Any, int] = {}
+        self.facts: list[tuple] = []
+        self._seen: set[tuple] = set()
+        self.reports: list[StageReport] = []
+        self.last_stage_for_tag: dict[str, int] = {}
+        self.sound = True
+        self._rewritten = False
+
+    def new_const(self, value) -> int:
+        c = len(self.values)
+        self.values[c] = value
+        self.used[value] = c
+        return c
+
+    def add(self, fact: tuple, delta: list) -> None:
+        if fact in self._seen:
+            return
+        self._seen.add(fact)
+        self.facts.append(fact)
+        delta.append(fact)
+        if not self.holds(fact):
+            self.sound = False
+
+    def record(self, c: int, delta: list) -> None:
+        for fact in self.relations(c):
+            self.add(fact, delta)
+
+    def ensure(self, value, delta: list) -> int:
+        """The constant holding ``value``; a new one is recorded first."""
+        c = self.used.get(value)
+        if c is None:
+            c = self.new_const(value)
+            self.record(c, delta)
+        return c
+
+    def rewrite(self, f: Callable) -> None:
+        """Re-express every constant's value through ``f``."""
+        self.values = {c: f(v) for c, v in self.values.items()}
+        self.used = {v: c for c, v in self.values.items()}
+        self._rewritten = True
+
+    def inequations(self, c: int) -> Iterator[tuple]:
+        vc = self.values[c]
+        for other, vo in self.values.items():
+            if other != c and vo != vc:
+                yield ("neq", min(c, other), max(c, other))
+
+    def holds(self, fact: tuple) -> bool:
+        if fact[0] == "neq":
+            return self.values[fact[1]] != self.values[fact[2]]
+        return self.holds_relation(fact)
+
+    def end_stage(self, stage: int, tag: str, delta: list, resumes: bool) -> None:
+        """Report the stage; ``resumes`` marks a return to an earlier target,
+        whose latest stage the report names."""
+        if self._rewritten and not all(self.holds(f) for f in self.facts):
+            self.sound = False
+        self._rewritten = False
+        resumed = self.last_stage_for_tag.get(tag) if resumes else None
+        self.reports.append(StageReport(stage, tag, dict(self.values), tuple(delta),
+                                        len(self.facts), resumed))
+        self.last_stage_for_tag[tag] = stage
+
+    def verify(self, *extra_checks: tuple[str, bool, str],
+               caveat: str = PREFIX_CAVEAT) -> VerificationReport:
+        counts = [r.fact_count for r in self.reports]
+        checks = [("diagram-monotone", all(a <= b for a, b in zip(counts, counts[1:])),
+                   f"fact counts {counts}"),
+                  ("stage-soundness", self.sound, ""),
+                  ("final-replay", all(self.holds(f) for f in self.facts), ""),
+                  *extra_checks]
+        return VerificationReport(all(ok for _, ok, _ in checks), tuple(checks), caveat)
+
+
+# ---------------------------------------------------------------------------
 # Abelian construction: Z^{k-1} / Z^k / Z^{k+1}
 # ---------------------------------------------------------------------------
 
@@ -106,6 +189,10 @@ def _vec_add(u: tuple, v: tuple) -> tuple:
 
 def _pad(v: tuple, dim: int) -> tuple:
     return v + (0,) * (dim - len(v))
+
+
+def _unit_vector(dim: int, i: int) -> tuple:
+    return tuple(1 if j == i else 0 for j in range(dim))
 
 
 def _matrix_rank(rows: list[tuple]) -> int:
@@ -127,74 +214,40 @@ def _matrix_rank(rows: list[tuple]) -> int:
     return rank
 
 
-def _abelian_fact_holds(fact: tuple, values: dict[int, tuple]) -> bool:
-    kind = fact[0]
-    if kind == "sum":
-        _, i, j, k = fact
-        return _vec_add(values[i], values[j]) == values[k]
-    if kind == "neq":
-        _, i, j = fact
-        return values[i] != values[j]
-    raise ValueError(f"unknown fact {fact!r}")
-
-
-class _AbelianRun:
+class _AbelianRun(_Run):
     def __init__(self, k: int, growth: int):
-        self.k = k
-        self.growth = growth
-        self.diagram = PartialDiagram()
-        self.values: dict[int, tuple] = {}
-        self.used: dict[tuple, int] = {}
+        super().__init__(growth)
         self.dim = k - 1
         self.gen_layers: dict[str, int] = {}  # "s1"/"s2" -> coordinate index
-        self.next_const = 0
-        self.reports: list[StageReport] = []
-        self.last_stage_for_tag: dict[str, int] = {}
 
-    def new_const(self, value: tuple) -> int:
-        c = self.next_const
-        self.next_const += 1
-        self.diagram.add_constant(c)
-        self.values[c] = value
-        self.used[value] = c
-        return c
-
-    def seed(self, delta: list) -> None:
-        zero = self.new_const((0,) * self.dim)
-        self._record_facts(zero, delta)
-        for i in range(self.dim):
-            e = tuple(1 if j == i else 0 for j in range(self.dim))
-            self._record_facts(self.new_const(e), delta)
-
-    def _record_facts(self, c: int, delta: list) -> None:
+    def relations(self, c: int) -> Iterator[tuple]:
+        yield from self.inequations(c)
         vc = self.values[c]
-        for other, vo in list(self.values.items()):
-            if other != c and vo != vc:
-                fact = ("neq", min(c, other), max(c, other))
-                if self.diagram.add_fact(fact):
-                    delta.append(fact)
-        for other, vo in list(self.values.items()):
+        for other, vo in self.values.items():
             s = _vec_add(vc, vo)
             if s in self.used:
-                for fact in (("sum", c, other, self.used[s]),
-                             ("sum", other, c, self.used[s])):
-                    if self.diagram.add_fact(fact):
-                        delta.append(fact)
+                yield ("sum", c, other, self.used[s])
+                yield ("sum", other, c, self.used[s])
             diff = tuple(a - b for a, b in zip(vc, vo))
             if diff in self.used:
-                fact = ("sum", other, self.used[diff], c)
-                if self.diagram.add_fact(fact):
-                    delta.append(fact)
+                yield ("sum", other, self.used[diff], c)
+
+    def holds_relation(self, fact: tuple) -> bool:
+        _, i, j, k = fact
+        return _vec_add(self.values[i], self.values[j]) == self.values[k]
+
+    def seed(self, delta: list) -> None:
+        self.record(self.new_const((0,) * self.dim), delta)
+        for i in range(self.dim):
+            self.record(self.new_const(_unit_vector(self.dim, i)), delta)
 
     def expand(self, layer: str, delta: list) -> None:
         self.dim += 1
-        self.values = {c: _pad(v, self.dim) for c, v in self.values.items()}
-        self.used = {v: c for c, v in self.values.items()}
+        self.rewrite(lambda v: _pad(v, self.dim))
         self.gen_layers[layer] = self.dim - 1
-        e = tuple(1 if j == self.dim - 1 else 0 for j in range(self.dim))
-        self._record_facts(self.new_const(e), delta)
+        self.record(self.new_const(_unit_vector(self.dim, self.dim - 1)), delta)
 
-    def collapse(self, layer: str, delta: list) -> None:
+    def collapse(self, layer: str) -> None:
         coord = self.gen_layers.pop(layer)
         maxabs = max((abs(x) for v in self.values.values() for x in v), default=0)
         m = 1 + 2 * maxabs  # keeps every recorded inequation true
@@ -205,8 +258,7 @@ class _AbelianRun:
             del folded[coord]
             return tuple(folded)
 
-        self.values = {c: squash(v) for c, v in self.values.items()}
-        self.used = {v: c for c, v in self.values.items()}
+        self.rewrite(squash)
         self.dim -= 1
         # surviving layer coordinates shift down past the removed one
         for name, idx in list(self.gen_layers.items()):
@@ -221,7 +273,7 @@ class _AbelianRun:
             cursor += 1
             if cand in self.used:
                 continue
-            self._record_facts(self.new_const(cand), delta)
+            self.record(self.new_const(cand), delta)
             added += 1
 
 
@@ -234,8 +286,6 @@ def run_abelian(k: int, trace: ConstructionTrace, growth: int = 1,
     """Build a diagram whose limit target tracks the trace's final belief."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if growth < 1:
-        raise ValueError("growth must be >= 1")
     run = _AbelianRun(k, growth)
     prev = (False, False)  # construction starts believing n outside S1
     for stage, (s1, s2) in enumerate(trace.steps):
@@ -243,51 +293,24 @@ def run_abelian(k: int, trace: ConstructionTrace, growth: int = 1,
         if stage == 0:
             run.seed(delta)
         # layer transitions, s2 first on the way down so indices stay sane
-        had_s2 = "s2" in run.gen_layers
-        had_s1 = "s1" in run.gen_layers
-        want_s1 = s1
-        want_s2 = s1 and s2
-        if had_s2 and not want_s2:
-            run.collapse("s2", delta)
-        if had_s1 and not want_s1:
-            run.collapse("s1", delta)
-        if not had_s1 and want_s1:
+        if "s2" in run.gen_layers and not (s1 and s2):
+            run.collapse("s2")
+        if "s1" in run.gen_layers and not s1:
+            run.collapse("s1")
+        if s1 and "s1" not in run.gen_layers:
             run.expand("s1", delta)
-        if not ("s2" in run.gen_layers) and want_s2:
+        if s1 and s2 and "s2" not in run.gen_layers:
             run.expand("s2", delta)
         run.grow(delta)
         tag = f"Z{_abelian_dim(k, s1, s2)}"
-        resumed = None
-        if _abelian_dim(k, *prev) > _abelian_dim(k, s1, s2):
-            resumed = run.last_stage_for_tag.get(tag)
-        run.reports.append(StageReport(stage, tag, dict(run.values), tuple(delta),
-                                       len(run.diagram.facts), resumed))
-        run.last_stage_for_tag[tag] = stage
+        run.end_stage(stage, tag, delta,
+                      resumes=_abelian_dim(k, *prev) > _abelian_dim(k, s1, s2))
         prev = (s1, s2)
-    final_tag = run.reports[-1].target_tag
-    verification = _verify_abelian(run, final_tag)
-    return run.reports, final_tag, verification
-
-
-def _verify_abelian(run: _AbelianRun, final_tag: str) -> VerificationReport:
-    checks: list = []
-    counts = [r.fact_count for r in run.reports]
-    _check(checks, "diagram-monotone", all(a <= b for a, b in zip(counts, counts[1:])),
-           f"fact counts {counts}")
-    sound = True
-    upto = 0
-    for r in run.reports:
-        upto = r.fact_count
-        for fact in run.diagram.facts[:upto]:
-            if not _abelian_fact_holds(fact, r.partial_map):
-                sound = False
-    _check(checks, "stage-soundness", sound)
-    want_dim = int(final_tag[1:])
-    got_rank = _matrix_rank([_pad(v, run.dim) for v in run.values.values()])
-    _check(checks, "final-rank", got_rank == want_dim, f"rank {got_rank} vs {want_dim}")
-    final_ok = all(_abelian_fact_holds(f, run.values) for f in run.diagram.facts)
-    _check(checks, "final-replay", final_ok)
-    return VerificationReport(all(ok for _, ok, _ in checks), tuple(checks))
+    want_dim = _abelian_dim(k, s1, s2)
+    got_rank = _matrix_rank(list(run.values.values()))
+    verification = run.verify(("final-rank", got_rank == want_dim,
+                               f"rank {got_rank} vs {want_dim}"))
+    return run.reports, tag, verification
 
 
 # ---------------------------------------------------------------------------
@@ -298,70 +321,46 @@ def _reflection(position: Fraction) -> D.DihedralElement:
     return D.DihedralElement(position, True)
 
 
-class _DihedralRun:
+class _DihedralRun(_Run):
     def __init__(self, growth: int):
-        self.growth = growth
-        self.diagram = PartialDiagram()
-        self.values: dict[int, D.DihedralElement] = {}
-        self.used: dict[D.DihedralElement, int] = {}
-        self.next_const = 0
+        super().__init__(growth)
         self.depth = 0
-        self.a_positions = [Fraction(0)]  # reflection position of a_d
+        self.a_position = Fraction(0)  # reflection position of the current a
         self.enum_cursor = 0
-        self.frozen = False
-        self.reports: list[StageReport] = []
-        self.last_stage_for_tag: dict[str, int] = {}
 
-    def new_const(self, value: D.DihedralElement) -> int:
-        c = self.next_const
-        self.next_const += 1
-        self.diagram.add_constant(c)
-        self.values[c] = value
-        self.used[value] = c
-        return c
-
-    def _record_facts(self, c: int, delta: list) -> None:
+    def relations(self, c: int) -> Iterator[tuple]:
+        yield from self.inequations(c)
         vc = self.values[c]
-        for other, vo in list(self.values.items()):
-            if other != c and vo != vc:
-                fact = ("neq", min(c, other), max(c, other))
-                if self.diagram.add_fact(fact):
-                    delta.append(fact)
-        for other, vo in list(self.values.items()):
+        for other, vo in self.values.items():
             for x, y, vx, vy in ((c, other, vc, vo), (other, c, vo, vc)):
                 prod = vx * vy
                 if prod in self.used:
-                    fact = ("mul", x, y, self.used[prod])
-                    if self.diagram.add_fact(fact):
-                        delta.append(fact)
+                    yield ("mul", x, y, self.used[prod])
+
+    def holds_relation(self, fact: tuple) -> bool:
+        _, i, j, k = fact
+        return self.values[i] * self.values[j] == self.values[k]
 
     def seed(self, delta: list) -> None:
-        self._record_facts(self.new_const(D.E_ELEM), delta)
-        self._record_facts(self.new_const(_reflection(Fraction(0))), delta)  # a
-        self._record_facts(self.new_const(D.B_ELEM), delta)                  # b
+        self.record(self.new_const(D.E_ELEM), delta)
+        self.record(self.new_const(_reflection(Fraction(0))), delta)  # a
+        self.record(self.new_const(D.B_ELEM), delta)                  # b
 
     def deepen(self, delta: list) -> None:
         """Express the current a as a'·b·a' for a fresh deeper reflection a'."""
-        old_pos = self.a_positions[-1]
-        new_pos = (old_pos + 1) / 2  # midpoint of the old reflection and b
-        self.a_positions.append(new_pos)
+        old_pos = self.a_position
+        self.a_position = (old_pos + 1) / 2  # midpoint of the old reflection and b
         self.depth += 1
-        a_new = self.new_const(_reflection(new_pos))
-        self._record_facts(a_new, delta)
-        aux_val = self.values[a_new] * D.B_ELEM
-        aux = self.used.get(aux_val)
-        if aux is None:
-            aux = self.new_const(aux_val)
-            self._record_facts(aux, delta)
+        a_new = self.ensure(_reflection(self.a_position), delta)
+        aux = self.ensure(self.values[a_new] * D.B_ELEM, delta)
         # the defining relation a_old = a' b a' arrives as two product facts
-        # recorded by _record_facts lookups; assert them explicitly too
+        # recorded by the relation lookups; assert them explicitly too
         old_a = self.used[_reflection(old_pos)]
-        for fact in (("mul", a_new, 2, aux), ("mul", aux, a_new, old_a)):
-            if self.diagram.add_fact(fact):
-                delta.append(fact)
+        self.add(("mul", a_new, 2, aux), delta)
+        self.add(("mul", aux, a_new, old_a), delta)
 
     def grow(self, delta: list) -> None:
-        a_elem = _reflection(self.a_positions[-1])
+        a_elem = _reflection(self.a_position)
         added = 0
         while added < self.growth:
             word = D.nth_normal_form(self.enum_cursor)
@@ -371,7 +370,7 @@ class _DihedralRun:
                 value = value * (a_elem if ch == "a" else D.B_ELEM)
             if value in self.used:
                 continue
-            self._record_facts(self.new_const(value), delta)
+            self.record(self.new_const(value), delta)
             added += 1
 
 
@@ -380,8 +379,6 @@ def run_dihedral(trace: ConstructionTrace, growth: int = 1,
     """Targets: settled in S1-S2 builds the dihedral group; repeated S1
     departures deepen a reflection tower; settling in S1∩S2 freezes the
     diagram at a finite fragment."""
-    if growth < 1:
-        raise ValueError("growth must be >= 1")
     run = _DihedralRun(growth)
     prev = (True, False)  # conventional starting belief
     for stage, (s1, s2) in enumerate(trace.steps):
@@ -390,51 +387,26 @@ def run_dihedral(trace: ConstructionTrace, growth: int = 1,
             run.seed(delta)
         if prev[0] and not s1:
             run.deepen(delta)
-        run.frozen = s1 and s2
-        if not run.frozen:
+        frozen = s1 and s2
+        if not frozen:
             run.grow(delta)
         tag = "Dinf" if (s1 and not s2) else ("H" if not s1 else "FiniteFragment")
-        resumed = None
-        if prev == (True, True) and not run.frozen:
-            resumed = run.last_stage_for_tag.get(tag)  # unfreeze resumes
-        run.reports.append(StageReport(stage, tag, dict(run.values), tuple(delta),
-                                       len(run.diagram.facts), resumed))
-        run.last_stage_for_tag[tag] = stage
+        # unfreezing resumes the target held before the freeze
+        run.end_stage(stage, tag, delta, resumes=prev == (True, True) and not frozen)
         prev = (s1, s2)
-    final_tag = run.reports[-1].target_tag
-    verification = _verify_dihedral(run, final_tag)
-    return run.reports, final_tag, verification
-
-
-def _dihedral_fact_holds(fact: tuple, values: dict[int, D.DihedralElement]) -> bool:
-    kind = fact[0]
-    if kind == "mul":
-        _, i, j, k = fact
-        return values[i] * values[j] == values[k]
-    if kind == "neq":
-        _, i, j = fact
-        return values[i] != values[j]
-    raise ValueError(f"unknown fact {fact!r}")
-
-
-def _verify_dihedral(run: _DihedralRun, final_tag: str) -> VerificationReport:
-    checks: list = []
-    counts = [r.fact_count for r in run.reports]
-    _check(checks, "diagram-monotone", all(a <= b for a, b in zip(counts, counts[1:])),
-           f"fact counts {counts}")
-    replay = all(_dihedral_fact_holds(f, run.values) for f in run.diagram.facts)
-    _check(checks, "final-replay", replay)
-    involutions = all(v * v == D.E_ELEM for v in run.values.values() if v.flip)
-    _check(checks, "involutions-consistent", involutions)
-    frozen_ok = all(not r.diagram_delta for r in run.reports
-                    if r.target_tag == "FiniteFragment" and r.stage > 0)
-    _check(checks, "frozen-adds-nothing", frozen_ok)
-    _check(checks, "tower-depth-replay", dihedral_tower_depth(run.reports) == run.depth,
-           f"depth {run.depth}")
-    detail = PREFIX_CAVEAT
-    if final_tag == "H":
-        detail += f"; reported H at achieved tower depth {run.depth}, not certified infinite"
-    return VerificationReport(all(ok for _, ok, _ in checks), tuple(checks), detail)
+    caveat = PREFIX_CAVEAT
+    if tag == "H":
+        caveat += f"; reported H at achieved tower depth {run.depth}, not certified infinite"
+    verification = run.verify(
+        ("involutions-consistent",
+         all(v * v == D.E_ELEM for v in run.values.values() if v.flip), ""),
+        ("frozen-adds-nothing",
+         all(not r.diagram_delta for r in run.reports
+             if r.target_tag == "FiniteFragment" and r.stage > 0), ""),
+        ("tower-depth-replay", dihedral_tower_depth(run.reports) == run.depth,
+         f"depth {run.depth}"),
+        caveat=caveat)
+    return run.reports, tag, verification
 
 
 def dihedral_tower_depth(reports: list[StageReport]) -> int:
@@ -466,80 +438,36 @@ def dihedral_tower_depth(reports: list[StageReport]) -> int:
 # Rank-1 construction: H / G / K
 # ---------------------------------------------------------------------------
 
-def _fraction_gcd(x: Fraction, y: Fraction) -> Fraction:
-    import math as _math
-
-    return Fraction(_math.gcd(x.numerator * y.denominator, y.numerator * x.denominator),
-                    x.denominator * y.denominator)
-
-
-class _Rank1Run:
-    def __init__(self, c: R.Rank1Char, p: int, q: int, growth: int):
-        self.char = c
-        self.p = p
-        self.q = q
-        self.k = int(R.exponent(c, p))
-        self.growth = growth
-        self.diagram = PartialDiagram()
-        self.values: dict[int, Fraction] = {}
-        self.used: dict[Fraction, int] = {}
-        self.next_const = 0
-        self.reports: list[StageReport] = []
-        self.unit_h = None  # constant indices of designated units
-        self.unit_g = None
-        self.unit_k = None
-        self.mult_cursor = 2
-        self.last_stage_for_tag: dict[str, int] = {}
-
-    def content(self) -> Fraction:
-        """Generator of the subgroup of Q spanned by the current constants."""
-        g = None
-        for v in self.values.values():
-            g = v if g is None else _fraction_gcd(g, v)
-        return g
-
-    def depth(self, unit_value: Fraction, prime: int) -> int:
-        """Highest power of ``prime`` dividing the unit in the built group."""
-        x = unit_value / self.content()
-        return valuation(x.numerator, prime) - valuation(x.denominator, prime)
-
-    def new_const(self, value: Fraction) -> int:
-        c = self.next_const
-        self.next_const += 1
-        self.diagram.add_constant(c)
-        self.values[c] = value
-        self.used[value] = c
-        return c
-
-    def ensure(self, value: Fraction, delta: list) -> int:
-        if value in self.used:
-            return self.used[value]
-        c = self.new_const(value)
-        self._record_facts(c, delta)
-        return c
-
-    def _record_facts(self, c: int, delta: list) -> None:
+class _Rank1Run(_Run):
+    def relations(self, c: int) -> Iterator[tuple]:
         vc = self.values[c]
-        for other, vo in list(self.values.items()):
+        for other, vo in self.values.items():
             if other == c:
                 continue
-            fact = ("neq", min(c, other), max(c, other))
-            if self.diagram.add_fact(fact):
-                delta.append(fact)
+            yield ("neq", min(c, other), max(c, other))
             for x, y, vx, vy in ((c, other, vc, vo), (other, c, vo, vc)):
-                if vy != 0 and vx / vy == int(vx / vy) and vx / vy > 1:
-                    m = int(vx / vy)
-                    fact = ("scale", m, y, x)
-                    if self.diagram.add_fact(fact):
-                        delta.append(fact)
+                ratio = vx / vy
+                if ratio.denominator == 1 and ratio > 1:
+                    yield ("scale", int(ratio), y, x)
+
+    def holds_relation(self, fact: tuple) -> bool:
+        _, m, i, j = fact
+        return m * self.values[i] == self.values[j]
+
+    def depth(self, unit_value: Fraction, prime: int) -> int:
+        """Highest power of ``prime`` dividing the unit in the built group,
+        the subgroup of Q that the current constants generate."""
+        values = self.values.values()
+        generator = Fraction(math.gcd(*(v.numerator for v in values)),
+                             math.lcm(*(v.denominator for v in values)))
+        x = unit_value / generator
+        return valuation(x.numerator, prime) - valuation(x.denominator, prime)
 
     def divide(self, unit_value: Fraction, prime: int, delta: list) -> None:
         d = self.depth(unit_value, prime)
         prev = self.ensure(unit_value / prime ** d, delta)
         new = self.ensure(unit_value / prime ** (d + 1), delta)
-        fact = ("scale", prime, new, prev)
-        if self.diagram.add_fact(fact):
-            delta.append(fact)
+        self.add(("scale", prime, new, prev), delta)
 
 
 def run_rank1(c: R.Rank1Char, p: int, q: int, trace: ConstructionTrace,
@@ -553,83 +481,55 @@ def run_rank1(c: R.Rank1Char, p: int, q: int, trace: ConstructionTrace,
     the G unit.  Depths are read off the generated subgroup, so revisits
     account for elements introduced by abandoned phases.
     """
-    if growth < 1:
-        raise ValueError("growth must be >= 1")
+    run = _Rank1Run(growth)
     if R.exponent(c, p) == R.INF:
         raise ValueError("p must lie in P0 or Pfin (finite exponent)")
     if R.exponent(c, q) != R.INF:
         raise ValueError("q must lie in Pinf (infinite exponent)")
-    run = _Rank1Run(c, p, q, growth)
+    k = int(R.exponent(c, p))
     one = Fraction(1)
+    unit_g = unit_k = None  # constants of the designated G and K units
+    mult_cursor = 2
     for stage, (s1, s2) in enumerate(trace.steps):
         delta: list[tuple] = []
         if stage == 0:
-            run.unit_h = run.new_const(one)
-            run._record_facts(run.unit_h, delta)
+            unit_h = run.ensure(one, delta)
         target = "H" if not s1 else ("G" if not s2 else "K")
         if target == "H":
-            for _ in range(run.growth):
-                run.divide(one, run.p, delta)
-            run.unit_g = None  # a later G phase designates a fresh unit
+            for _ in range(growth):
+                run.divide(one, p, delta)
+            unit_g = None  # a later G phase designates a fresh unit
         else:
-            if run.unit_g is None:
-                k_s = run.depth(one, run.p)
-                run.unit_g = run.ensure(Fraction(run.p ** run.k, run.p ** k_s), delta)
+            if unit_g is None:
+                k_s = run.depth(one, p)
+                unit_g = run.ensure(Fraction(p ** k, p ** k_s), delta)
             if target == "G":
-                for _ in range(run.growth):
-                    run.divide(run.values[run.unit_g], run.q, delta)
+                for _ in range(growth):
+                    run.divide(run.values[unit_g], q, delta)
             else:  # K: freeze q at the unit and keep adding integer multiples
-                u_g = run.values[run.unit_g]
-                l_s = run.depth(u_g, run.q)
-                run.unit_k = run.ensure(u_g / run.q ** l_s, delta)
-                base = run.values[run.unit_k]
-                for _ in range(run.growth):
-                    new = run.ensure(base * run.mult_cursor, delta)
-                    fact = ("scale", run.mult_cursor, run.unit_k, new)
-                    if run.diagram.add_fact(fact):
-                        delta.append(fact)
-                    run.mult_cursor += 1
-        resumed = run.last_stage_for_tag.get(target)
-        run.reports.append(StageReport(stage, target, dict(run.values), tuple(delta),
-                                       len(run.diagram.facts), resumed))
-        run.last_stage_for_tag[target] = stage
-    s1, s2 = trace.steps[-1]
+                u_g = run.values[unit_g]
+                l_s = run.depth(u_g, q)
+                unit_k = run.ensure(u_g / q ** l_s, delta)
+                base = run.values[unit_k]
+                for _ in range(growth):
+                    new = run.ensure(base * mult_cursor, delta)
+                    run.add(("scale", mult_cursor, unit_k, new), delta)
+                    mult_cursor += 1
+        run.end_stage(stage, target, delta, resumes=True)
     if not s1:
         final_char = R.extend_infinite_at(c, p)
-        final_unit = run.unit_h
+        final_unit = unit_h
     elif not s2:
         final_char = c
-        final_unit = run.unit_g if run.unit_g is not None else run.unit_h
+        final_unit = unit_g
     else:
         final_char = R.kill_prime_at(c, q)
-        final_unit = run.unit_k
-    verification = _verify_rank1(run, final_char, final_unit)
-    return run.reports, final_char, verification
-
-
-def _rank1_fact_holds(fact: tuple, values: dict[int, Fraction]) -> bool:
-    kind = fact[0]
-    if kind == "scale":
-        _, m, i, j = fact
-        return m * values[i] == values[j]
-    if kind == "neq":
-        _, i, j = fact
-        return values[i] != values[j]
-    raise ValueError(f"unknown fact {fact!r}")
-
-
-def _verify_rank1(run: _Rank1Run, final_char: R.Rank1Char,
-                  final_unit: int) -> VerificationReport:
-    checks: list = []
-    counts = [r.fact_count for r in run.reports]
-    _check(checks, "diagram-monotone", all(a <= b for a, b in zip(counts, counts[1:])),
-           f"fact counts {counts}")
-    replay = all(_rank1_fact_holds(f, run.values) for f in run.diagram.facts)
-    _check(checks, "final-replay", replay)
+        final_unit = unit_k
     unit_val = run.values[final_unit]
     member = all(R.contains(final_char, v / unit_val) for v in run.values.values())
-    _check(checks, "members-in-final-group", member, f"designated unit {unit_val}")
-    return VerificationReport(all(ok for _, ok, _ in checks), tuple(checks))
+    verification = run.verify(("members-in-final-group", member,
+                               f"designated unit {unit_val}"))
+    return run.reports, final_char, verification
 
 
 # ---------------------------------------------------------------------------

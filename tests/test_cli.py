@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from scottgroups import cli
 from scottgroups import formula as F
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -174,3 +180,14 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
         assert out == ""  # payload stream stays clean on failure
+
+
+class TestModuleEntry:
+    def test_python_dash_m_scottgroups(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "scottgroups", "fgab", "normalize",
+                               "4", "6"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"invariant_factors": [2, 12]}
+        assert proc.stderr == ""

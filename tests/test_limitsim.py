@@ -51,6 +51,14 @@ class TestAbelian:
         with pytest.raises(ValueError):
             L.run_abelian(1, T([[0, 0]]))
 
+    def test_stage_soundness_catches_a_faulty_rewrite(self, monkeypatch):
+        # expanding pads every value with 1 instead of 0, so 0 + 0 = 0 breaks
+        monkeypatch.setattr(L, "_pad", lambda v, dim: v + (1,) * (dim - len(v)))
+        _, _, ver = L.run_abelian(2, T([[0, 0], [1, 0], [0, 0]]), growth=1)
+        checks = {name: ok for name, ok, _ in ver.checks}
+        assert checks["stage-soundness"] is False
+        assert not ver.ok
+
     def test_double_jump(self):
         _, tag, ver = L.run_abelian(3, T([[0, 0], [1, 1], [0, 0], [1, 1]]), growth=1)
         assert tag == "Z4" and ver.ok
@@ -185,10 +193,12 @@ class TestDiagramMonotonicity:
             steps = [[rng.randint(0, 1), rng.randint(0, 1)]
                      for _ in range(rng.randint(1, 12))]
             trace = T(steps)
-            for reports in (
-                L.run_abelian(2, trace, growth=1)[0],
-                L.run_dihedral(trace, growth=1)[0],
-                L.run_rank1(R.char({2: R.INF}), 3, 2, trace, growth=1)[0],
+            for reports, _, ver in (
+                L.run_abelian(2, trace, growth=1),
+                L.run_dihedral(trace, growth=1),
+                L.run_rank1(R.char({2: R.INF}), 3, 2, trace, growth=1),
             ):
                 counts = [r.fact_count for r in reports]
                 assert all(a <= b for a, b in zip(counts, counts[1:]))
+                assert "stage-soundness" in [name for name, _, _ in ver.checks]
+                assert all(ok for _, ok, _ in ver.checks), (steps, ver)
