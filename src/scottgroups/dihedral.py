@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import count
 
 from . import formula as F
-from .numtheory import diagonal_pair
+from .numtheory import Enumeration, diagonal_pair
 
 
 @dataclass(frozen=True)
@@ -200,17 +200,6 @@ def is_primitive_pair(w1: DihedralWord, w2: DihedralWord) -> bool:
 # Word enumerations feeding the Scott sentence families
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _normal_forms_upto(n: int) -> tuple[DihedralWord, ...]:
-    out = [EPSILON]
-    for length in range(1, n + 1):
-        for start in "ab":
-            out.append(DihedralWord("".join(
-                start if i % 2 == 0 else ("b" if start == "a" else "a")
-                for i in range(length))))
-    return tuple(out)
-
-
 def nth_normal_form(i: int) -> DihedralWord:
     """i-th normal form in shortlex order: ε, a, b, ab, ba, aba, bab, ..."""
     if i == 0:
@@ -222,34 +211,32 @@ def nth_normal_form(i: int) -> DihedralWord:
         for j in range(length)))
 
 
-@lru_cache(maxsize=None)
+def _imprimitive_pairs():
+    for j in count():
+        u, v = (nth_normal_form(k) for k in diagonal_pair(j))
+        if not is_primitive_pair(u, v):
+            yield (u, v)
+
+
+_IMPRIMITIVE_PAIRS = Enumeration(_imprimitive_pairs())
+
+
 def nth_imprimitive_pair(i: int) -> tuple[DihedralWord, DihedralWord]:
     """i-th imprimitive pair of normal forms, in shortlex-diagonal order."""
-    seen = 0
-    j = 0
-    while True:
-        u, v = (nth_normal_form(k) for k in diagonal_pair(j))
-        j += 1
-        if is_primitive_pair(u, v):
-            continue
-        if seen == i:
-            return (u, v)
-        seen += 1
+    return _IMPRIMITIVE_PAIRS[i]
 
 
-@lru_cache(maxsize=None)
-def _nth_free_word(i: int) -> tuple[tuple[str, int], ...]:
-    """i-th reduced word over x1^±1, x2^±1 in shortlex order (ε first)."""
+def _free_words():
+    """Reduced words over x1^±1, x2^±1 in shortlex order (ε first)."""
     alphabet = (("x1", 1), ("x1", -1), ("x2", 1), ("x2", -1))
-    count = 0
     frontier: list[tuple[tuple[str, int], ...]] = [()]
     while True:
-        for w in frontier:
-            if count == i:
-                return w
-            count += 1
+        yield from frontier
         frontier = [w + (l,) for w in frontier for l in alphabet
                     if not w or w[-1] != (l[0], -l[1])]
+
+
+_FREE_WORDS = Enumeration(_free_words())
 
 
 def _eval_free_word_in_dinf(letters: tuple[tuple[str, int], ...]) -> DihedralElement:
@@ -274,35 +261,23 @@ def _build_triple_family(params: dict):
     targets = tuple(params["targets"])
 
     def gen(i: int) -> F.Formula:
-        a, (b, c) = _triple_diagonal(i)
-        triple = (nth_normal_form(a), nth_normal_form(b), nth_normal_form(c))
+        triple = map(nth_normal_form, _TRIPLES[i])
         return F.conj(*(F.Atomic(F.gword([(t, 1)]), _word_term(w, names))
                         for t, w in zip(targets, triple)))
 
     return gen, None
 
 
-def _triple_diagonal(i: int) -> tuple[int, tuple[int, int]]:
-    s = 0
-    count = 0
-    while True:
-        shell = (s + 1) * (s + 2) // 2  # triples with sum s
-        if count + shell > i:
-            k = i - count
-            for a in range(s + 1):
-                for b in range(s + 1 - a):
-                    if k == 0:
-                        return (a, (b, s - a - b))
-                    k -= 1
-        count += shell
-        s += 1
+# triples of naturals by their sum, then the first, then the second entry
+_TRIPLES = Enumeration((a, b, s - a - b) for s in count()
+                       for a in range(s + 1) for b in range(s + 1 - a))
 
 
 def _build_relations_family(params: dict):
     names = tuple(params["pair"])
 
     def gen(i: int) -> F.Formula:
-        letters = _nth_free_word(i)
+        letters = _FREE_WORDS[i]
         mapped = F.gword([(names[0] if var == "x1" else names[1], e)
                           for var, e in letters]) if letters else F.IDENT
         holds = _eval_free_word_in_dinf(letters) == E_ELEM

@@ -10,12 +10,14 @@ tables double as evaluation structures for the formula module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, product
 
 from . import formula as F
 from .formula import FiniteStructure as FiniteGroupTable
-from .numtheory import factorize
+from .numtheory import Enumeration, factorize
 
 __all__ = [
     "FgAbelianDesc", "FiniteGroupTable", "normalize_torsion",
@@ -75,17 +77,16 @@ def normalize_torsion(cyclic_orders: tuple[int, ...] | list[int]) -> tuple[int, 
             raise ValueError("cyclic orders must be >= 2")
         for p, e in factorize(c):
             primary.setdefault(p, []).append(e)
-    for exps in primary.values():
-        exps.sort(reverse=True)
-    depth = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for level in range(depth):
-        d = 1
-        for p, exps in primary.items():
-            if level < len(exps):
-                d *= p ** exps[level]
-        factors.append(d)
-    return tuple(reversed(factors))
+    return _invariant_factors([(p, sorted(exps, reverse=True)) for p, exps in primary.items()])
+
+
+def _invariant_factors(primary) -> tuple[int, ...]:
+    """Invariant factors of ⊕ Z/p^e over a sequence of (p, exponents) pairs,
+    each prime's exponents in decreasing order: the i-th largest powers of
+    every prime multiply to the i-th largest factor."""
+    depth = max((len(exps) for _, exps in primary), default=0)
+    return tuple(math.prod(p ** exps[level] for p, exps in primary if level < len(exps))
+                 for level in reversed(range(depth)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,30 +150,8 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
 
 def abelian_invariant_factor_lists(order: int) -> list[tuple[int, ...]]:
     """Invariant-factor tuples of every abelian group of the given order."""
-    if order == 1:
-        return [()]
-    per_prime = []
-    for p, e in factorize(order):
-        per_prime.append([(p, part) for part in _partitions(e)])
-    out = []
-
-    def combine(idx: int, chosen: list[tuple[int, tuple[int, ...]]]):
-        if idx == len(per_prime):
-            depth = max(len(part) for _, part in chosen)
-            factors = []
-            for level in range(depth):
-                d = 1
-                for p, part in chosen:
-                    if level < len(part):
-                        d *= p ** part[level]
-                factors.append(d)
-            out.append(tuple(reversed(factors)))
-            return
-        for choice in per_prime[idx]:
-            combine(idx + 1, chosen + [choice])
-
-    combine(0, [])
-    return sorted(out)
+    per_prime = [[(p, part) for part in _partitions(e)] for p, e in factorize(order)]
+    return sorted(_invariant_factors(chosen) for chosen in product(*per_prime))
 
 
 def abelian_tables_upto(max_order: int) -> list[tuple[tuple[int, ...], FiniteGroupTable]]:
@@ -202,15 +181,16 @@ def _element_expressions(t: FiniteGroupTable) -> tuple[list[int], list[tuple[int
     return gens, [expr[x] for x in range(t.size)]
 
 
+def _element_order(t: FiniteGroupTable, x: int) -> int:
+    acc, n = x, 1
+    while acc != t.identity:
+        acc = t.apply(acc, x)
+        n += 1
+    return n
+
+
 def _order_profile(t: FiniteGroupTable) -> tuple[int, ...]:
-    orders = []
-    for x in range(t.size):
-        acc, n = x, 1
-        while acc != t.identity:
-            acc = t.apply(acc, x)
-            n += 1
-        orders.append(n)
-    return tuple(sorted(orders))
+    return tuple(sorted(_element_order(t, x) for x in range(t.size)))
 
 
 def tables_isomorphic(t1: FiniteGroupTable, t2: FiniteGroupTable) -> bool:
@@ -220,18 +200,9 @@ def tables_isomorphic(t1: FiniteGroupTable, t2: FiniteGroupTable) -> bool:
     if _order_profile(t1) != _order_profile(t2):
         return False
     gens, exprs = _element_expressions(t1)
-    import itertools as it
-
-    def elem_order(t, x):
-        acc, n = x, 1
-        while acc != t.identity:
-            acc = t.apply(acc, x)
-            n += 1
-        return n
-
-    gen_orders = [elem_order(t1, g) for g in gens]
-    candidates = [[y for y in range(t2.size) if elem_order(t2, y) == o] for o in gen_orders]
-    for images in it.product(*candidates):
+    gen_orders = [_element_order(t1, g) for g in gens]
+    candidates = [[y for y in range(t2.size) if _element_order(t2, y) == o] for o in gen_orders]
+    for images in product(*candidates):
         fmap = []
         for word in exprs:
             acc = t2.identity
@@ -250,39 +221,29 @@ def tables_isomorphic(t1: FiniteGroupTable, t2: FiniteGroupTable) -> bool:
 # Family enumerations over integer tuples
 # ---------------------------------------------------------------------------
 
-def _int_key(k: int) -> tuple[int, int]:
-    return (abs(k), 0 if k >= 0 else 1)
-
-
 @lru_cache(maxsize=None)
-def _int_shell(n: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Tuples in Z^n with max |k| equal to r, ordered lexicographically
-    by the integer order 0 < 1 < -1 < 2 < -2 < ..."""
-    import itertools as it
+def _int_tuples(n: int) -> Enumeration:
+    """Z^n, n >= 1, by max |k| and then lexicographically in the integer
+    order 0 < 1 < -1 < 2 < -2 < ...; the zero tuple comes first."""
+    def shells():
+        yield (0,) * n
+        ordered = [0]
+        for r in count(1):
+            ordered += (r, -r)
+            yield from (t for t in product(ordered, repeat=n) if max(map(abs, t)) == r)
 
-    ordered = [0]
-    for v in range(1, r + 1):
-        ordered.extend((v, -v))
-    shell = [t for t in it.product(ordered, repeat=n) if t and max(map(abs, t)) == r]
-    return tuple(shell) if r > 0 else ((0,) * n,)
-
-
-_TUPLE_CACHE: dict[tuple[int, bool], list[tuple[int, ...]]] = {}
+    return Enumeration(shells())
 
 
 def int_tuple(n: int, i: int, include_zero: bool = False) -> tuple[int, ...]:
     """i-th integer n-tuple in the diagonal order (by max |k|, then lex)."""
-    key = (n, include_zero)
-    cache = _TUPLE_CACHE.setdefault(key, [])
-    r = 0
-    if not cache:
-        if include_zero:
-            cache.extend(_int_shell(n, 0))
-    while len(cache) <= i:
-        r += 1
-        cache_max = max((max(map(abs, t)) for t in cache), default=0)
-        cache.extend(_int_shell(n, cache_max + 1))
-    return cache[i]
+    return _int_tuples(n)[i if include_zero else i + 1]
+
+
+@lru_cache(maxsize=None)
+def _span_coefficients(n: int) -> Enumeration:
+    """(k, m̄) for k >= 2 and nonzero m̄ in {0..k-1}^n, by k and then m̄ lexicographically."""
+    return Enumeration((k, m) for k in count(2) for m in product(range(k), repeat=n) if any(m))
 
 
 def _build_multiple_neq(params: dict):
@@ -294,25 +255,15 @@ def _build_multiple_neq(params: dict):
     return gen, None
 
 
-def _build_no_division(params: dict):
+def _build_pure_span(params: dict):
     targets = tuple(params["targets"])
     witness = params["witness"]
-    n = len(targets)
 
-    def gen(idx: int) -> F.Formula:
-        # diagonal over (target index i in 1..n, factor k >= 2)
-        remaining = idx
-        s = 3
-        while True:
-            width = min(n, s - 2)
-            if remaining < width:
-                i = remaining + 1
-                k = s - i
-                return F.NegAtomic(F.lin({witness: k, targets[i - 1]: -1}), F.ZERO)
-            remaining -= width
-            s += 1
+    def gen(i: int) -> F.Formula:
+        k, m = _span_coefficients(len(targets))[i]
+        return F.NegAtomic(F.lin({witness: k, **{x: -c for x, c in zip(targets, m)}}), F.ZERO)
 
-    return gen, None
+    return gen, None if targets else 0  # no targets: no nonzero m̄, no member
 
 
 def _build_nonzero_combo_neq(params: dict):
@@ -364,7 +315,7 @@ def _build_fg_relations(params: dict):
 
 
 F.register_family("multiple-neq", _build_multiple_neq)
-F.register_family("no-division", _build_no_division)
+F.register_family("pure-span", _build_pure_span)
 F.register_family("nonzero-combo-neq", _build_nonzero_combo_neq)
 F.register_family("nonzero-combo-eq", _build_nonzero_combo_eq)
 F.register_family("all-combo-eq", _build_all_combo_eq)
@@ -386,12 +337,17 @@ def torsion_free_sentence(var: str = "x") -> F.Formula:
 
 
 def independent_tuple_sentence(n: int) -> F.Formula:
-    """Sigma(2): n independent elements, none divisible by any factor >= 2."""
+    """Sigma(2): n independent elements spanning a pure subgroup.
+
+    Pure: k·y = Σ m_i x_i has no solution y for k >= 2 and nonzero m̄ in
+    {0..k-1}^n, so a multiple k·y lies in the span only with every
+    coefficient divisible by k.
+    """
     gens = _gen_names(n)
-    no_div = F.Forall(("y",), F.family("and", "no-division",
-                                       {"targets": list(gens), "witness": "y"}))
+    pure = F.Forall(("y",), F.family("and", "pure-span",
+                                     {"targets": list(gens), "witness": "y"}))
     independent = F.family("and", "nonzero-combo-neq", {"vars": list(gens)})
-    return F.Exists(gens, F.conj(no_div, independent))
+    return F.Exists(gens, F.conj(pure, independent))
 
 
 def dependence_sentence(n: int) -> F.Formula:

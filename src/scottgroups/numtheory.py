@@ -1,4 +1,5 @@
-"""Primes, primality, factoring and valuations: the package's one arithmetic layer.
+"""Primes, primality, factoring, valuations and indexed enumerations: the
+package's one arithmetic and enumeration layer.
 
 Primes are read from a table filled by a sieve whose bound doubles on
 demand, each growth sieving only the new segment with the primes already
@@ -12,6 +13,10 @@ Primality above the table's current bound is deterministic Miller–Rabin
 Jiang and Deng 2014).  ``factorize`` divides out the primes up to
 ``TRIAL_BOUND``, then splits what is left with Pollard's rho (Pollard 1975,
 in Brent's form); that cofactor must lie below ``MR_LIMIT``.
+
+``Enumeration`` indexes an infinite iterator, computing each item once; the
+Scott-sentence families whose members are found by a search or built in
+order read them through one.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from itertools import compress, count
-from typing import Iterator
+from itertools import compress, count, islice
+from typing import Iterable, Iterator
 
 # the largest prime with an index here is the last prime below 2^24
 # (the 1,077,871st prime, 16,777,213); the table then holds 8.6 MB
@@ -198,6 +203,30 @@ def diagonal_pair(i: int) -> tuple[int, int]:
     s = (math.isqrt(8 * i + 1) - 1) // 2  # largest s with s(s+1)/2 <= i
     a = i - s * (s + 1) // 2
     return (a, s - a)
+
+
+class Enumeration:
+    """The items of an iterator, by index: ``e[i]`` is its i-th item (from 0).
+
+    Items are drawn from the iterator when an index first reaches them and
+    kept, so each is computed once however often or in what order it is read.
+    An index past the end of a finite iterator raises ``IndexError``; an
+    error raised by the iterator ends the enumeration where it was raised.
+    """
+
+    def __init__(self, items: Iterable):
+        self._source = iter(items)
+        self._items: list = []
+
+    def __getitem__(self, i: int):
+        if i < 0:
+            raise IndexError(f"enumeration indices are natural numbers, not {i}")
+        items = self._items
+        if i >= len(items):
+            items.extend(islice(self._source, i + 1 - len(items)))
+            if i >= len(items):
+                raise IndexError(f"the enumeration ends after {len(items)} items")
+        return items[i]
 
 
 _TABLE = PrimeTable()

@@ -20,14 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 from . import fgab
 from . import formula as F
 # re-exported: rank1 code calls these through its own names, so that a
 # wrapper installed on rank1.prime_index sees every call made here
-from .numtheory import diagonal_pair, factorize, is_prime, nth_prime, prime_index, \
-    primes, primes_upto
+from .numtheory import Enumeration, diagonal_pair, factorize, is_prime, nth_prime, \
+    prime_index, primes, primes_upto
 
 INF = math.inf
 
@@ -182,21 +183,6 @@ def partition(c: Rank1Char, bound: int) -> Partition:
         (pinf if v == INF else pfin if v > 0 else p0).append(p)
     fl = _rule_class_flags(c)
     return Partition(tuple(p0), tuple(pfin), tuple(pinf), *fl)
-
-
-def _inf_set_is_empty(c: Rank1Char) -> bool:
-    if _rule_class_flags(c)[2]:
-        return False
-    return all(v != INF for _, v in c.exceptions)
-
-
-def pinf_primes(c: Rank1Char) -> Iterator[int]:
-    """The primes with infinite exponent, in increasing order."""
-    return (p for p in primes() if exponent(c, p) == INF)
-
-
-def non_pinf_primes(c: Rank1Char) -> Iterator[int]:
-    return (p for p in primes() if exponent(c, p) != INF)
 
 
 def is_isomorphic(c1: Rank1Char, c2: Rank1Char) -> bool:
@@ -360,10 +346,6 @@ def char_from_json(data: dict) -> Rank1Char:
     return char(exc, _rule_from_json(data["default"]))
 
 
-def fraction_from_text(text: str) -> Fraction:
-    return Fraction(text)
-
-
 # ---------------------------------------------------------------------------
 # Lambda enumeration (the rationals lying in the group, diagonal order)
 # ---------------------------------------------------------------------------
@@ -382,19 +364,23 @@ def _rationals_diagonal() -> Iterator[Fraction]:
         shell += 1
 
 
-_LAMBDA_CACHE: dict[str, tuple[Iterator[Fraction], list[Fraction]]] = {}
+class _Enumerations(NamedTuple):
+    members: Enumeration  # the rationals in the group, by _rationals_diagonal
+    pinf: Enumeration  # the primes with infinite exponent, increasing
+    non_pinf: Enumeration  # the other primes, increasing
+
+
+@lru_cache(maxsize=64)
+def _enumerations(c: Rank1Char) -> _Enumerations:
+    """The characteristic's enumerations, kept for the 64 most recently used."""
+    return _Enumerations(Enumeration(q for q in _rationals_diagonal() if contains(c, q)),
+                         Enumeration(p for p in primes() if exponent(c, p) == INF),
+                         Enumeration(p for p in primes() if exponent(c, p) != INF))
 
 
 def lambda_member(c: Rank1Char, i: int) -> Fraction:
     """i-th rational of the group, ordered by max(|num|, den) then numerator."""
-    key = str(char_to_json(c))
-    if key not in _LAMBDA_CACHE:
-        source = _rationals_diagonal()
-        _LAMBDA_CACHE[key] = (source, [])
-    source, members = _LAMBDA_CACHE[key]
-    while len(members) <= i:
-        members.append(next(q for q in source if contains(c, q)))
-    return members[i]
+    return _enumerations(c).members[i]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +427,7 @@ def _build_pinf_divisible(params: dict):
     def gen(i: int) -> F.Formula:
         if rule_inf:
             a, k = diagonal_pair(i)
-            return member(_nth_from(pinf_primes(c), a), k + 1)
+            return member(_enumerations(c).pinf[a], k + 1)
         m = len(finite_pinf)
         return member(finite_pinf[i % m], i // m + 1)
 
@@ -457,7 +443,7 @@ def _build_non_pinf_indivisible(params: dict):
         size = None
 
     def gen(i: int) -> F.Formula:
-        p = _nth_from(non_pinf_primes(c), i)
+        p = _enumerations(c).non_pinf[i]
         return F.Forall(("z",), F.NegAtomic(F.lin({"z": p, var: -1}), F.ZERO))
 
     return gen, size
@@ -470,12 +456,6 @@ def _build_all_primes_divisible(params: dict):
         return F.Exists(("z",), F.Atomic(F.lin({"z": nth_prime(i), target: -1}), F.ZERO))
 
     return gen, None
-
-
-def _nth_from(it: Iterator[int], n: int) -> int:
-    for _ in range(n):
-        next(it)
-    return next(it)
 
 
 F.register_family("rank1-lambda-exists", _build_lambda_exists)

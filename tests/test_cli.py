@@ -173,6 +173,9 @@ class TestExitCodes:
         ["sim", "rank1", "--char", '{"default":"zero"}', "--p", "2", "--q", "2",
          "--trace", "00"],
         ["sim", "cof", "--char", '{"default":"zero"}', "--m", "3", "--bound", "50"],
+        # the family that Z^n sentences used before pure-span is no longer registered
+        ["formula", "render",
+         '{"t":"fam-and","enum":"no-division","params":{"targets":["x1"],"witness":"y"}}'],
     ])
     def test_malformed_inputs_are_domain_errors(self, capsys, argv):
         code = cli.main(argv)

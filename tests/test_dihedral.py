@@ -129,3 +129,57 @@ class TestScottSentence:
         members = F.family_members(fam, 40)
         kinds = {type(m) for m in members}
         assert kinds == {F.Atomic, F.NegAtomic}
+
+
+def shortlex_normal_forms(count):
+    """ε, a, b, ab, ba, aba, bab, ...: by length, the a-starter first."""
+    out = [""]
+    length = 1
+    while len(out) < count:
+        out += [("ab" * length)[:length], ("ba" * length)[:length]]
+        length += 1
+    return [nf(w) for w in out[:count]]
+
+
+class TestFamilyEnumerations:
+    def test_imprimitive_pairs_match_the_oracle_filter(self):
+        forms = shortlex_normal_forms(200)
+        want = []
+        for s in itertools.count():  # Cantor order on index pairs
+            for a in range(s + 1):
+                u, v = forms[a], forms[s - a]
+                g, h = D.to_element(u), D.to_element(v)
+                if not (g.flip and h.flip and D.oracle_is_generating_pair(u, v)):
+                    want.append((u, v))
+            if len(want) >= 500:
+                break
+        assert [D.nth_imprimitive_pair(i) for i in range(500)] == want[:500]
+
+    def test_next_imprimitive_pair_costs_constant_work(self, monkeypatch):
+        calls = []
+        primitive = D.is_primitive_pair
+        monkeypatch.setattr(D, "is_primitive_pair",
+                            lambda u, v: calls.append((u, v)) or primitive(u, v))
+        D.nth_imprimitive_pair(1500)
+        calls.clear()
+        D.nth_imprimitive_pair(1501)
+        assert 1 <= len(calls) <= 4  # not a rescan of the 1501 pairs before it
+        calls.clear()
+        D.nth_imprimitive_pair(1501)
+        assert calls == []
+
+    def test_relations_words_in_shortlex_order(self):
+        alphabet = (("x1", 1), ("x1", -1), ("x2", 1), ("x2", -1))
+        want = [w for length in range(5) for w in itertools.product(alphabet, repeat=length)
+                if all(b != (a[0], -a[1]) for a, b in zip(w, w[1:]))]
+        fam = F.family("and", "dinf-relations", {"pair": ["x1", "x2"]})
+        members = F.family_members(fam, len(want))
+        assert [m.lhs.letters for m in members] == want
+        for w, m in zip(want, members):
+            trivial = nf("".join("a" if var == "x1" else "b" for var, _ in w)) == D.EPSILON
+            assert isinstance(m, F.Atomic if trivial else F.NegAtomic)
+
+    def test_triples_by_sum_then_entries(self):
+        want = sorted((t for t in itertools.product(range(13), repeat=3) if sum(t) <= 12),
+                      key=lambda t: (sum(t), t[0], t[1]))
+        assert [D._TRIPLES[i] for i in range(len(want))] == want

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -138,6 +140,51 @@ class TestInfiniteScott:
         assert F.evaluate_exact(fgab.torsion_free_sentence(), z5, 6) == (False, True)
 
 
+def lin_value(term, env):
+    """A LinTerm's value where each variable names a vector of Fractions."""
+    dim = len(next(iter(env.values())))
+    return tuple(sum(k * env[var][j] for var, k in term.coeffs) for j in range(dim))
+
+
+def neg_atomic_holds(member, env):
+    assert isinstance(member, F.NegAtomic)
+    return lin_value(member.lhs, env) != lin_value(member.rhs, env)
+
+
+class TestPureSpan:
+    """The Z^2 sentence's witness clause: ∃x1 x2 (∀y ⋀ pure-span ∧ independent)."""
+
+    def pure_span_members(self, count):
+        pure = fgab.scott_sentence_zn(2).items[2].body.items[0]
+        assert isinstance(pure, F.Forall) and pure.vars == ("y",)
+        assert pure.body.note.enum_id == "pure-span"
+        return F.family_members(pure.body, count)
+
+    def test_member_order(self):
+        want = [(k, m) for k in range(2, 5) for m in product(range(k), repeat=2) if any(m)]
+        got = []
+        for member in self.pure_span_members(len(want)):
+            coeffs = dict(member.lhs.coeffs)
+            got.append((coeffs["y"], (-coeffs.get("x1", 0), -coeffs.get("x2", 0))))
+        assert got == want
+
+    def test_refutes_z_plus_dyadic_rationals(self):
+        # in Z ⊕ Z[1/2], no k >= 2 divides x1 = (1, 0) or x2 = (1, 1), and the
+        # pair is independent, but 2·(1, 1/2) = x1 + x2: the span is not pure
+        x = {"x1": (Fraction(1), Fraction(0)), "x2": (Fraction(1), Fraction(1))}
+        halves = [Fraction(h, 2) for h in range(-4, 5)]
+        refuted = [(dict(m.lhs.coeffs), y) for m in self.pure_span_members(50)
+                   for y in product(halves, repeat=2)
+                   if not neg_atomic_holds(m, {**x, "y": y})]
+        assert ({"x1": -1, "x2": -1, "y": 2}, (1, Fraction(1, 2))) in refuted
+
+    def test_holds_in_z2_at_the_standard_basis(self):
+        x = {"x1": (Fraction(1), Fraction(0)), "x2": (Fraction(0), Fraction(1))}
+        for member in self.pure_span_members(200):
+            for y in product(range(-5, 6), repeat=2):
+                assert neg_atomic_holds(member, {**x, "y": tuple(map(Fraction, y))})
+
+
 class TestIntTupleOrder:
     def test_deterministic_prefix(self):
         got = [fgab.int_tuple(2, i) for i in range(8)]
@@ -146,3 +193,12 @@ class TestIntTupleOrder:
 
     def test_zero_inclusion(self):
         assert fgab.int_tuple(2, 0, include_zero=True) == (0, 0)
+
+    def test_matches_sorted_product(self):
+        # every tuple with entries in -r..r, by max |k|, then lexicographically
+        # in the integer order 0 < 1 < -1 < 2 < -2 < ...
+        for n, r in ((1, 30), (2, 6), (3, 3)):
+            want = sorted(product(range(-r, r + 1), repeat=n),
+                          key=lambda t: (max(map(abs, t)), [(abs(k), k < 0) for k in t]))
+            assert [fgab.int_tuple(n, i, include_zero=True) for i in range(len(want))] == want
+            assert [fgab.int_tuple(n, i) for i in range(len(want) - 1)] == want[1:]

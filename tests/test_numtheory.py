@@ -121,6 +121,23 @@ def test_diagonal_pair_is_cantor_order():
     assert [nt.diagonal_pair(i) for i in range(len(expected))] == expected
 
 
+def test_enumeration_draws_each_item_once():
+    drawn = []
+
+    def squares():
+        for n in range(5):
+            drawn.append(n)
+            yield n * n
+
+    e = nt.Enumeration(squares())
+    assert [e[3], e[1], e[3], e[4]] == [9, 1, 9, 16]
+    assert drawn == [0, 1, 2, 3, 4]
+    for i in (5, -1):
+        with pytest.raises(IndexError):
+            e[i]
+    assert drawn == [0, 1, 2, 3, 4]
+
+
 class TestRegressionBounds:
     def test_linear_membership_near_10007(self):
         c = R.char(default=("linear", 1, 0))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -172,6 +173,18 @@ class TestLambdaEnumeration:
         first = [R.lambda_member(CASE2, i) for i in range(12)]
         again = [R.lambda_member(CASE2, i) for i in range(12)]
         assert first == again
+
+    def test_enumerations_match_filters(self):
+        rationals = list(islice(R._rationals_diagonal(), 3000))
+        primes = R.primes_upto(600)
+        for c in (CASE2, ROW1, ROW3, ROW4, ROW5, ROW7):
+            lam = [q for q in rationals if R.contains(c, q)]
+            assert [R.lambda_member(c, i) for i in range(len(lam))] == lam
+            enums = R._enumerations(c)
+            pinf = [p for p in primes if R.exponent(c, p) == R.INF]
+            non_pinf = [p for p in primes if R.exponent(c, p) != R.INF]
+            assert [enums.pinf[i] for i in range(len(pinf))] == pinf
+            assert [enums.non_pinf[i] for i in range(len(non_pinf))] == non_pinf
 
 
 class TestScottSentences:
