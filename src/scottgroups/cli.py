@@ -5,6 +5,9 @@ stderr.  Exit codes: 0 success, 1 domain error (an operation rejected its
 input), 2 usage error.  Structured arguments (characteristics, tables,
 traces, formulas) are inline JSON, ``@path`` to read a file, or ``-`` for
 stdin.
+
+Each handler imports the modules it uses when it runs, so a call loads
+only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -12,15 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-
-from . import acceptance
-from . import dihedral as D
-from . import fgab
-from . import formula as F
-from . import limitsim as L
-from . import rank1 as R
-from . import words as W
 
 
 def _emit(payload: dict) -> None:
@@ -36,8 +30,20 @@ def _read_structured(arg: str):
     return json.loads(arg)
 
 
-def _read_trace(arg: str) -> L.ConstructionTrace:
+def _read_table(arg: str) -> tuple[dict, object]:
+    """A {"table": [[...], ...]} argument: the decoded object and its group."""
+    from . import formula as F
+    data = _read_structured(arg)
+    rows = data.get("table") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows):
+        raise ValueError(f'a table is a JSON object {{"table": [[int, ...], ...]}}, got {data!r}')
+    return data, F.FiniteStructure.from_table(rows)
+
+
+def _read_trace(arg: str):
     """Accept {"steps": [[1,0], ...]} JSON or the compact form "10,00,11"."""
+    from . import limitsim as L
     if arg.lstrip().startswith("{") or arg == "-" or arg.startswith("@"):
         return L.trace_from_json(_read_structured(arg))
     steps = []
@@ -49,7 +55,8 @@ def _read_trace(arg: str) -> L.ConstructionTrace:
     return L.ConstructionTrace.from_bits(steps)
 
 
-def _formula_payload(f: F.Formula, args) -> dict:
+def _formula_payload(f, args) -> dict:
+    from . import formula as F
     cls = F.classify(f)
     payload = {"class": str(cls), "kind": cls.kind, "level": cls.level}
     if getattr(args, "latex", False):
@@ -65,16 +72,19 @@ def _formula_payload(f: F.Formula, args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_words_reduce(args) -> dict:
+    from . import words as W
     w = W.parse_word(args.word, args.rank)
     return {"word": W.format_word(w), **W.word_to_json(w)}
 
 
 def _cmd_words_primitive(args) -> dict:
+    from . import words as W
     t = W.word_tuple(args.rank, *args.words)
     return {"primitive": W.is_primitive(t)}
 
 
-def _move_json(m: W.NielsenMove) -> dict:
+def _move_json(m) -> dict:
+    from . import words as W
     if isinstance(m, W.Permute):
         return {"kind": "permute", "perm": list(m.perm)}
     if isinstance(m, W.Invert):
@@ -83,6 +93,7 @@ def _move_json(m: W.NielsenMove) -> dict:
 
 
 def _cmd_words_nielsen(args) -> dict:
+    from . import words as W
     t = W.word_tuple(args.rank, *args.words)
     reduced, moves = W.nielsen_reduce(t)
     return {"tuple": [W.format_word(w) for w in reduced.words],
@@ -95,18 +106,22 @@ def _cmd_words_nielsen(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_dinf_normalize(args) -> dict:
+    from . import dihedral as D
     return {"word": D.normalize(args.word).letters}
 
 
 def _cmd_dinf_genpair(args) -> dict:
+    from . import dihedral as D
     return {"generating": D.is_generating_pair(D.normalize(args.w1), D.normalize(args.w2))}
 
 
 def _cmd_dinf_primitive(args) -> dict:
+    from . import dihedral as D
     return {"primitive": D.is_primitive_pair(D.normalize(args.w1), D.normalize(args.w2))}
 
 
 def _cmd_dinf_scott(args) -> dict:
+    from . import dihedral as D
     return _formula_payload(D.scott_sentence_dinf(), args)
 
 
@@ -115,10 +130,12 @@ def _cmd_dinf_scott(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_fgab_normalize(args) -> dict:
+    from . import fgab
     return {"invariant_factors": list(fgab.normalize_torsion(tuple(args.orders)))}
 
 
 def _cmd_fgab_scott(args) -> dict:
+    from . import fgab
     torsion = tuple(int(x) for x in args.torsion.split(",")) if args.torsion else ()
     desc = fgab.FgAbelianDesc(args.rank, fgab.normalize_torsion(torsion) if torsion else ())
     if args.rank == 0:
@@ -133,9 +150,13 @@ def _cmd_fgab_scott(args) -> dict:
 
 
 def _cmd_fgab_scott_finite(args) -> dict:
-    data = _read_structured(args.table)
-    table = fgab.FiniteGroupTable.from_table(data["table"])
-    if table.size != int(data.get("order", table.size)):
+    from . import fgab
+    data, table = _read_table(args.table)
+    try:
+        order = int(data.get("order", table.size))
+    except TypeError:
+        raise ValueError(f"declared order {data['order']!r} is not an integer") from None
+    if table.size != order:
         raise ValueError("declared order does not match the table")
     return _formula_payload(fgab.scott_sentence_finite(table), args)
 
@@ -145,17 +166,22 @@ def _cmd_fgab_scott_finite(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_q_member(args) -> dict:
+    from fractions import Fraction
+
+    from . import rank1 as R
     c = R.char_from_json(_read_structured(args.char))
     return {"contains": R.contains(c, Fraction(args.rational))}
 
 
 def _cmd_q_iso(args) -> dict:
+    from . import rank1 as R
     c1 = R.char_from_json(_read_structured(args.char1))
     c2 = R.char_from_json(_read_structured(args.char2))
     return {"isomorphic": R.is_isomorphic(c1, c2)}
 
 
 def _cmd_q_classify(args) -> dict:
+    from . import rank1 as R
     cls = R.classify(R.char_from_json(_read_structured(args.char)))
     return {"row": cls.case.row, "p0": cls.case.p0, "pfin": cls.case.pfin,
             "pinf": cls.case.pinf, "lower": cls.lower, "upper": cls.upper,
@@ -163,6 +189,7 @@ def _cmd_q_classify(args) -> dict:
 
 
 def _cmd_q_scott(args) -> dict:
+    from . import rank1 as R
     c = R.char_from_json(_read_structured(args.char))
     return _formula_payload(R.scott_sentence(c), args)
 
@@ -172,19 +199,22 @@ def _cmd_q_scott(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_formula_classify(args) -> dict:
+    from . import formula as F
     f = F.from_json_dict(_read_structured(args.formula))
     cls = F.classify(f)
     return {"class": str(cls), "kind": cls.kind, "level": cls.level}
 
 
 def _cmd_formula_eval(args) -> dict:
+    from . import formula as F
     f = F.from_json_dict(_read_structured(args.formula))
-    table = fgab.FiniteGroupTable.from_table(_read_structured(args.table)["table"])
+    _, table = _read_table(args.table)
     truth, exact = F.evaluate_exact(f, table, args.family_bound)
     return {"truth": truth, "exact": exact}
 
 
 def _cmd_formula_render(args) -> dict:
+    from . import formula as F
     f = F.from_json_dict(_read_structured(args.formula))
     return {"rendered": F.render(f, args.format, args.family_bound)}
 
@@ -204,7 +234,7 @@ def _emit_stage_reports(reports, mapper) -> None:
         }, sort_keys=True))
 
 
-def _verification_json(ver: L.VerificationReport, verify: bool) -> dict:
+def _verification_json(ver, verify: bool) -> dict:
     """The report's payload; under ``verify`` a failed report is an error."""
     payload = {"ok": ver.ok,
                "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in ver.checks],
@@ -215,12 +245,14 @@ def _verification_json(ver: L.VerificationReport, verify: bool) -> dict:
 
 
 def _cmd_sim_abelian(args) -> dict:
+    from . import limitsim as L
     reports, tag, ver = L.run_abelian(args.k, _read_trace(args.trace), args.growth)
     _emit_stage_reports(reports, list)
     return {"final": tag, "verification": _verification_json(ver, args.verify)}
 
 
 def _cmd_sim_dihedral(args) -> dict:
+    from . import limitsim as L
     reports, tag, ver = L.run_dihedral(_read_trace(args.trace), args.growth)
     _emit_stage_reports(reports, lambda e: {"t": str(e.translation), "flip": e.flip})
     return {"final": tag,
@@ -229,6 +261,8 @@ def _cmd_sim_dihedral(args) -> dict:
 
 
 def _cmd_sim_rank1(args) -> dict:
+    from . import limitsim as L
+    from . import rank1 as R
     c = R.char_from_json(_read_structured(args.char))
     reports, final_char, ver = L.run_rank1(c, args.p, args.q, _read_trace(args.trace),
                                            args.growth)
@@ -238,6 +272,8 @@ def _cmd_sim_rank1(args) -> dict:
 
 
 def _cmd_sim_cof(args) -> dict:
+    from . import limitsim as L
+    from . import rank1 as R
     c = R.char_from_json(_read_structured(args.char))
     w = set(int(x) for x in args.w.split(",")) if args.w else set()
     result, ver = L.run_cofinality(c, args.m, w, args.bound)
@@ -383,6 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.selftest:
+        from . import acceptance
         ok = acceptance.run_all(report=lambda line: print(line, file=sys.stderr))
         _emit({"selftest": "pass" if ok else "fail"})
         return 0 if ok else 1

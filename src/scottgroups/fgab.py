@@ -223,10 +223,12 @@ def tables_isomorphic(t1: FiniteGroupTable, t2: FiniteGroupTable) -> bool:
 
 @lru_cache(maxsize=None)
 def _int_tuples(n: int) -> Enumeration:
-    """Z^n, n >= 1, by max |k| and then lexicographically in the integer
-    order 0 < 1 < -1 < 2 < -2 < ...; the zero tuple comes first."""
+    """Z^n by max |k| and then lexicographically in the integer order
+    0 < 1 < -1 < 2 < -2 < ...; the zero tuple comes first (and alone, for n = 0)."""
     def shells():
         yield (0,) * n
+        if not n:
+            return
         ordered = [0]
         for r in count(1):
             ordered += (r, -r)
@@ -273,7 +275,7 @@ def _build_nonzero_combo_neq(params: dict):
         combo = int_tuple(len(names), i)
         return F.NegAtomic(F.lin(dict(zip(names, combo))), F.ZERO)
 
-    return gen, None
+    return gen, None if names else 0  # no variables: no nonzero combination
 
 
 def _build_nonzero_combo_eq(params: dict):
@@ -283,7 +285,7 @@ def _build_nonzero_combo_eq(params: dict):
         combo = int_tuple(len(names), i)
         return F.Atomic(F.lin(dict(zip(names, combo))), F.ZERO)
 
-    return gen, None
+    return gen, None if names else 0
 
 
 def _build_all_combo_eq(params: dict):
@@ -294,7 +296,7 @@ def _build_all_combo_eq(params: dict):
         combo = int_tuple(len(names), i, include_zero=True)
         return F.Atomic(F.lin({target: 1}), F.lin(dict(zip(names, combo))))
 
-    return gen, None
+    return gen, None if names else 1  # no variables: the empty combination only
 
 
 def _build_fg_relations(params: dict):
@@ -311,7 +313,7 @@ def _build_fg_relations(params: dict):
             return F.Atomic(term, F.ZERO)
         return F.NegAtomic(term, F.ZERO)
 
-    return gen, None
+    return gen, None if names else 1
 
 
 F.register_family("multiple-neq", _build_multiple_neq)

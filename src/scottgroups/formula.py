@@ -220,7 +220,13 @@ def register_family(enum_id: str, builder: FamilyBuilder) -> None:
 
 
 def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | FamilyOr:
-    """Build a family node through the registry (the only supported path)."""
+    """Build a family node through the registry (the only supported path).
+
+    Families register when their module loads, so an id not yet registered
+    first imports the modules that own families and is looked up again.
+    """
+    if enum_id not in _REGISTRY:
+        from . import dihedral, fgab, rank1  # importing them registers their families
     if enum_id not in _REGISTRY:
         raise KeyError(f"unknown family enumeration {enum_id!r}")
     gen, size = _REGISTRY[enum_id](dict(params))
@@ -689,11 +695,42 @@ def _term_to_json(t: Term) -> Any:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _term_from_json(d: Mapping[str, Any]) -> Term:
+def _expect(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it decoded as a JSON object (``dict``) or list (``list``)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
+def _json_names(names: Any) -> tuple[str, ...]:
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise ValueError(f"variables must be a list of strings, got {names!r}")
+    return tuple(names)
+
+
+def _json_pairs(pairs: Any) -> tuple[tuple[str, int], ...]:
+    """A list of [variable, integer] pairs, as in ``lin`` and ``word`` terms."""
+    out = []
+    try:
+        for v, k in pairs:
+            if not isinstance(v, str):
+                break
+            out.append((v, int(k)))
+        else:
+            return tuple(out)
+    except TypeError:  # not a list of pairs, or int() of a list, an object or null
+        pass
+    raise ValueError(f"expected a list of [variable, integer] pairs, got {pairs!r}")
+
+
+def _term_from_json(d: Any) -> Term:
+    if not isinstance(d, dict):
+        raise ValueError(f"a term must be an object, got {d!r}")
     if "lin" in d:
-        return LinTerm(tuple((v, int(k)) for v, k in d["lin"]))
+        return LinTerm(_json_pairs(d["lin"]))
     if "word" in d:
-        return WordTerm(tuple((v, int(e)) for v, e in d["word"]))
+        return WordTerm(_json_pairs(d["word"]))
     if "op" in d:
         return OpTerm(d["op"], _term_from_json(d["left"]), _term_from_json(d["right"]))
     if "inv" in d:
@@ -721,24 +758,27 @@ def to_json_dict(f: Formula) -> dict:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def from_json_dict(d: Mapping[str, Any]) -> Formula:
+def from_json_dict(d: Any) -> Formula:
+    if not isinstance(d, dict):
+        raise ValueError(f"a formula must be an object, got {d!r}")
     tag = d.get("t")
     if tag == "atom":
         return Atomic(_term_from_json(d["lhs"]), _term_from_json(d["rhs"]))
     if tag == "natom":
         return NegAtomic(_term_from_json(d["lhs"]), _term_from_json(d["rhs"]))
     if tag == "and":
-        return FiniteAnd(tuple(from_json_dict(c) for c in d["items"]))
+        return FiniteAnd(tuple(from_json_dict(c) for c in _expect(d["items"], list, "items")))
     if tag == "or":
-        return FiniteOr(tuple(from_json_dict(c) for c in d["items"]))
-    if tag == "fam-and":
-        return family("and", d["enum"], d["params"])
-    if tag == "fam-or":
-        return family("or", d["enum"], d["params"])
+        return FiniteOr(tuple(from_json_dict(c) for c in _expect(d["items"], list, "items")))
+    if tag in ("fam-and", "fam-or"):
+        if not isinstance(d["enum"], str):
+            raise ValueError(f"a family enumeration is named by a string, got {d['enum']!r}")
+        params = _expect(d["params"], dict, "family params")
+        return family(tag.removeprefix("fam-"), d["enum"], params)
     if tag == "ex":
-        return Exists(tuple(d["vars"]), from_json_dict(d["body"]))
+        return Exists(_json_names(d["vars"]), from_json_dict(d["body"]))
     if tag == "all":
-        return Forall(tuple(d["vars"]), from_json_dict(d["body"]))
+        return Forall(_json_names(d["vars"]), from_json_dict(d["body"]))
     raise ValueError(f"unknown formula tag: {tag!r}")
 
 

@@ -64,8 +64,12 @@ class ConstructionTrace:
         return {"steps": [[int(a), int(b)] for a, b in self.steps]}
 
 
-def trace_from_json(data: dict) -> ConstructionTrace:
-    return ConstructionTrace.from_bits(data["steps"])
+def trace_from_json(data) -> ConstructionTrace:
+    steps = data.get("steps") if isinstance(data, dict) else None
+    if not isinstance(steps, list) or not all(
+            isinstance(step, list) and len(step) == 2 for step in steps):
+        raise ValueError(f'a trace is a JSON object {{"steps": [[0, 1], ...]}}, got {data!r}')
+    return ConstructionTrace.from_bits(steps)
 
 
 @dataclass(frozen=True)

@@ -327,11 +327,19 @@ def _rule_from_json(data) -> Rule:
     if data == "inf":
         return INF_RULE
     if isinstance(data, dict) and "linear" in data:
-        a, b = data["linear"]
-        return ("linear", int(a), int(b))
-    if isinstance(data, dict) and "residue" in data:
+        pair = data["linear"]
+        if isinstance(pair, list) and len(pair) == 2:
+            return ("linear", _int_from_json(pair[0]), _int_from_json(pair[1]))
+    elif isinstance(data, dict) and isinstance(data.get("residue"), list):
         return ("residue", tuple(_rule_from_json(sub) for sub in data["residue"]))
     raise ValueError(f"malformed rule: {data!r}")
+
+
+def _int_from_json(v) -> int:
+    try:
+        return int(v)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {v!r}") from None
 
 
 def char_to_json(c: Rank1Char) -> dict:
@@ -339,10 +347,13 @@ def char_to_json(c: Rank1Char) -> dict:
             "default": _rule_to_json(c.default)}
 
 
-def char_from_json(data: dict) -> Rank1Char:
+def char_from_json(data) -> Rank1Char:
+    if not isinstance(data, dict) or not isinstance(data.get("exceptions", {}), dict):
+        raise ValueError("a characteristic is a JSON object "
+                         f'{{"exceptions": {{prime: exponent}}, "default": rule}}, got {data!r}')
     exc = {}
     for key, v in data.get("exceptions", {}).items():
-        exc[int(key)] = INF if v == "inf" else int(v)
+        exc[int(key)] = INF if v == "inf" else _int_from_json(v)
     return char(exc, _rule_from_json(data["default"]))
 
 

@@ -176,6 +176,16 @@ class TestExitCodes:
         # the family that Z^n sentences used before pure-span is no longer registered
         ["formula", "render",
          '{"t":"fam-and","enum":"no-division","params":{"targets":["x1"],"witness":"y"}}'],
+        # JSON of the wrong shape is rejected where it is decoded
+        ["q", "member", "[]", "1/2"],
+        ["q", "member", '{"exceptions":[],"default":"zero"}', "1/2"],
+        ["q", "iso", '"zero"', '{"default":"zero"}'],
+        ["formula", "render", "[]"],
+        ["fgab", "scott-finite", "--table", "[]"],
+        ["formula", "eval", "--table", '{"table":[[0]]}',
+         '{"t":"atom","lhs":5,"rhs":{"lin":[]}}'],
+        ["sim", "rank1", "--char", "[]", "--p", "2", "--q", "3", "--trace", "00"],
+        ["sim", "abelian", "--k", "2", "--trace", '{"steps":5}'],
     ])
     def test_malformed_inputs_are_domain_errors(self, capsys, argv):
         code = cli.main(argv)
@@ -186,11 +196,18 @@ class TestExitCodes:
 
 
 class TestModuleEntry:
-    def test_python_dash_m_scottgroups(self):
+    def run_module(self, module):
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run([sys.executable, "-m", "scottgroups", "fgab", "normalize",
+        proc = subprocess.run([sys.executable, "-m", module, "fgab", "normalize",
                                "4", "6"],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"invariant_factors": [2, 12]}
-        assert proc.stderr == ""
+        return proc
+
+    def test_python_dash_m_scottgroups(self):
+        assert self.run_module("scottgroups").stderr == ""
+
+    def test_python_dash_m_scottgroups_cli(self):
+        # no runpy warning: importing the package does not import cli first
+        assert self.run_module("scottgroups.cli").stderr == ""

@@ -202,3 +202,36 @@ class TestIntTupleOrder:
                           key=lambda t: (max(map(abs, t)), [(abs(k), k < 0) for k in t]))
             assert [fgab.int_tuple(n, i, include_zero=True) for i in range(len(want))] == want
             assert [fgab.int_tuple(n, i) for i in range(len(want) - 1)] == want[1:]
+
+
+class TestEmptyVariableFamilies:
+    """Over no variables there is no nonzero combination and one combination
+    in all, the empty one (whose value is 0)."""
+    CASES = [
+        ({"t": "fam-and", "enum": "nonzero-combo-neq", "params": {"vars": []}},
+         0, "QuantifierFree", True),
+        ({"t": "fam-or", "enum": "nonzero-combo-eq", "params": {"vars": []}},
+         0, "QuantifierFree", False),
+        ({"t": "fam-or", "enum": "all-combo-eq", "params": {"target": "y", "vars": []}},
+         1, "Sigma", False),
+        ({"t": "fam-and", "enum": "fg-abelian-relations",
+          "params": {"rank": 0, "torsion": [], "vars": []}},
+         1, "Pi", True),
+    ]
+
+    @pytest.mark.parametrize("data,size,kind,truth", CASES)
+    def test_render_classify_evaluate(self, data, size, kind, truth):
+        f = F.from_json_dict(data)
+        assert f.note.size == size
+        assert len(F.family_members(f, 5)) == size
+        assert F.render(f, "text", 3) and F.render(f, "latex", 3)
+        assert F.classify(f).kind == kind
+        # y = 0 fails for y = 1 in Z/2; the other three have no free variable
+        sentence = F.Forall(("y",), f) if "target" in data["params"] else f
+        z2 = fgab.table_from_invariant_factors((2,))
+        assert F.evaluate_exact(sentence, z2) == (truth, True)
+
+    def test_z0_has_only_the_empty_tuple(self):
+        assert fgab.int_tuple(0, 0, include_zero=True) == ()
+        with pytest.raises(IndexError):
+            fgab.int_tuple(0, 0)
