@@ -208,6 +208,7 @@ def _cmd_formula_classify(args) -> dict:
 def _cmd_formula_eval(args) -> dict:
     from . import formula as F
     f = F.from_json_dict(_read_structured(args.formula))
+    F.require_sentence(f)
     _, table = _read_table(args.table)
     truth, exact = F.evaluate_exact(f, table, args.family_bound)
     return {"truth": truth, "exact": exact}
@@ -352,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     qsub = q.add_subparsers(dest="subcommand", required=True)
     p = qsub.add_parser("member")
     p.add_argument("char")
-    p.add_argument("rational", help='reduced fraction, e.g. "3/4"')
+    p.add_argument("rational", help='reduced fraction, e.g. "3/4"; pass a negative one '
+                                    'after "--", as in: q member CHAR -- -3/11')
     p.set_defaults(func=_cmd_q_member)
     p = qsub.add_parser("iso")
     p.add_argument("char1")

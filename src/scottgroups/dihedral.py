@@ -256,9 +256,16 @@ def _word_term(w: DihedralWord, names: tuple[str, str]) -> F.Term:
     return F.gword([(names[0] if ch == "a" else names[1], 1) for ch in w.letters])
 
 
+def _name_pair(params: dict, key: str) -> tuple[str, str]:
+    names = F.family_param(params, key, "names")
+    if len(names) != 2:
+        raise ValueError(f"family parameter {key!r} must name two variables, got {list(names)}")
+    return names
+
+
 def _build_triple_family(params: dict):
-    names = tuple(params["pair"])
-    targets = tuple(params["targets"])
+    names = _name_pair(params, "pair")
+    targets = F.family_param(params, "targets", "names")
 
     def gen(i: int) -> F.Formula:
         triple = map(nth_normal_form, _TRIPLES[i])
@@ -274,7 +281,7 @@ _TRIPLES = Enumeration((a, b, s - a - b) for s in count()
 
 
 def _build_relations_family(params: dict):
-    names = tuple(params["pair"])
+    names = _name_pair(params, "pair")
 
     def gen(i: int) -> F.Formula:
         letters = _FREE_WORDS[i]
@@ -287,8 +294,8 @@ def _build_relations_family(params: dict):
 
 
 def _build_imprimitive_family(params: dict):
-    pair = tuple(params["pair"])
-    others = tuple(params["others"])
+    pair = _name_pair(params, "pair")
+    others = _name_pair(params, "others")
 
     def gen(i: int) -> F.Formula:
         u, v = nth_imprimitive_pair(i)

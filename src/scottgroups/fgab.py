@@ -249,7 +249,7 @@ def _span_coefficients(n: int) -> Enumeration:
 
 
 def _build_multiple_neq(params: dict):
-    var = params["var"]
+    var = F.family_param(params, "var", "name")
 
     def gen(i: int) -> F.Formula:
         return F.NegAtomic(F.lin({var: i + 1}), F.ZERO)
@@ -258,8 +258,8 @@ def _build_multiple_neq(params: dict):
 
 
 def _build_pure_span(params: dict):
-    targets = tuple(params["targets"])
-    witness = params["witness"]
+    targets = F.family_param(params, "targets", "names")
+    witness = F.family_param(params, "witness", "name")
 
     def gen(i: int) -> F.Formula:
         k, m = _span_coefficients(len(targets))[i]
@@ -269,7 +269,7 @@ def _build_pure_span(params: dict):
 
 
 def _build_nonzero_combo_neq(params: dict):
-    names = tuple(params["vars"])
+    names = F.family_param(params, "vars", "names")
 
     def gen(i: int) -> F.Formula:
         combo = int_tuple(len(names), i)
@@ -279,7 +279,7 @@ def _build_nonzero_combo_neq(params: dict):
 
 
 def _build_nonzero_combo_eq(params: dict):
-    names = tuple(params["vars"])
+    names = F.family_param(params, "vars", "names")
 
     def gen(i: int) -> F.Formula:
         combo = int_tuple(len(names), i)
@@ -289,8 +289,8 @@ def _build_nonzero_combo_eq(params: dict):
 
 
 def _build_all_combo_eq(params: dict):
-    target = params["target"]
-    names = tuple(params["vars"])
+    target = F.family_param(params, "target", "name")
+    names = F.family_param(params, "vars", "names")
 
     def gen(i: int) -> F.Formula:
         combo = int_tuple(len(names), i, include_zero=True)
@@ -300,9 +300,12 @@ def _build_all_combo_eq(params: dict):
 
 
 def _build_fg_relations(params: dict):
-    rank = int(params["rank"])
-    torsion = tuple(int(d) for d in params["torsion"])
-    names = tuple(params["vars"])
+    rank = F.family_param(params, "rank", "int")
+    torsion = F.family_param(params, "torsion", "ints")
+    if rank < 0 or any(d < 2 for d in torsion):
+        raise ValueError(f"fg-abelian-relations needs rank >= 0 and torsion orders >= 2, "
+                         f"got {rank} and {list(torsion)}")
+    names = F.family_param(params, "vars", "names")
 
     def gen(i: int) -> F.Formula:
         combo = int_tuple(len(names), i, include_zero=True)

@@ -213,6 +213,33 @@ FamilyBuilder = Callable[[dict], tuple[Callable[[int], Formula], int | None]]
 _REGISTRY: dict[str, FamilyBuilder] = {}
 
 
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_PARAM_KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "names": ("a list of strings",
+              lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "int": ("an integer", _is_int),
+    "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def family_param(params: Mapping[str, Any], key: str, kind: str) -> Any:
+    """Family parameter ``key`` decoded as ``kind``: "name", "names", "int",
+    "ints" or "object"; a list comes back as a tuple.  A missing or
+    ill-typed parameter raises ValueError."""
+    what, fits = _PARAM_KINDS[kind]
+    if key not in params:
+        raise ValueError(f"family parameter {key!r} is missing")
+    value = params[key]
+    if not fits(value):
+        raise ValueError(f"family parameter {key!r} must be {what}, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
 def register_family(enum_id: str, builder: FamilyBuilder) -> None:
     if enum_id in _REGISTRY:
         raise ValueError(f"family enumeration {enum_id!r} already registered")
@@ -560,6 +587,33 @@ def _ev(f: Formula, s: FiniteStructure, env: dict[str, int], bound: int) -> tupl
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _free_variables(f: Formula, bound: frozenset[str] = frozenset()) -> frozenset[str]:
+    """Variables of ``f`` outside families that no quantifier binds."""
+    if isinstance(f, (Atomic, NegAtomic)):
+        return (term_variables(f.lhs) | term_variables(f.rhs)) - bound
+    if isinstance(f, (FiniteAnd, FiniteOr)):
+        return frozenset().union(*(_free_variables(c, bound) for c in f.items))
+    if isinstance(f, (Exists, Forall)):
+        return _free_variables(f.body, bound | frozenset(f.vars))
+    return frozenset()
+
+
+def _not_a_sentence(name: str) -> ValueError:
+    return ValueError(f"not a sentence: variable {name!r} is free")
+
+
+def require_sentence(f: Formula) -> None:
+    """Raise ValueError naming a free variable of ``f`` outside families.
+
+    ``evaluate_exact`` reports only the free variables its evaluation
+    reaches, so a caller with outside input checks here first.  Evaluation
+    does not walk the formula itself: on finite Scott sentences the walk
+    adds about a tenth to its time."""
+    free = _free_variables(f)
+    if free:
+        raise _not_a_sentence(min(free))
+
+
 def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tuple[bool, bool]:
     """Evaluate a sentence on a finite group table.
 
@@ -567,11 +621,16 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
     ``family_bound`` members; the second component reports whether the
     truncated value is already the exact one (a disjunction with a true
     member, a conjunction with a false member, or a family whose declared
-    size fits under the bound).
+    size fits under the bound).  A free variable that the evaluation
+    reaches raises ValueError; ``require_sentence`` finds the others
+    outside families.
     """
     if family_bound < 1:
         raise ValueError("family_bound must be >= 1")
-    return _ev(f, s, {}, family_bound)
+    try:
+        return _ev(f, s, {}, family_bound)
+    except KeyError as exc:  # an unbound variable
+        raise _not_a_sentence(exc.args[0]) from None
 
 
 # ---------------------------------------------------------------------------

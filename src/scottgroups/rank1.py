@@ -399,8 +399,8 @@ def lambda_member(c: Rank1Char, i: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _build_lambda_exists(params: dict):
-    c = char_from_json(params["char"])
-    var = params["var"]
+    c = char_from_json(F.family_param(params, "char", "object"))
+    var = F.family_param(params, "var", "name")
 
     def gen(i: int) -> F.Formula:
         q = lambda_member(c, i)
@@ -411,9 +411,9 @@ def _build_lambda_exists(params: dict):
 
 
 def _build_lambda_onto(params: dict):
-    c = char_from_json(params["char"])
-    var = params["var"]
-    target = params["target"]
+    c = char_from_json(F.family_param(params, "char", "object"))
+    var = F.family_param(params, "var", "name")
+    target = F.family_param(params, "target", "name")
 
     def gen(i: int) -> F.Formula:
         q = lambda_member(c, i)
@@ -423,8 +423,8 @@ def _build_lambda_onto(params: dict):
 
 
 def _build_pinf_divisible(params: dict):
-    c = char_from_json(params["char"])
-    target = params["target"]
+    c = char_from_json(F.family_param(params, "char", "object"))
+    target = F.family_param(params, "target", "name")
     rule_inf = _rule_class_flags(c)[2]
     finite_pinf = sorted(p for p, v in c.exceptions if v == INF) if not rule_inf else []
     if not rule_inf and not finite_pinf:
@@ -446,8 +446,8 @@ def _build_pinf_divisible(params: dict):
 
 
 def _build_non_pinf_indivisible(params: dict):
-    c = char_from_json(params["char"])
-    var = params["var"]
+    c = char_from_json(F.family_param(params, "char", "object"))
+    var = F.family_param(params, "var", "name")
     if all(_class_rule(c.default, r) == INF_RULE for r in range(_rule_modulus(c.default))):
         size = sum(1 for _, v in c.exceptions if v != INF)
     else:
@@ -461,7 +461,7 @@ def _build_non_pinf_indivisible(params: dict):
 
 
 def _build_all_primes_divisible(params: dict):
-    target = params["target"]
+    target = F.family_param(params, "target", "name")
 
     def gen(i: int) -> F.Formula:
         return F.Exists(("z",), F.Atomic(F.lin({"z": nth_prime(i), target: -1}), F.ZERO))

@@ -91,6 +91,11 @@ class TestQCommands:
         assert run_json(capsys, "q", "member", dyadic, "5/8") == {"contains": True}
         assert run_json(capsys, "q", "member", dyadic, "1/3") == {"contains": False}
 
+    def test_member_of_a_negative_rational_after_double_dash(self, capsys):
+        dyadic = json.dumps({"exceptions": {"2": "inf"}, "default": "zero"})
+        assert run_json(capsys, "q", "member", dyadic, "--", "-5/8") == {"contains": True}
+        assert run_json(capsys, "q", "member", dyadic, "--", "-3/11") == {"contains": False}
+
     def test_iso(self, capsys):
         z = json.dumps({"exceptions": {}, "default": "zero"})
         z_shift = json.dumps({"exceptions": {"2": 5}, "default": "zero"})
@@ -118,6 +123,21 @@ class TestFormulaCommands:
         verdict = run_json(capsys, "formula", "eval", ast, "--table", table,
                            "--family-bound", "4")
         assert verdict["truth"] is False  # Z/2 is not the infinite dihedral group
+
+    @pytest.mark.parametrize("free_y", [
+        # y is free in the family's members
+        {"t": "fam-or", "enum": "all-combo-eq", "params": {"target": "y", "vars": []}},
+        # y is free in a conjunct that evaluation would never reach
+        {"t": "and", "items": [{"t": "natom", "lhs": {"lin": []}, "rhs": {"lin": []}},
+                               {"t": "ex", "vars": ["x"],
+                                "body": {"t": "atom", "lhs": {"lin": [["x", 1]]},
+                                         "rhs": {"lin": [["y", 1]]}}}]},
+    ])
+    def test_eval_of_a_formula_with_a_free_variable(self, capsys, free_y):
+        code, out, err = run(capsys, "formula", "eval", json.dumps(free_y),
+                             "--table", '{"table":[[0,1],[1,0]]}')
+        assert code == 1 and out == ""
+        assert err == "error: not a sentence: variable 'y' is free\n"
 
 
 class TestSimCommands:
@@ -186,6 +206,14 @@ class TestExitCodes:
          '{"t":"atom","lhs":5,"rhs":{"lin":[]}}'],
         ["sim", "rank1", "--char", "[]", "--p", "2", "--q", "3", "--trace", "00"],
         ["sim", "abelian", "--k", "2", "--trace", '{"steps":5}'],
+        # family parameters of the wrong type or shape
+        ["formula", "render", '{"t":"fam-and","enum":"nonzero-combo-neq","params":{"vars":5}}'],
+        ["formula", "render", '{"t":"fam-and","enum":"nonzero-combo-neq","params":{}}'],
+        ["formula", "render", '{"t":"fam-and","enum":"dinf-relations","params":{"pair":["x"]}}'],
+        ["formula", "render", '{"t":"fam-and","enum":"fg-abelian-relations",'
+                              '"params":{"rank":"2","torsion":[],"vars":["a","b"]}}'],
+        ["formula", "render",
+         '{"t":"fam-and","enum":"rank1-lambda-exists","params":{"char":[],"var":"x"}}'],
     ])
     def test_malformed_inputs_are_domain_errors(self, capsys, argv):
         code = cli.main(argv)

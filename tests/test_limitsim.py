@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from scottgroups import dihedral as D
 from scottgroups import limitsim as L
 from scottgroups import rank1 as R
 
@@ -59,6 +60,24 @@ class TestAbelian:
         assert checks["stage-soundness"] is False
         assert not ver.ok
 
+    def test_stage_soundness_catches_a_collapse_that_is_not_injective(self, monkeypatch):
+        # dropping the collapsed coordinate without folding it in is linear,
+        # but it sends the collapsed generator onto the zero vector
+        monkeypatch.setattr(L, "_squash", lambda v, coord, m: v[:coord] + v[coord + 1:])
+        _, _, ver = L.run_abelian(2, T([[0, 0], [1, 0], [0, 0]]), growth=1)
+        checks = {name: ok for name, ok, _ in ver.checks}
+        assert checks["stage-soundness"] is False
+        assert not ver.ok
+
+    def test_stage_soundness_catches_an_injective_rewrite_that_is_not_linear(self, monkeypatch):
+        # cubing the first coordinate fixes 0 and is injective, but 1 + 1 = 2
+        # becomes 1 + 1 = 8
+        monkeypatch.setattr(L, "_pad", lambda v, dim: (v[0] ** 3,) + v[1:] + (0,) * (dim - len(v)))
+        _, _, ver = L.run_abelian(2, T([[0, 0]] * 3 + [[1, 0], [0, 0]]), growth=1)
+        checks = {name: ok for name, ok, _ in ver.checks}
+        assert checks["stage-soundness"] is False
+        assert checks["final-replay"] is False
+
     def test_double_jump(self):
         _, tag, ver = L.run_abelian(3, T([[0, 0], [1, 1], [0, 0], [1, 1]]), growth=1)
         assert tag == "Z4" and ver.ok
@@ -70,6 +89,83 @@ class TestAbelian:
                 s1, s2 = trace.steps[-1]
                 want = (k - 1) + (1 if s1 else 0) + (1 if s1 and s2 else 0)
                 assert tag == f"Z{want}" and ver.ok
+
+
+class TestMatrixRank:
+    @staticmethod
+    def fraction_rank(rows):
+        m = [[Fraction(x) for x in row] for row in rows]
+        rank = 0
+        for col in range(len(m[0]) if m else 0):
+            pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+            if pivot is None:
+                continue
+            m[rank], m[pivot] = m[pivot], m[rank]
+            for r in range(len(m)):
+                if r != rank and m[r][col] != 0:
+                    f = m[r][col] / m[rank][col]
+                    m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+            rank += 1
+        return rank
+
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            rows, cols = rng.randint(0, 7), rng.randint(1, 5)
+            width = rng.choice((1, 3, 50, 10 ** 12))
+            m = [tuple(rng.randint(-width, width) for _ in range(cols)) for _ in range(rows)]
+            if m and rng.random() < 0.5:
+                # rank-deficient: add integer combinations of a few rows
+                basis = m[:rng.randint(1, len(m))]
+                m = [tuple(sum(rng.randint(-3, 3) * b[j] for b in basis) for j in range(cols))
+                     for _ in range(rows)]
+            if m and rng.random() < 0.3:
+                zero_col = rng.randrange(cols)
+                m = [row[:zero_col] + (0,) + row[zero_col + 1:] for row in m]
+            assert L._matrix_rank(m) == self.fraction_rank(m), m
+
+    def test_small_cases(self):
+        assert L._matrix_rank([]) == 0
+        assert L._matrix_rank([(0, 0), (0, 0)]) == 0
+        assert L._matrix_rank([(2, 4), (1, 2), (3, 6)]) == 1
+        assert L._matrix_rank([(0, 1, 0), (0, 0, 1), (0, 1, 1)]) == 2
+
+
+class TestIntegerArithmetic:
+    def test_dihedral_product_matches_dihedral_element(self):
+        rng = random.Random(23)
+
+        def dyadic():
+            t = Fraction(rng.randint(-200, 200), 2 ** rng.randint(0, 8))
+            return D.DihedralElement(t, rng.random() < 0.5)
+
+        for _ in range(3000):
+            x, y = dyadic(), dyadic()
+            got = L._dmul(L._triple(x), L._triple(y))
+            assert got == L._triple(x * y)
+            assert L._element(got) == x * y
+
+    def test_rank1_scale_matches_fraction_ratio(self):
+        rng = random.Random(29)
+
+        def rational():
+            num = rng.choice((-1, 1)) * rng.randint(1, 60)
+            return Fraction(num * rng.choice((1, 2, 3, 5, 12)), rng.randint(1, 40))
+
+        run = L._Rank1Run(growth=1)
+        for _ in range(3000):
+            x, y = rational(), rational()
+            if rng.random() < 0.3:
+                x = y * rng.randint(-4, 6)
+            if x == 0:
+                continue
+            ratio = x / y
+            want = int(ratio) if ratio.denominator == 1 and ratio > 1 else 0
+            assert L._scale_factor(x.numerator, x.denominator,
+                                   y.numerator, y.denominator) == want
+            run.values = {0: y, 1: x}
+            for m in (-2, 1, 2, 3, want):
+                assert run.holds_relation(("scale", m, 0, 1)) == (m * y == x)
 
 
 class TestDihedral:

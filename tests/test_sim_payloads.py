@@ -1,0 +1,60 @@
+"""Byte-for-byte regression of the `sim` payloads.
+
+A fixed, seeded list of `sim abelian|dihedral|rank1` commands runs through
+`cli.main` in this process; the sha256 of every command's stdout and exit
+code, in order, is pinned.  The digest was computed at commit 4b384a7, whose
+simulators still did their arithmetic on `Fraction` and `DihedralElement`
+and re-checked every fact after each rewrite, so it pins the integer stage
+arithmetic to the payloads of that implementation.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+
+from scottgroups import cli
+
+PINNED_SHA256 = "9435dfc98d2ce0b8f0857171275f805402ae8dfc1c7bb80c543a0b79c48aac0f"
+
+CHARS = [('{"exceptions":{"2":"inf"},"default":"zero"}', 3, 2),
+         ('{"exceptions":{"5":"inf"},"default":"zero"}', 2, 5),
+         ('{"exceptions":{"7":0},"default":"inf"}', 7, 2),
+         ('{"exceptions":{},"default":{"residue":["zero","inf"]}}', 2, 3),
+         ('{"exceptions":{"2":6,"13":"inf"},"default":"zero"}', 2, 13),
+         ('{"default":"zero"}', 2, 3)]  # q outside Pinf: exits 1
+
+
+def sim_commands(count: int = 120, seed: int = 2024) -> list[list[str]]:
+    rng = random.Random(seed)
+    commands = []
+    for i in range(count):
+        sim = ("abelian", "dihedral", "rank1")[i % 3]
+        stages = rng.randint(1, 24 if rng.random() < 0.2 else 10)
+        bits = ",".join(f"{rng.randint(0, 1)}{rng.randint(0, 1)}" for _ in range(stages))
+        argv = ["sim", sim, "--trace", bits, "--growth", str(rng.randint(1, 3))]
+        if sim == "abelian":
+            argv += ["--k", str(rng.choice((2, 3, 4)))]
+        elif sim == "rank1":
+            char, p, q = rng.choice(CHARS)
+            argv += ["--char", char, "--p", str(p), "--q", str(q)]
+        if rng.random() < 0.2:
+            argv.append("--no-verify")
+        commands.append(argv)
+    return commands
+
+
+def payload_digest(commands: list[list[str]]) -> str:
+    digest = hashlib.sha256()
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        digest.update(f"{out.getvalue()}\nexit {code}\n".encode())
+    return digest.hexdigest()
+
+
+def test_sim_payloads_are_pinned():
+    commands = sim_commands()
+    assert len(commands) >= 100
+    assert payload_digest(commands) == PINNED_SHA256
