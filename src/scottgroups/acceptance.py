@@ -4,7 +4,8 @@ Each criterion returns (ok, detail).  Oracles here are deliberately
 independent of the code paths they judge: primitivity is checked against a
 breadth-first closure of the move graph, dihedral generation against
 semidirect-product arithmetic, finite Scott sentences against brute-force
-isomorphism, and the simulators against their own recorded diagrams.
+isomorphism (the non-abelian tables built here from permutation and matrix
+products), and the simulators against their own recorded diagrams.
 """
 
 from __future__ import annotations
@@ -59,6 +60,61 @@ def all_reduced_words(rank: int, max_len: int) -> list[W.FreeWord]:
     return out
 
 
+def group_table(gens: list, mul) -> F.FiniteStructure:
+    """Operation table of the finite group that ``gens`` generate under
+    ``mul``, elements numbered in the order the closure reaches them."""
+    elements = list(gens)
+    index = {g: i for i, g in enumerate(elements)}
+    for a in elements:  # the list grows as the closure reaches new elements
+        for g in gens:
+            c = mul(a, g)
+            if c not in index:
+                index[c] = len(elements)
+                elements.append(c)
+    return F.FiniteStructure.from_table([[index[mul(a, b)] for b in elements]
+                                         for a in elements])
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(p[k] for k in q)
+
+
+def dihedral_group(n: int) -> F.FiniteStructure:
+    """D_n, of order 2n: the symmetries of an n-gon, as permutations of its vertices."""
+    return group_table([tuple((k + 1) % n for k in range(n)),
+                        tuple(-k % n for k in range(n))], _compose)
+
+
+def dicyclic_group(n: int, p: int, root: int) -> F.FiniteStructure:
+    """Dic_n, of order 4n, as 2x2 matrices over Z/p: diag(r, 1/r) for a
+    ``root`` r of order 2n mod p, and [[0, 1], [-1, 0]]."""
+    def mul(x, y):
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        return (((a * e + b * g) % p, (a * f + b * h) % p),
+                ((c * e + d * g) % p, (c * f + d * h) % p))
+    return group_table([((root, 0), (0, pow(root, -1, p))), ((0, 1), (p - 1, 0))], mul)
+
+
+def nonabelian_tables() -> list[tuple[str, F.FiniteStructure]]:
+    """The non-abelian groups of order <= 12, by name: D3..D6, Q8, A4, Dic3."""
+    return [("D3", dihedral_group(3)), ("D4", dihedral_group(4)), ("Q8", dicyclic_group(2, 5, 2)),
+            ("D5", dihedral_group(5)), ("D6", dihedral_group(6)),
+            ("A4", group_table([(1, 2, 0, 3), (1, 0, 3, 2)], _compose)),
+            ("Dic3", dicyclic_group(3, 7, 3))]
+
+
+def relabel(t: F.FiniteStructure, rng: random.Random) -> F.FiniteStructure:
+    """An isomorphic copy of ``t`` under a random renaming of its elements."""
+    perm = list(range(t.size))
+    rng.shuffle(perm)
+    rows = [[0] * t.size for _ in range(t.size)]
+    for a in range(t.size):
+        for b in range(t.size):
+            rows[perm[a]][perm[b]] = perm[t.op[a][b]]
+    return F.FiniteStructure.from_table(rows)
+
+
 # ---------------------------------------------------------------------------
 # Criteria
 # ---------------------------------------------------------------------------
@@ -108,17 +164,30 @@ def criterion_dinf_oracle(max_len: int = 10) -> tuple[bool, str]:
 
 
 def criterion_finite_scott(max_order: int = 12) -> tuple[bool, str]:
-    """3: the finite sentence is true exactly on the isomorphism class."""
+    """3: the finite sentence is true exactly on the isomorphism class.
+
+    The sentence of every group of order <= ``max_order`` (the abelian ones
+    and D3, D4, D5, D6, Q8, A4, Dic3) is evaluated on a relabelled copy of
+    every group of order <= ``max_order + 1``: it must hold on its own group
+    and fail on every other, and the isomorphism oracle must agree that the
+    listed classes are pairwise distinct."""
     t0 = time.time()
-    tables = fgab.abelian_tables_upto(max_order)
-    mismatches = 0
-    for _, t1 in tables:
+    classes = [(str(factors), t) for factors, t in fgab.abelian_tables_upto(max_order + 1)]
+    classes += [(name, t) for name, t in nonabelian_tables() if t.size <= max_order]
+    rng = random.Random(20160301)
+    targets = [(name, relabel(t, rng)) for name, t in classes]
+    mismatches = evaluations = 0
+    for name1, t1 in classes:
+        if t1.size > max_order:
+            continue
         sentence = fgab.scott_sentence_finite(t1)
-        for _, t2 in tables:
+        for name2, t2 in targets:
+            same = name1 == name2
             truth, exact = F.evaluate_exact(sentence, t2, 4)
-            if not exact or truth != fgab.tables_isomorphic(t1, t2):
+            evaluations += 1
+            if (truth, exact) != (same, True) or fgab.tables_isomorphic(t1, t2) != same:
                 mismatches += 1
-    detail = (f"{len(tables)} classes, {len(tables)**2} evaluations, "
+    detail = (f"{len(classes)} classes, {evaluations} evaluations, "
               f"{mismatches} mismatches, {time.time()-t0:.1f}s")
     return mismatches == 0, detail
 

@@ -372,18 +372,31 @@ def scott_sentence_zn(n: int) -> F.FiniteAnd:
 
 
 def delta_formula(t: FiniteGroupTable, names: tuple[str, ...]) -> F.FiniteAnd:
-    """Quantifier-free diagram: all products, all inequations, identity pinned."""
+    """Quantifier-free diagram: all products, all inequations, identity pinned.
+
+    An abelian table is written additively.  A non-abelian one is written in
+    words, since a linear term does not keep the order of a product.
+    """
     k = t.size
     if len(names) != k:
         raise ValueError("one variable per element required")
-    facts: list[F.Formula] = [F.Atomic(F.lin({names[t.identity]: 1}), F.ZERO)]
+    abelian = t.is_abelian()
+
+    def var(i: int) -> F.Term:
+        return F.lin({names[i]: 1}) if abelian else F.gword([(names[i], 1)])
+
+    def product(i: int, j: int) -> F.Term:
+        if not abelian:
+            return F.gword([(names[i], 1), (names[j], 1)])
+        return F.lin({names[i]: 1, names[j]: 1}) if i != j else F.lin({names[i]: 2})
+
+    facts: list[F.Formula] = [F.Atomic(var(t.identity), F.ZERO if abelian else F.IDENT)]
     for i in range(k):
         for j in range(k):
-            lhs = F.lin({names[i]: 1, names[j]: 1}) if i != j else F.lin({names[i]: 2})
-            facts.append(F.Atomic(lhs, F.lin({names[t.apply(i, j)]: 1})))
+            facts.append(F.Atomic(product(i, j), var(t.apply(i, j))))
     for i in range(k):
         for j in range(i + 1, k):
-            facts.append(F.NegAtomic(F.lin({names[i]: 1}), F.lin({names[j]: 1})))
+            facts.append(F.NegAtomic(var(i), var(j)))
     return F.FiniteAnd(tuple(facts))
 
 

@@ -10,7 +10,8 @@ blocks.  Negation occurs only on atoms.  The module provides
   {and, forall} blocks, reporting the least class,
 * exact evaluation over finite group tables, with families truncated at a
   caller-supplied bound and an honesty flag saying whether the truncated
-  answer is already decided,
+  answer is already decided; each family member is drawn at most once per
+  evaluation, and nothing is kept across evaluations,
 * deterministic text / LaTeX rendering,
 * a JSON codec; family generators are never serialized, they are rebuilt
   from a registry keyed by enumeration id + parameters.
@@ -495,59 +496,23 @@ def _all_distinct_shortcut(f: Forall, s: FiniteStructure) -> tuple[bool, bool] |
     return None
 
 
-def _exists_backtrack(f: Exists, s: FiniteStructure, env: dict[str, int],
-                      bound: int) -> tuple[bool, bool]:
+def _exists_plan(f: Exists) -> tuple[tuple[tuple[Formula, ...], ...], tuple[Formula, ...]]:
+    """The backtracking plan of ``f``: per depth, the atoms its variable
+    completes, and the conjuncts left for a full assignment."""
     conjuncts = _flatten_and(f.body)
     quantified = set(f.vars)
-    atoms: list[tuple[Formula, frozenset[str]]] = []
-    others: list[Formula] = []
-    for c in conjuncts:
-        if isinstance(c, (Atomic, NegAtomic)):
-            atoms.append((c, (term_variables(c.lhs) | term_variables(c.rhs)) & quantified))
-        else:
-            others.append(c)
-    # atoms become checkable as soon as their last quantified variable is set
+    others = [c for c in conjuncts if not isinstance(c, (Atomic, NegAtomic))]
+    # an atom becomes checkable as soon as its last quantified variable is set
     position = {v: i for i, v in enumerate(f.vars)}
     ready: list[list[Formula]] = [[] for _ in f.vars]
-    for c, needed in atoms:
-        if needed:
-            ready[max(position[v] for v in needed)].append(c)
-        else:
-            others.append(c)
-
-    saw_true_inexact = False
-    saw_false_inexact = False
-
-    def descend(depth: int) -> bool:
-        nonlocal saw_true_inexact, saw_false_inexact
-        if depth == len(f.vars):
-            if others:
-                t, e = _combine_all((_ev(c, s, env, bound) for c in others), True)
-                if t and e:
-                    return True
-                if t:
-                    saw_true_inexact = True
-                elif not e:
-                    saw_false_inexact = True
-                return False
-            return True
-        var = f.vars[depth]
-        for val in range(s.size):
-            env[var] = val
-            if all(_holds_atom(c, s, env) for c in ready[depth]):
-                if descend(depth + 1):
-                    del env[var]
-                    return True
-        del env[var]
-        return False
-
-    if descend(0):
-        return (True, True)
-    if saw_true_inexact:
-        return (True, False)
-    if saw_false_inexact:
-        return (False, False)
-    return (False, True)
+    for c in conjuncts:
+        if isinstance(c, (Atomic, NegAtomic)):
+            needed = (term_variables(c.lhs) | term_variables(c.rhs)) & quantified
+            if needed:
+                ready[max(position[v] for v in needed)].append(c)
+            else:
+                others.append(c)
+    return tuple(map(tuple, ready)), tuple(others)
 
 
 def _holds_atom(f: Formula, s: FiniteStructure, env: Mapping[str, int]) -> bool:
@@ -555,36 +520,120 @@ def _holds_atom(f: Formula, s: FiniteStructure, env: Mapping[str, int]) -> bool:
     return same if isinstance(f, Atomic) else not same
 
 
-def _ev(f: Formula, s: FiniteStructure, env: dict[str, int], bound: int) -> tuple[bool, bool]:
-    if isinstance(f, (Atomic, NegAtomic)):
-        return (_holds_atom(f, s, env), True)
-    if isinstance(f, FiniteAnd):
-        return _combine_all((_ev(c, s, env, bound) for c in f.items), True)
-    if isinstance(f, FiniteOr):
-        return _combine_any((_ev(c, s, env, bound) for c in f.items), True)
-    if isinstance(f, (FamilyAnd, FamilyOr)):
-        size = f.note.size
-        complete = size is not None and size <= bound
-        count = size if complete else bound
-        results = (_ev(f.gen(i), s, env, bound) for i in range(count))
-        if isinstance(f, FamilyAnd):
-            return _combine_all(results, complete)
-        return _combine_any(results, complete)
-    if isinstance(f, Exists):
-        return _exists_backtrack(f, s, dict(env), bound)
-    if isinstance(f, Forall):
-        shortcut = _all_distinct_shortcut(f, s)
+class _Evaluation:
+    """The state of one ``evaluate_exact`` call.
+
+    It holds the structure, the family bound, the values of the bound
+    variables, which quantifiers assign in place and restore on leaving, and
+    memos keyed by node identity: the members drawn so far from each family,
+    each ``Exists`` node's backtracking plan and each ``Forall`` node's
+    all-distinct shortcut.  Every memoised node is reachable from the
+    evaluated formula or from a drawn member, so identities stay valid for
+    the call; the memos go with the state when the call returns.
+    """
+
+    def __init__(self, s: FiniteStructure, bound: int, env: dict[str, int] | None = None):
+        self.s = s
+        self.bound = bound
+        self.env = {} if env is None else env
+        self._members: dict[int, list[Formula]] = {}
+        self._plans: dict[int, tuple] = {}
+        self._shortcuts: dict[int, tuple[bool, bool] | None] = {}
+
+    def ev(self, f: Formula) -> tuple[bool, bool]:
+        if isinstance(f, (Atomic, NegAtomic)):
+            return (_holds_atom(f, self.s, self.env), True)
+        if isinstance(f, FiniteAnd):
+            return _combine_all(map(self.ev, f.items), True)
+        if isinstance(f, FiniteOr):
+            return _combine_any(map(self.ev, f.items), True)
+        if isinstance(f, (FamilyAnd, FamilyOr)):
+            size = f.note.size
+            complete = size is not None and size <= self.bound
+            results = map(self.ev, self._members_of(f, size if complete else self.bound))
+            if isinstance(f, FamilyAnd):
+                return _combine_all(results, complete)
+            return _combine_any(results, complete)
+        if isinstance(f, Exists):
+            return self._exists(f)
+        if isinstance(f, Forall):
+            return self._forall(f)
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _members_of(self, f: FamilyAnd | FamilyOr, count: int) -> Iterator[Formula]:
+        """The first ``count`` members of ``f``, each drawn once, in index order,
+        when the evaluation first reaches it."""
+        drawn = self._members.setdefault(id(f), [])
+        for i in range(count):
+            if i == len(drawn):
+                drawn.append(f.gen(i))
+            yield drawn[i]
+
+    def _restore(self, names: tuple[str, ...], saved: dict[str, int]) -> None:
+        for v in names:
+            self.env.pop(v, None)
+        self.env.update(saved)
+
+    def _exists(self, f: Exists) -> tuple[bool, bool]:
+        plan = self._plans.get(id(f))
+        if plan is None:
+            plan = self._plans[id(f)] = _exists_plan(f)
+        ready, others = plan
+        s, env, names = self.s, self.env, f.vars
+        saved = {v: env[v] for v in names if v in env}
+        saw_true_inexact = False
+        saw_false_inexact = False
+
+        def descend(depth: int) -> bool:
+            nonlocal saw_true_inexact, saw_false_inexact
+            if depth == len(names):
+                if others:
+                    t, e = _combine_all(map(self.ev, others), True)
+                    if t and e:
+                        return True
+                    if t:
+                        saw_true_inexact = True
+                    elif not e:
+                        saw_false_inexact = True
+                    return False
+                return True
+            var, checks = names[depth], ready[depth]
+            for val in range(s.size):
+                env[var] = val
+                if all(_holds_atom(c, s, env) for c in checks) and descend(depth + 1):
+                    return True
+            return False
+
+        try:
+            found = descend(0)
+        finally:
+            self._restore(names, saved)
+        if found:
+            return (True, True)
+        if saw_true_inexact:
+            return (True, False)
+        if saw_false_inexact:
+            return (False, False)
+        return (False, True)
+
+    def _forall(self, f: Forall) -> tuple[bool, bool]:
+        if id(f) not in self._shortcuts:
+            self._shortcuts[id(f)] = _all_distinct_shortcut(f, self.s)
+        shortcut = self._shortcuts[id(f)]
         if shortcut is not None:
             return shortcut
+        env, names = self.env, f.vars
+        saved = {v: env[v] for v in names if v in env}
 
         def assignments():
-            for combo in itertools.product(range(s.size), repeat=len(f.vars)):
-                inner = dict(env)
-                inner.update(zip(f.vars, combo))
-                yield _ev(f.body, s, inner, bound)
+            for combo in itertools.product(range(self.s.size), repeat=len(names)):
+                env.update(zip(names, combo))
+                yield self.ev(f.body)
 
-        return _combine_all(assignments(), True)
-    raise TypeError(f"not a formula: {f!r}")
+        try:
+            return _combine_all(assignments(), True)
+        finally:
+            self._restore(names, saved)
 
 
 def _free_variables(f: Formula, bound: frozenset[str] = frozenset()) -> frozenset[str]:
@@ -624,11 +673,16 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
     size fits under the bound).  A free variable that the evaluation
     reaches raises ValueError; ``require_sentence`` finds the others
     outside families.
+
+    Each family member is drawn from its generator at most once per call,
+    when the evaluation first reaches it, however many assignments read it.
+    The drawn members, like each quantifier block's plan, belong to this
+    call alone: nothing is kept across calls.
     """
     if family_bound < 1:
         raise ValueError("family_bound must be >= 1")
     try:
-        return _ev(f, s, {}, family_bound)
+        return _Evaluation(s, family_bound).ev(f)
     except KeyError as exc:  # an unbound variable
         raise _not_a_sentence(exc.args[0]) from None
 
@@ -729,9 +783,14 @@ def _render(f: Formula, fmt: str, bound: int) -> str:
 
 
 def render(f: Formula, fmt: str = "text", family_bound: int = 3) -> str:
-    """Deterministic rendering; families show ``family_bound`` members."""
+    """Deterministic rendering; families show ``family_bound`` members.
+
+    A bound of 0 shows each family by its note alone; a negative one raises
+    ValueError."""
     if fmt not in ("text", "latex"):
         raise ValueError("format must be 'text' or 'latex'")
+    if family_bound < 0:
+        raise ValueError(f"family_bound must be >= 0, got {family_bound}")
     out = _render(f, fmt, family_bound)
     if fmt == "latex":
         return r"\[ " + out + r" \]"

@@ -214,6 +214,12 @@ class TestExitCodes:
                               '"params":{"rank":"2","torsion":[],"vars":["a","b"]}}'],
         ["formula", "render",
          '{"t":"fam-and","enum":"rank1-lambda-exists","params":{"char":[],"var":"x"}}'],
+        # a negative family bound, which would render no members
+        ["formula", "render", "--family-bound", "-3",
+         '{"t":"fam-and","enum":"multiple-neq","params":{"var":"x"}}'],
+        ["dinf", "scott", "--family-bound", "-1"],
+        ["fgab", "scott", "--rank", "1", "--family-bound", "-2"],
+        ["q", "scott", '{"default":"zero"}', "--latex", "--family-bound", "-1"],
     ])
     def test_malformed_inputs_are_domain_errors(self, capsys, argv):
         code = cli.main(argv)

@@ -1,8 +1,10 @@
+import collections
 import itertools
 import random
 
 import pytest
 
+from scottgroups import acceptance
 from scottgroups import dihedral as D
 from scottgroups import fgab
 from scottgroups import formula as F
@@ -63,6 +65,10 @@ def brute_eval(f, s, env):
         return all(brute_eval(c, s, env) for c in f.items)
     if isinstance(f, F.FiniteOr):
         return any(brute_eval(c, s, env) for c in f.items)
+    if isinstance(f, F.FamilyAnd):
+        return all(brute_eval(f.gen(i), s, env) for i in range(f.note.size))
+    if isinstance(f, F.FamilyOr):
+        return any(brute_eval(f.gen(i), s, env) for i in range(f.note.size))
     if isinstance(f, F.Exists):
         return any(brute_eval(f.body, s, {**env, **dict(zip(f.vars, combo))})
                    for combo in itertools.product(range(s.size), repeat=len(f.vars)))
@@ -72,20 +78,38 @@ def brute_eval(f, s, env):
     raise TypeError(f)
 
 
+def random_term(rng, scope):
+    if rng.random() < 0.5:
+        return F.lin({rng.choice(scope): rng.choice([1, 1, 2, -1]),
+                      rng.choice(scope): rng.choice([0, 1, -2])})
+    return F.gword([(rng.choice(scope), rng.choice([1, -1]))
+                    for _ in range(rng.randint(1, 3))])
+
+
+def finite_family(kind, members):
+    """A family node of exactly ``members``, built without the registry."""
+    note = F.FamilyNote("test-members", "{}", len(members))
+    return (F.FamilyAnd if kind == "and" else F.FamilyOr)(note, members.__getitem__)
+
+
 def random_formula(rng, depth, free_vars):
     roll = rng.random()
     if depth == 0 or roll < 0.3:
         scope = free_vars or ["x"]
-        term = F.lin({rng.choice(scope): rng.choice([1, 1, 2, -1]),
-                      rng.choice(scope): rng.choice([0, 1, -2])})
+        rhs = random_term(rng, scope) if rng.random() < 0.5 else rng.choice([F.ZERO, F.IDENT])
         cls = F.Atomic if rng.random() < 0.5 else F.NegAtomic
-        return cls(term, F.ZERO)
-    if roll < 0.5:
+        return cls(random_term(rng, scope), rhs)
+    if roll < 0.45:
         return F.FiniteAnd(tuple(random_formula(rng, depth - 1, free_vars)
                                  for _ in range(rng.randint(1, 3))))
-    if roll < 0.7:
+    if roll < 0.6:
         return F.FiniteOr(tuple(random_formula(rng, depth - 1, free_vars)
                                 for _ in range(rng.randint(1, 3))))
+    if roll < 0.7:
+        # fewer members than the bound 8, so the evaluation sees them all
+        members = tuple(random_formula(rng, depth - 1, free_vars)
+                        for _ in range(rng.randint(0, 4)))
+        return finite_family(rng.choice(["and", "or"]), members)
     var = f"v{rng.randint(0, 20)}"
     body = random_formula(rng, depth - 1, free_vars + [var])
     return (F.Exists if rng.random() < 0.5 else F.Forall)((var,), body)
@@ -128,15 +152,37 @@ class TestEvaluate:
         rng = random.Random(2026)
         tables = [fgab.cyclic_table(n) for n in (1, 2, 3, 4, 5, 6)]
         tables.append(fgab.table_from_invariant_factors((2, 2)))
+        tables.append(acceptance.dihedral_group(3))  # S3, non-abelian
         for _ in range(500):
             f = random_formula(rng, rng.randint(1, 3), [])
             s = rng.choice(tables)
             free = _free_vars(f)
             env = {v: rng.randrange(s.size) for v in free}
             want = brute_eval(f, s, env)
-            got, exact = F._ev(f, s, dict(env), 8)
+            got, exact = F._Evaluation(s, 8, dict(env)).ev(f)
             assert exact is True
             assert got == want
+
+    def test_family_members_drawn_once_per_call(self):
+        drawn = collections.Counter()
+
+        def gen(i):
+            drawn[i] += 1
+            return F.Atomic(F.gword([("x", 1)] * i + [("x", -1)] * i), F.IDENT)
+
+        family = F.FamilyAnd(F.FamilyNote("counted", "{}", None), gen)
+        sentence = F.Forall(("x",), family)
+        s3 = acceptance.dihedral_group(3)
+        assert F.evaluate_exact(sentence, s3, 5) == (True, False)
+        assert drawn == {i: 1 for i in range(5)}  # once, not once per element
+        assert F.evaluate_exact(sentence, s3, 5) == (True, False)
+        assert drawn == {i: 2 for i in range(5)}  # nothing kept across calls
+
+    def test_variable_named_twice_in_one_block(self):
+        x = F.lin({"x": 1})
+        z2 = fgab.cyclic_table(2)
+        assert F.evaluate_exact(F.Exists(("x", "x"), F.Atomic(x, F.ZERO)), z2) == (True, True)
+        assert F.evaluate_exact(F.Forall(("x", "x"), F.Atomic(x, F.ZERO)), z2) == (False, True)
 
     def test_bad_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -151,6 +197,8 @@ def _free_vars(f, bound=frozenset()):
         for c in f.items:
             out |= _free_vars(c, bound)
         return out
+    if isinstance(f, (F.FamilyAnd, F.FamilyOr)):
+        return _free_vars(F.FiniteAnd(tuple(F.family_members(f, f.note.size))), bound)
     if isinstance(f, (F.Exists, F.Forall)):
         return _free_vars(f.body, bound | set(f.vars))
     raise TypeError(f)
