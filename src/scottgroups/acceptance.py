@@ -245,37 +245,53 @@ def criterion_rank1_table() -> tuple[bool, str]:
         (f"; {failures}" if failures else "")
 
 
-def _final_abelian_tag(k: int, trace: L.ConstructionTrace) -> str:
-    s1, s2 = trace.steps[-1]
+def _final_abelian_tag(k: int, s1: bool, s2: bool) -> str:
     return f"Z{(k - 1) + (1 if s1 else 0) + (1 if s1 and s2 else 0)}"
 
 
-def _final_rank1_char(c, p, q, trace: L.ConstructionTrace):
-    s1, s2 = trace.steps[-1]
+def _final_rank1_char(c, p, q, s1: bool, s2: bool):
     if not s1:
         return R.extend_infinite_at(c, p)
     return c if not s2 else R.kill_prime_at(c, q)
 
 
-def criterion_construction_sweep(exhaustive_len: int = 6,
+_BELIEFS = tuple(itertools.product([False, True], repeat=2))
+
+
+def _walk_traces(run, length: int, steps: tuple = ()):
+    """Every continuation of ``run`` by ``length`` more stages, depth first:
+    yields (steps, run at the leaf).  Each prefix is advanced once and
+    continued in forks, the last child reusing the run itself."""
+    for i, belief in enumerate(_BELIEFS):
+        child = run if i == len(_BELIEFS) - 1 else run.fork()
+        child.advance(*belief)
+        if length == 1:
+            yield steps + (belief,), child
+        else:
+            yield from _walk_traces(child, length - 1, steps + (belief,))
+
+
+def criterion_construction_sweep(exhaustive_len: int = 7,
                                  samples: int = 200) -> tuple[bool, str]:
-    """6: soundness sweep — exhaustive bit patterns for the abelian and
-    rank-1 simulators (4^len traces = 2^12 at len 6), randomized samples for
-    the dihedral and cofinality ones."""
+    """6: soundness sweep — every trace of length ``exhaustive_len`` for the
+    abelian (k = 2, 3) and rank-1 simulators (4^len traces = 2^14 at len 7),
+    walked as a tree through the same ``advance`` the CLI runs; randomized
+    samples for the dihedral and cofinality ones."""
     t0 = time.time()
     failures = []
-    patterns = list(itertools.product([False, True], repeat=2 * exhaustive_len))
     c = R.char({2: R.INF})
-    for bits in patterns:
-        steps = tuple((bits[2 * i], bits[2 * i + 1]) for i in range(exhaustive_len))
-        trace = L.ConstructionTrace(steps)
-        for k in (2, 3):
-            reports, tag, ver = L.run_abelian(k, trace, growth=1)
-            if not ver.ok or tag != _final_abelian_tag(k, trace):
-                failures.append(f"abelian k={k} {bits}")
-        reports, fc, ver = L.run_rank1(c, 3, 2, trace, growth=1)
-        if not ver.ok or fc != _final_rank1_char(c, 3, 2, trace):
-            failures.append(f"rank1 {bits}")
+    runs = 0
+    for k in (2, 3):
+        for steps, run in _walk_traces(L._AbelianRun(k, growth=1), exhaustive_len):
+            runs += 1
+            _, tag, ver = run.result()
+            if not ver.ok or tag != _final_abelian_tag(k, *steps[-1]):
+                failures.append(f"abelian k={k} {steps}")
+    for steps, run in _walk_traces(L._Rank1Run(c, 3, 2, growth=1), exhaustive_len):
+        runs += 1
+        _, fc, ver = run.result()
+        if not ver.ok or fc != _final_rank1_char(c, 3, 2, *steps[-1]):
+            failures.append(f"rank1 {steps}")
     rng = random.Random(20130905)
     case2 = R.char(default=("linear", 1, 1))
     for _ in range(samples):
@@ -290,7 +306,7 @@ def criterion_construction_sweep(exhaustive_len: int = 6,
         res, ver = L.run_cofinality(case2, m, w, 60)
         if not ver.ok:
             failures.append(f"cofinality m={m} w={sorted(w)}")
-    detail = (f"{3 * len(patterns)} exhaustive runs + {2 * samples} sampled, "
+    detail = (f"{runs} exhaustive runs + {2 * samples} sampled, "
               f"{len(failures)} failures, {time.time()-t0:.1f}s")
     return not failures, detail
 

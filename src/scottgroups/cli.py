@@ -36,7 +36,7 @@ def _read_table(arg: str) -> tuple[dict, object]:
     data = _read_structured(arg)
     rows = data.get("table") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(
-            isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows):
+            isinstance(r, list) and all(map(F.is_json_int, r)) for r in rows):
         raise ValueError(f'a table is a JSON object {{"table": [[int, ...], ...]}}, got {data!r}')
     return data, F.FiniteStructure.from_table(rows)
 
@@ -151,12 +151,9 @@ def _cmd_fgab_scott(args) -> dict:
 
 def _cmd_fgab_scott_finite(args) -> dict:
     from . import fgab
+    from . import formula as F
     data, table = _read_table(args.table)
-    try:
-        order = int(data.get("order", table.size))
-    except TypeError:
-        raise ValueError(f"declared order {data['order']!r} is not an integer") from None
-    if table.size != order:
+    if table.size != F.json_int(data.get("order", table.size)):
         raise ValueError("declared order does not match the table")
     return _formula_payload(fgab.scott_sentence_finite(table), args)
 

@@ -214,16 +214,25 @@ FamilyBuilder = Callable[[dict], tuple[Callable[[int], Formula], int | None]]
 _REGISTRY: dict[str, FamilyBuilder] = {}
 
 
-def _is_int(v: Any) -> bool:
+def is_json_int(v: Any) -> bool:
+    """Whether ``v`` decoded as a JSON integer: an int that is not a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def json_int(v: Any) -> int:
+    """``v`` if it decoded as a JSON integer; a float, a string or a boolean
+    raises ValueError rather than being truncated or parsed."""
+    if not is_json_int(v):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
 
 
 _PARAM_KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "name": ("a string", lambda v: isinstance(v, str)),
     "names": ("a list of strings",
               lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
-    "int": ("an integer", _is_int),
-    "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "int": ("an integer", is_json_int),
+    "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(is_json_int, v))),
     "object": ("an object", lambda v: isinstance(v, dict)),
 }
 
@@ -829,16 +838,10 @@ def _json_names(names: Any) -> tuple[str, ...]:
 
 def _json_pairs(pairs: Any) -> tuple[tuple[str, int], ...]:
     """A list of [variable, integer] pairs, as in ``lin`` and ``word`` terms."""
-    out = []
-    try:
-        for v, k in pairs:
-            if not isinstance(v, str):
-                break
-            out.append((v, int(k)))
-        else:
-            return tuple(out)
-    except TypeError:  # not a list of pairs, or int() of a list, an object or null
-        pass
+    if isinstance(pairs, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+            and is_json_int(pair[1]) for pair in pairs):
+        return tuple((v, k) for v, k in pairs)
     raise ValueError(f"expected a list of [variable, integer] pairs, got {pairs!r}")
 
 

@@ -17,9 +17,10 @@ sentence stays true.  The four constructions:
 
 The three stage-based simulators share one core, ``_Run``, which names
 constants, records facts, checks each fact as it is recorded, checks each
-rewrite of the map once on the named values, and writes the stage reports; a
-simulator adds only its value algebra and its stage policy.  The algebras
-compute on integers: integer vectors (abelian), ``(num, den, flip)`` triples
+rewrite of the map once on the named values, and drives the stages
+(``advance``, ``simulate``, and ``fork``, which the acceptance sweep uses to
+share trace prefixes); a simulator adds only its value algebra plus ``seed``,
+``step`` and ``result``.  The algebras compute on integers: integer vectors (abelian), ``(num, den, flip)`` triples
 (dihedral, shown as ``DihedralElement`` in the reports), and ``Fraction``
 values whose relations are tested by cross-multiplying numerators and
 denominators (rank-1).  Each reports
@@ -45,6 +46,7 @@ from typing import Any, Callable, Iterator, Sequence
 from . import dihedral as D
 from . import rank1 as R
 from .fgab import int_tuple
+from .formula import is_json_int
 from .numtheory import primes_upto, valuation
 
 PREFIX_CAVEAT = ("verdicts describe the final stage's belief; a genuine limit "
@@ -72,7 +74,8 @@ class ConstructionTrace:
 def trace_from_json(data) -> ConstructionTrace:
     steps = data.get("steps") if isinstance(data, dict) else None
     if not isinstance(steps, list) or not all(
-            isinstance(step, list) and len(step) == 2 for step in steps):
+            isinstance(step, list) and len(step) == 2 and all(
+                is_json_int(bit) and bit in (0, 1) for bit in step) for step in steps):
         raise ValueError(f'a trace is a JSON object {{"steps": [[0, 1], ...]}}, got {data!r}')
     return ConstructionTrace.from_bits(steps)
 
@@ -105,7 +108,10 @@ def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
 class _Run:
     """Constants with their values in the current target, the recorded facts
     and one report per stage.  A subclass supplies ``relations(c)``, the
-    facts a fresh constant c takes part in, and ``holds_relation(fact)``.
+    facts a fresh constant c takes part in, ``holds_relation(fact)``,
+    ``seed(delta)`` for stage 0, ``step(s1, s2, delta) -> (target, resumes)``
+    and ``result()``.  ``belief`` is the last stage's (s1, s2); the class
+    attribute is the belief before stage 0.
 
     ``stage-soundness`` (every fact recorded by stage s holds in stage s's
     map) is proved without replaying the facts.  Each fact is checked once,
@@ -120,6 +126,8 @@ class _Run:
     instead of O(facts); ``final-replay`` still re-checks every fact once,
     at the end of the run."""
 
+    belief = (False, False)
+
     def __init__(self, growth: int):
         if growth < 1:
             raise ValueError("growth must be >= 1")
@@ -131,12 +139,6 @@ class _Run:
         self.reports: list[StageReport] = []
         self.last_stage_for_tag: dict[str, int] = {}
         self.sound = True
-
-    def new_const(self, value) -> int:
-        c = len(self.values)
-        self.values[c] = value
-        self.used[value] = c
-        return c
 
     def add(self, fact: tuple, delta: list) -> None:
         if fact in self._seen:
@@ -155,7 +157,8 @@ class _Run:
         """The constant holding ``value``; a new one is recorded first."""
         c = self.used.get(value)
         if c is None:
-            c = self.new_const(value)
+            c = self.used[value] = len(self.values)
+            self.values[c] = value
             self.record(c, delta)
         return c
 
@@ -189,13 +192,32 @@ class _Run:
         """The map a stage report shows: each constant's current value."""
         return dict(self.values)
 
-    def end_stage(self, stage: int, tag: str, delta: list, resumes: bool) -> None:
-        """Report the stage; ``resumes`` marks a return to an earlier target,
-        whose latest stage the report names."""
+    def advance(self, s1: bool, s2: bool) -> None:
+        """Run the next stage on the belief (s1, s2) and report it; a resumed
+        target's report names that target's latest stage."""
+        stage = len(self.reports)
+        delta: list[tuple] = []
+        if stage == 0:
+            self.seed(delta)
+        tag, resumes = self.step(s1, s2, delta)
         resumed = self.last_stage_for_tag.get(tag) if resumes else None
         self.reports.append(StageReport(stage, tag, self.partial_map(), tuple(delta),
                                         len(self.facts), resumed))
         self.last_stage_for_tag[tag] = stage
+        self.belief = (s1, s2)
+
+    def simulate(self, trace: ConstructionTrace):
+        for s1, s2 in trace.steps:
+            self.advance(s1, s2)
+        return self.result()
+
+    def fork(self) -> "_Run":
+        """A copy that advances independently: dicts, lists and sets are
+        copied, and the values, facts and reports in them are immutable."""
+        twin = object.__new__(type(self))
+        twin.__dict__ = {name: value.copy() if isinstance(value, (dict, list, set)) else value
+                         for name, value in self.__dict__.items()}
+        return twin
 
     def verify(self, *extra_checks: tuple[str, bool, str],
                caveat: str = PREFIX_CAVEAT) -> VerificationReport:
@@ -258,8 +280,10 @@ def _matrix_rank(rows: list[tuple]) -> int:
 
 class _AbelianRun(_Run):
     def __init__(self, k: int, growth: int):
+        if k < 2:
+            raise ValueError("k must be >= 2")
         super().__init__(growth)
-        self.dim = k - 1
+        self.k, self.dim = k, k - 1
         self.gen_layers: dict[str, int] = {}  # "s1"/"s2" -> coordinate index
 
     def relations(self, c: int) -> Iterator[tuple]:
@@ -280,15 +304,15 @@ class _AbelianRun(_Run):
         return _vec_add(self.values[i], self.values[j]) == self.values[k]
 
     def seed(self, delta: list) -> None:
-        self.record(self.new_const((0,) * self.dim), delta)
+        self.ensure((0,) * self.dim, delta)
         for i in range(self.dim):
-            self.record(self.new_const(_unit_vector(self.dim, i)), delta)
+            self.ensure(_unit_vector(self.dim, i), delta)
 
     def expand(self, layer: str, delta: list) -> None:
         self.rewrite(lambda v: _pad(v, self.dim + 1))
         self.dim += 1
         self.gen_layers[layer] = self.dim - 1
-        self.record(self.new_const(_unit_vector(self.dim, self.dim - 1)), delta)
+        self.ensure(_unit_vector(self.dim, self.dim - 1), delta)
 
     def collapse(self, layer: str) -> None:
         coord = self.gen_layers.pop(layer)
@@ -302,15 +326,32 @@ class _AbelianRun(_Run):
                 self.gen_layers[name] = idx - 1
 
     def grow(self, delta: list) -> None:
-        cursor = 0
-        added = 0
-        while added < self.growth:
-            cand = int_tuple(self.dim, cursor, include_zero=True)
+        """Name the first ``growth`` vectors of Z^dim not yet named."""
+        size, cursor = len(self.values) + self.growth, 0
+        while len(self.values) < size:
+            self.ensure(int_tuple(self.dim, cursor, include_zero=True), delta)
             cursor += 1
-            if cand in self.used:
-                continue
-            self.record(self.new_const(cand), delta)
-            added += 1
+
+    def step(self, s1: bool, s2: bool, delta: list) -> tuple[str, bool]:
+        # layer transitions, s2 first on the way down so indices stay sane
+        if "s2" in self.gen_layers and not (s1 and s2):
+            self.collapse("s2")
+        if "s1" in self.gen_layers and not s1:
+            self.collapse("s1")
+        if s1 and "s1" not in self.gen_layers:
+            self.expand("s1", delta)
+        if s1 and s2 and "s2" not in self.gen_layers:
+            self.expand("s2", delta)
+        self.grow(delta)
+        dim = _abelian_dim(self.k, s1, s2)
+        return f"Z{dim}", _abelian_dim(self.k, *self.belief) > dim
+
+    def result(self) -> tuple[list[StageReport], str, VerificationReport]:
+        want_dim = _abelian_dim(self.k, *self.belief)
+        got_rank = _matrix_rank(list(self.values.values()))
+        verification = self.verify(("final-rank", got_rank == want_dim,
+                                    f"rank {got_rank} vs {want_dim}"))
+        return self.reports, self.reports[-1].target_tag, verification
 
 
 def _abelian_dim(k: int, s1: bool, s2: bool) -> int:
@@ -320,33 +361,7 @@ def _abelian_dim(k: int, s1: bool, s2: bool) -> int:
 def run_abelian(k: int, trace: ConstructionTrace, growth: int = 1,
                 ) -> tuple[list[StageReport], str, VerificationReport]:
     """Build a diagram whose limit target tracks the trace's final belief."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    run = _AbelianRun(k, growth)
-    prev = (False, False)  # construction starts believing n outside S1
-    for stage, (s1, s2) in enumerate(trace.steps):
-        delta: list[tuple] = []
-        if stage == 0:
-            run.seed(delta)
-        # layer transitions, s2 first on the way down so indices stay sane
-        if "s2" in run.gen_layers and not (s1 and s2):
-            run.collapse("s2")
-        if "s1" in run.gen_layers and not s1:
-            run.collapse("s1")
-        if s1 and "s1" not in run.gen_layers:
-            run.expand("s1", delta)
-        if s1 and s2 and "s2" not in run.gen_layers:
-            run.expand("s2", delta)
-        run.grow(delta)
-        tag = f"Z{_abelian_dim(k, s1, s2)}"
-        run.end_stage(stage, tag, delta,
-                      resumes=_abelian_dim(k, *prev) > _abelian_dim(k, s1, s2))
-        prev = (s1, s2)
-    want_dim = _abelian_dim(k, s1, s2)
-    got_rank = _matrix_rank(list(run.values.values()))
-    verification = run.verify(("final-rank", got_rank == want_dim,
-                               f"rank {got_rank} vs {want_dim}"))
-    return run.reports, tag, verification
+    return _AbelianRun(k, growth).simulate(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +403,8 @@ _B = _triple(D.B_ELEM)
 
 
 class _DihedralRun(_Run):
+    belief = (True, False)  # conventional starting belief
+
     def __init__(self, growth: int):
         super().__init__(growth)
         self.depth = 0
@@ -419,9 +436,9 @@ class _DihedralRun(_Run):
         return dict(enumerate(shown))
 
     def seed(self, delta: list) -> None:
-        self.record(self.new_const(_E), delta)
-        self.record(self.new_const(self.a), delta)  # a
-        self.record(self.new_const(_B), delta)      # b
+        self.ensure(_E, delta)
+        self.ensure(self.a, delta)  # a
+        self.ensure(_B, delta)      # b
 
     def deepen(self, delta: list) -> None:
         """Express the current a as a'·b·a' for a fresh deeper reflection a'."""
@@ -437,17 +454,40 @@ class _DihedralRun(_Run):
         self.add(("mul", aux, a_new, old_a), delta)
 
     def grow(self, delta: list) -> None:
-        added = 0
-        while added < self.growth:
-            word = D.nth_normal_form(self.enum_cursor)
-            self.enum_cursor += 1
+        """Name the next ``growth`` normal forms, in a and b, not yet named."""
+        size = len(self.values) + self.growth
+        while len(self.values) < size:
             value = _E
-            for ch in word.letters:
+            for ch in D.nth_normal_form(self.enum_cursor).letters:
                 value = _dmul(value, self.a if ch == "a" else _B)
-            if value in self.used:
-                continue
-            self.record(self.new_const(value), delta)
-            added += 1
+            self.enum_cursor += 1
+            self.ensure(value, delta)
+
+    def step(self, s1: bool, s2: bool, delta: list) -> tuple[str, bool]:
+        if self.belief[0] and not s1:
+            self.deepen(delta)
+        frozen = s1 and s2
+        if not frozen:
+            self.grow(delta)
+        tag = "Dinf" if (s1 and not s2) else ("H" if not s1 else "FiniteFragment")
+        # unfreezing resumes the target held before the freeze
+        return tag, self.belief == (True, True) and not frozen
+
+    def result(self) -> tuple[list[StageReport], str, VerificationReport]:
+        tag = self.reports[-1].target_tag
+        caveat = PREFIX_CAVEAT
+        if tag == "H":
+            caveat += f"; reported H at achieved tower depth {self.depth}, not certified infinite"
+        verification = self.verify(
+            ("involutions-consistent",
+             all(_dmul(v, v) == _E for v in self.values.values() if v[2]), ""),
+            ("frozen-adds-nothing",
+             all(not r.diagram_delta for r in self.reports
+                 if r.target_tag == "FiniteFragment" and r.stage > 0), ""),
+            ("tower-depth-replay", dihedral_tower_depth(self.reports) == self.depth,
+             f"depth {self.depth}"),
+            caveat=caveat)
+        return self.reports, tag, verification
 
 
 def run_dihedral(trace: ConstructionTrace, growth: int = 1,
@@ -455,34 +495,7 @@ def run_dihedral(trace: ConstructionTrace, growth: int = 1,
     """Targets: settled in S1-S2 builds the dihedral group; repeated S1
     departures deepen a reflection tower; settling in S1∩S2 freezes the
     diagram at a finite fragment."""
-    run = _DihedralRun(growth)
-    prev = (True, False)  # conventional starting belief
-    for stage, (s1, s2) in enumerate(trace.steps):
-        delta: list[tuple] = []
-        if stage == 0:
-            run.seed(delta)
-        if prev[0] and not s1:
-            run.deepen(delta)
-        frozen = s1 and s2
-        if not frozen:
-            run.grow(delta)
-        tag = "Dinf" if (s1 and not s2) else ("H" if not s1 else "FiniteFragment")
-        # unfreezing resumes the target held before the freeze
-        run.end_stage(stage, tag, delta, resumes=prev == (True, True) and not frozen)
-        prev = (s1, s2)
-    caveat = PREFIX_CAVEAT
-    if tag == "H":
-        caveat += f"; reported H at achieved tower depth {run.depth}, not certified infinite"
-    verification = run.verify(
-        ("involutions-consistent",
-         all(_dmul(v, v) == _E for v in run.values.values() if v[2]), ""),
-        ("frozen-adds-nothing",
-         all(not r.diagram_delta for r in run.reports
-             if r.target_tag == "FiniteFragment" and r.stage > 0), ""),
-        ("tower-depth-replay", dihedral_tower_depth(run.reports) == run.depth,
-         f"depth {run.depth}"),
-        caveat=caveat)
-    return run.reports, tag, verification
+    return _DihedralRun(growth).simulate(trace)
 
 
 def dihedral_tower_depth(reports: list[StageReport]) -> int:
@@ -526,6 +539,16 @@ def _scale_factor(nx: int, dx: int, ny: int, dy: int) -> int:
 
 
 class _Rank1Run(_Run):
+    def __init__(self, c: R.Rank1Char, p: int, q: int, growth: int):
+        super().__init__(growth)
+        if R.exponent(c, p) == R.INF:
+            raise ValueError("p must lie in P0 or Pfin (finite exponent)")
+        if R.exponent(c, q) != R.INF:
+            raise ValueError("q must lie in Pinf (infinite exponent)")
+        self.p, self.q, self.k, self.mult_cursor = p, q, int(R.exponent(c, p)), 2
+        self.chars = {"H": R.extend_infinite_at(c, p), "G": c, "K": R.kill_prime_at(c, q)}
+        self.units: dict[str, int] = {}  # the constant of each target's designated unit
+
     def relations(self, c: int) -> Iterator[tuple]:
         vc = self.values[c]
         nc, dc = vc.numerator, vc.denominator
@@ -561,6 +584,42 @@ class _Rank1Run(_Run):
         new = self.ensure(unit_value / prime ** (d + 1), delta)
         self.add(("scale", prime, new, prev), delta)
 
+    def seed(self, delta: list) -> None:
+        self.units["H"] = self.ensure(Fraction(1), delta)
+
+    def step(self, s1: bool, s2: bool, delta: list) -> tuple[str, bool]:
+        target = "H" if not s1 else ("G" if not s2 else "K")
+        one, p, q = Fraction(1), self.p, self.q
+        if target == "H":
+            for _ in range(self.growth):
+                self.divide(one, p, delta)
+            self.units.pop("G", None)  # a later G phase designates a fresh unit
+            return target, True
+        if "G" not in self.units:
+            k_s = self.depth(one, p)
+            self.units["G"] = self.ensure(Fraction(p ** self.k, p ** k_s), delta)
+        u_g = self.values[self.units["G"]]
+        if target == "G":
+            for _ in range(self.growth):
+                self.divide(u_g, q, delta)
+        else:  # K: freeze q at the unit and keep adding integer multiples
+            unit_k = self.units["K"] = self.ensure(u_g / q ** self.depth(u_g, q), delta)
+            base = self.values[unit_k]
+            for _ in range(self.growth):
+                new = self.ensure(base * self.mult_cursor, delta)
+                self.add(("scale", self.mult_cursor, unit_k, new), delta)
+                self.mult_cursor += 1
+        return target, True
+
+    def result(self) -> tuple[list[StageReport], R.Rank1Char, VerificationReport]:
+        target = self.reports[-1].target_tag
+        final_char = self.chars[target]
+        unit_val = self.values[self.units[target]]
+        member = all(R.contains(final_char, v / unit_val) for v in self.values.values())
+        verification = self.verify(("members-in-final-group", member,
+                                    f"designated unit {unit_val}"))
+        return self.reports, final_char, verification
+
 
 def run_rank1(c: R.Rank1Char, p: int, q: int, trace: ConstructionTrace,
               growth: int = 1) -> tuple[list[StageReport], R.Rank1Char, VerificationReport]:
@@ -573,55 +632,7 @@ def run_rank1(c: R.Rank1Char, p: int, q: int, trace: ConstructionTrace,
     the G unit.  Depths are read off the generated subgroup, so revisits
     account for elements introduced by abandoned phases.
     """
-    run = _Rank1Run(growth)
-    if R.exponent(c, p) == R.INF:
-        raise ValueError("p must lie in P0 or Pfin (finite exponent)")
-    if R.exponent(c, q) != R.INF:
-        raise ValueError("q must lie in Pinf (infinite exponent)")
-    k = int(R.exponent(c, p))
-    one = Fraction(1)
-    unit_g = unit_k = None  # constants of the designated G and K units
-    mult_cursor = 2
-    for stage, (s1, s2) in enumerate(trace.steps):
-        delta: list[tuple] = []
-        if stage == 0:
-            unit_h = run.ensure(one, delta)
-        target = "H" if not s1 else ("G" if not s2 else "K")
-        if target == "H":
-            for _ in range(growth):
-                run.divide(one, p, delta)
-            unit_g = None  # a later G phase designates a fresh unit
-        else:
-            if unit_g is None:
-                k_s = run.depth(one, p)
-                unit_g = run.ensure(Fraction(p ** k, p ** k_s), delta)
-            if target == "G":
-                for _ in range(growth):
-                    run.divide(run.values[unit_g], q, delta)
-            else:  # K: freeze q at the unit and keep adding integer multiples
-                u_g = run.values[unit_g]
-                l_s = run.depth(u_g, q)
-                unit_k = run.ensure(u_g / q ** l_s, delta)
-                base = run.values[unit_k]
-                for _ in range(growth):
-                    new = run.ensure(base * mult_cursor, delta)
-                    run.add(("scale", mult_cursor, unit_k, new), delta)
-                    mult_cursor += 1
-        run.end_stage(stage, target, delta, resumes=True)
-    if not s1:
-        final_char = R.extend_infinite_at(c, p)
-        final_unit = unit_h
-    elif not s2:
-        final_char = c
-        final_unit = unit_g
-    else:
-        final_char = R.kill_prime_at(c, q)
-        final_unit = unit_k
-    unit_val = run.values[final_unit]
-    member = all(R.contains(final_char, v / unit_val) for v in run.values.values())
-    verification = run.verify(("members-in-final-group", member,
-                               f"designated unit {unit_val}"))
-    return run.reports, final_char, verification
+    return _Rank1Run(c, p, q, growth).simulate(trace)
 
 
 # ---------------------------------------------------------------------------

@@ -329,17 +329,10 @@ def _rule_from_json(data) -> Rule:
     if isinstance(data, dict) and "linear" in data:
         pair = data["linear"]
         if isinstance(pair, list) and len(pair) == 2:
-            return ("linear", _int_from_json(pair[0]), _int_from_json(pair[1]))
+            return ("linear", F.json_int(pair[0]), F.json_int(pair[1]))
     elif isinstance(data, dict) and isinstance(data.get("residue"), list):
         return ("residue", tuple(_rule_from_json(sub) for sub in data["residue"]))
     raise ValueError(f"malformed rule: {data!r}")
-
-
-def _int_from_json(v) -> int:
-    try:
-        return int(v)
-    except TypeError:
-        raise ValueError(f"expected an integer, got {v!r}") from None
 
 
 def char_to_json(c: Rank1Char) -> dict:
@@ -353,7 +346,7 @@ def char_from_json(data) -> Rank1Char:
                          f'{{"exceptions": {{prime: exponent}}, "default": rule}}, got {data!r}')
     exc = {}
     for key, v in data.get("exceptions", {}).items():
-        exc[int(key)] = INF if v == "inf" else _int_from_json(v)
+        exc[int(key)] = INF if v == "inf" else F.json_int(v)
     return char(exc, _rule_from_json(data["default"]))
 
 

@@ -235,21 +235,12 @@ def inverse_moves(m: NielsenMove) -> tuple[NielsenMove, ...]:
     raise TypeError(f"not a Nielsen move: {m!r}")
 
 
-def _move_sort_key(m: NielsenMove) -> tuple:
-    if isinstance(m, Permute):
-        return (0, m.perm)
-    if isinstance(m, Invert):
-        return (1, m.i)
-    return (2, m.i, m.j)
-
-
 @lru_cache(maxsize=None)
 def _all_moves_cached(rank: int) -> tuple[NielsenMove, ...]:
     moves: list[NielsenMove] = [Permute(p) for p in permutations(range(rank))
                                 if p != tuple(range(rank))]
     moves.extend(Invert(i) for i in range(rank))
     moves.extend(RightMultiply(i, j) for i in range(rank) for j in range(rank) if i != j)
-    moves.sort(key=_move_sort_key)
     return tuple(moves)
 
 

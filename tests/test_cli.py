@@ -220,6 +220,15 @@ class TestExitCodes:
         ["dinf", "scott", "--family-bound", "-1"],
         ["fgab", "scott", "--rank", "1", "--family-bound", "-2"],
         ["q", "scott", '{"default":"zero"}', "--latex", "--family-bound", "-1"],
+        # JSON integers that are floats, strings or booleans are not truncated or parsed
+        ["q", "member", '{"exceptions":{"2":1.5},"default":"zero"}', "1/2"],
+        ["q", "classify", '{"exceptions":{},"default":{"linear":["1",2.9]}}'],
+        ["formula", "render", '{"t":"atom","lhs":{"lin":[["x",2.7]]},"rhs":{"lin":[]}}'],
+        ["formula", "render", '{"t":"atom","lhs":{"word":[["x",true]]},"rhs":{"lin":[]}}'],
+        ["fgab", "scott-finite", "--table", '{"table":[[0,1],[1,0]],"order":2.5}'],
+        ["fgab", "scott-finite", "--table", '{"table":[[false,true],[true,false]]}'],
+        # trace entries are bits, as in the compact form
+        ["sim", "abelian", "--k", "2", "--trace", '{"steps":[[2,7],[0,0]]}', "--growth", "1"],
     ])
     def test_malformed_inputs_are_domain_errors(self, capsys, argv):
         code = cli.main(argv)

@@ -152,7 +152,7 @@ class TestIntegerArithmetic:
             num = rng.choice((-1, 1)) * rng.randint(1, 60)
             return Fraction(num * rng.choice((1, 2, 3, 5, 12)), rng.randint(1, 40))
 
-        run = L._Rank1Run(growth=1)
+        run = L._Rank1Run(R.char({2: R.INF}), 3, 2, growth=1)
         for _ in range(3000):
             x, y = rational(), rational()
             if rng.random() < 0.3:
@@ -298,3 +298,44 @@ class TestDiagramMonotonicity:
                 assert all(a <= b for a, b in zip(counts, counts[1:]))
                 assert "stage-soundness" in [name for name, _, _ in ver.checks]
                 assert all(ok for _, ok, _ in ver.checks), (steps, ver)
+
+
+class TestFork:
+    RUNS = {
+        "abelian k=2": lambda: L._AbelianRun(2, growth=1),
+        "abelian k=3": lambda: L._AbelianRun(3, growth=2),
+        "dihedral": lambda: L._DihedralRun(growth=1),
+        "rank1": lambda: L._Rank1Run(R.char({2: R.INF}), 3, 2, growth=1),
+    }
+
+    @staticmethod
+    def random_steps(rng, length):
+        return [(rng.random() < 0.5, rng.random() < 0.5) for _ in range(length)]
+
+    @staticmethod
+    def summary(result):
+        reports, final, ver = result
+        return list(reports), final, ver.checks
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_fork_continues_independently(self, name):
+        make = self.RUNS[name]
+        rng = random.Random(f"fork {name}")
+        for _ in range(150):
+            steps = self.random_steps(rng, rng.randint(1, 10))
+            split = rng.randint(0, len(steps))
+            run = make()
+            for belief in steps[:split]:
+                run.advance(*belief)
+            twin = run.fork()
+            # the original moves on first, along another suffix
+            for belief in self.random_steps(rng, rng.randint(1, 4)):
+                run.advance(*belief)
+            for belief in steps[split:]:
+                twin.advance(*belief)
+            got = self.summary(twin.result())
+            assert got == self.summary(make().simulate(T(steps))), (name, steps, split)
+            kept = (list(twin.reports), dict(twin.values), list(twin.facts))
+            for belief in self.random_steps(rng, rng.randint(1, 4)):
+                run.advance(*belief)
+            assert (twin.reports, twin.values, twin.facts) == kept, (name, steps, split)

@@ -88,6 +88,21 @@ class TestMoves:
         with pytest.raises(ValueError):
             W.apply_move(W.WordTuple(2, (w("a"),)), W.Invert(0))
 
+    def test_all_moves_canonical_order(self):
+        # Nielsen certificates index into this order: the non-identity
+        # permutations in lexicographic order, then Invert(i), then
+        # RightMultiply(i, j) with i, j lexicographic
+        P, I, M = W.Permute, W.Invert, W.RightMultiply
+        assert W.all_moves(1) == [I(0)]
+        assert W.all_moves(2) == [P((1, 0)), I(0), I(1), M(0, 1), M(1, 0)]
+        assert W.all_moves(3) == [
+            P((0, 2, 1)), P((1, 0, 2)), P((1, 2, 0)), P((2, 0, 1)), P((2, 1, 0)),
+            I(0), I(1), I(2),
+            M(0, 1), M(0, 2), M(1, 0), M(1, 2), M(2, 0), M(2, 1)]
+        assert W.all_moves(4) == [
+            P(p) for p in sorted(itertools.permutations(range(4))) if p != (0, 1, 2, 3)
+        ] + [I(i) for i in range(4)] + [M(i, j) for i in range(4) for j in range(4) if i != j]
+
     def test_moves_invertible(self):
         rng = random.Random(11)
         words_pool = all_reduced_words(2, 4)
