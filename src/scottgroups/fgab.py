@@ -58,7 +58,7 @@ def desc_to_json(d: FgAbelianDesc) -> dict:
 
 
 def desc_from_json(data: dict) -> FgAbelianDesc:
-    return FgAbelianDesc(int(data["rank"]), tuple(int(x) for x in data["torsion"]))
+    return FgAbelianDesc(F.json_int(data["rank"]), tuple(map(F.json_int, data["torsion"])))
 
 
 def normalize_torsion(cyclic_orders: tuple[int, ...] | list[int]) -> tuple[int, ...]:

@@ -20,10 +20,10 @@ constants, records facts, checks each fact as it is recorded, checks each
 rewrite of the map once on the named values, and drives the stages
 (``advance``, ``simulate``, and ``fork``, which the acceptance sweep uses to
 share trace prefixes); a simulator adds only its value algebra plus ``seed``,
-``step`` and ``result``.  The algebras compute on integers: integer vectors (abelian), ``(num, den, flip)`` triples
-(dihedral, shown as ``DihedralElement`` in the reports), and ``Fraction``
-values whose relations are tested by cross-multiplying numerators and
-denominators (rank-1).  Each reports
+``step`` and ``result``.  The algebras compute on integers: integer vectors
+(abelian), ``(num, den, flip)`` triples (dihedral, shown as
+``DihedralElement`` in the reports) and reduced ``(num, den)`` pairs
+(rank-1, shown as ``Fraction``).  Each reports
 ``diagram-monotone``, ``stage-soundness`` (every fact recorded by stage s
 holds in stage s's map) and ``final-replay``, then its own: ``final-rank``
 (abelian); ``involutions-consistent``, ``frozen-adds-nothing`` and
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from . import dihedral as D
 from . import rank1 as R
@@ -107,11 +107,21 @@ def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
 
 class _Run:
     """Constants with their values in the current target, the recorded facts
-    and one report per stage.  A subclass supplies ``relations(c)``, the
-    facts a fresh constant c takes part in, ``holds_relation(fact)``,
-    ``seed(delta)`` for stage 0, ``step(s1, s2, delta) -> (target, resumes)``
-    and ``result()``.  ``belief`` is the last stage's (s1, s2); the class
-    attribute is the belief before stage 0.
+    and one report per stage.  A subclass supplies ``record(c, delta)``,
+    which appends to the stage's delta the facts a fresh constant c takes
+    part in, ``holds_relation(fact)``, ``seed(delta)`` for stage 0,
+    ``step(s1, s2, delta) -> (target, resumes)`` and ``result()``.  A
+    subclass whose values never change sets ``show`` to convert each value
+    once for the reports.  ``belief`` is the last stage's (s1, s2); the
+    class attribute is the belief before stage 0.  ``facts`` is the
+    concatenation of the stage deltas.
+
+    Facts come in two kinds.  An inequation ``("neq", other, c)`` names the
+    newest constant c, so it cannot repeat; it is emitted only after the two
+    values compare unequal, and that comparison is its check, so it goes
+    straight into the delta.  A ``sum``, ``mul`` or ``scale`` fact can
+    repeat, so it goes through ``add``, which keeps it once in ``_seen``
+    (which holds only these) and checks it with ``holds_relation``.
 
     ``stage-soundness`` (every fact recorded by stage s holds in stage s's
     map) is proved without replaying the facts.  Each fact is checked once,
@@ -123,10 +133,11 @@ class _Run:
     x + y = z true, and a map injective on the named values keeps every
     ``neq`` fact true, so by induction over the rewrites every recorded fact
     holds in every stage's map.  This costs O(values · dim²) a rewrite
-    instead of O(facts); ``final-replay`` still re-checks every fact once,
-    at the end of the run."""
+    instead of O(facts); ``final-replay`` still re-checks every recorded
+    fact, inequations included, once at the end of the run."""
 
     belief = (False, False)
+    show: Callable[[Any], Any] | None = None
 
     def __init__(self, growth: int):
         if growth < 1:
@@ -136,22 +147,19 @@ class _Run:
         self.used: dict[Any, int] = {}
         self.facts: list[tuple] = []
         self._seen: set[tuple] = set()
+        self._shown: list = []  # show(values[c]), by c, where ``show`` is set
         self.reports: list[StageReport] = []
         self.last_stage_for_tag: dict[str, int] = {}
         self.sound = True
 
     def add(self, fact: tuple, delta: list) -> None:
+        """Record a fact that can repeat, once, and check it."""
         if fact in self._seen:
             return
         self._seen.add(fact)
-        self.facts.append(fact)
         delta.append(fact)
-        if not self.holds(fact):
+        if not self.holds_relation(fact):
             self.sound = False
-
-    def record(self, c: int, delta: list) -> None:
-        for fact in self.relations(c):
-            self.add(fact, delta)
 
     def ensure(self, value, delta: list) -> int:
         """The constant holding ``value``; a new one is recorded first."""
@@ -177,20 +185,32 @@ class _Run:
         if not linear or len(self.used) != len(new):
             self.sound = False
 
-    def inequations(self, c: int) -> Iterator[tuple]:
+    def inequations(self, c: int) -> list[tuple]:
+        """``("neq", other, c)`` for every other constant whose value
+        compares unequal to the newest constant c's."""
         vc = self.values[c]
-        for other, vo in self.values.items():
-            if other != c and vo != vc:
-                yield ("neq", min(c, other), max(c, other))
+        return [("neq", other, c) for other, vo in self.values.items() if vo != vc]
 
-    def holds(self, fact: tuple) -> bool:
-        if fact[0] == "neq":
-            return self.values[fact[1]] != self.values[fact[2]]
-        return self.holds_relation(fact)
+    def replay(self) -> bool:
+        """Whether every recorded fact holds in the current map."""
+        values, holds_relation = self.values, self.holds_relation
+        for fact in self.facts:
+            if fact[0] == "neq":
+                if values[fact[1]] == values[fact[2]]:
+                    return False
+            elif not holds_relation(fact):
+                return False
+        return True
 
     def partial_map(self) -> dict[int, Any]:
-        """The map a stage report shows: each constant's current value."""
-        return dict(self.values)
+        """The map a stage report shows: each constant's current value, or
+        its ``show``, converted once, where values never change."""
+        if self.show is None:
+            return dict(self.values)
+        shown = self._shown
+        for c in range(len(shown), len(self.values)):
+            shown.append(self.show(self.values[c]))
+        return dict(enumerate(shown))
 
     def advance(self, s1: bool, s2: bool) -> None:
         """Run the next stage on the belief (s1, s2) and report it; a resumed
@@ -200,6 +220,7 @@ class _Run:
         if stage == 0:
             self.seed(delta)
         tag, resumes = self.step(s1, s2, delta)
+        self.facts += delta
         resumed = self.last_stage_for_tag.get(tag) if resumes else None
         self.reports.append(StageReport(stage, tag, self.partial_map(), tuple(delta),
                                         len(self.facts), resumed))
@@ -225,7 +246,7 @@ class _Run:
         checks = [("diagram-monotone", all(a <= b for a, b in zip(counts, counts[1:])),
                    f"fact counts {counts}"),
                   ("stage-soundness", self.sound, ""),
-                  ("final-replay", all(self.holds(f) for f in self.facts), ""),
+                  ("final-replay", self.replay(), ""),
                   *extra_checks]
         return VerificationReport(all(ok for _, ok, _ in checks), tuple(checks), caveat)
 
@@ -233,10 +254,6 @@ class _Run:
 # ---------------------------------------------------------------------------
 # Abelian construction: Z^{k-1} / Z^k / Z^{k+1}
 # ---------------------------------------------------------------------------
-
-def _vec_add(u: tuple, v: tuple) -> tuple:
-    return tuple(map(add, u, v))
-
 
 def _pad(v: tuple, dim: int) -> tuple:
     return v + (0,) * (dim - len(v))
@@ -286,22 +303,22 @@ class _AbelianRun(_Run):
         self.k, self.dim = k, k - 1
         self.gen_layers: dict[str, int] = {}  # "s1"/"s2" -> coordinate index
 
-    def relations(self, c: int) -> Iterator[tuple]:
-        yield from self.inequations(c)
+    def record(self, c: int, delta: list) -> None:
+        delta += self.inequations(c)
         vc = self.values[c]
-        used = self.used
+        used, add_fact = self.used, self.add
         for other, vo in self.values.items():
-            s = used.get(_vec_add(vc, vo))
+            s = used.get(tuple(map(add, vc, vo)))
             if s is not None:
-                yield ("sum", c, other, s)
-                yield ("sum", other, c, s)
+                add_fact(("sum", c, other, s), delta)
+                add_fact(("sum", other, c, s), delta)
             diff = used.get(tuple(map(sub, vc, vo)))
             if diff is not None:
-                yield ("sum", other, diff, c)
+                add_fact(("sum", other, diff, c), delta)
 
     def holds_relation(self, fact: tuple) -> bool:
         _, i, j, k = fact
-        return _vec_add(self.values[i], self.values[j]) == self.values[k]
+        return tuple(map(add, self.values[i], self.values[j])) == self.values[k]
 
     def seed(self, delta: list) -> None:
         self.ensure((0,) * self.dim, delta)
@@ -404,36 +421,29 @@ _B = _triple(D.B_ELEM)
 
 class _DihedralRun(_Run):
     belief = (True, False)  # conventional starting belief
+    show = staticmethod(_element)
 
     def __init__(self, growth: int):
         super().__init__(growth)
         self.depth = 0
         self.a = _reflection(0, 1)  # the current a
         self.enum_cursor = 0
-        self._elements: list[D.DihedralElement] = []  # values[c] as shown, by c
 
-    def relations(self, c: int) -> Iterator[tuple]:
-        yield from self.inequations(c)
+    def record(self, c: int, delta: list) -> None:
+        delta += self.inequations(c)
         vc = self.values[c]
-        used = self.used
+        used, add_fact = self.used, self.add
         for other, vo in self.values.items():
             prod = used.get(_dmul(vc, vo))
             if prod is not None:
-                yield ("mul", c, other, prod)
+                add_fact(("mul", c, other, prod), delta)
             prod = used.get(_dmul(vo, vc))
             if prod is not None:
-                yield ("mul", other, c, prod)
+                add_fact(("mul", other, c, prod), delta)
 
     def holds_relation(self, fact: tuple) -> bool:
         _, i, j, k = fact
         return _dmul(self.values[i], self.values[j]) == self.values[k]
-
-    def partial_map(self) -> dict[int, D.DihedralElement]:
-        # values never change here, so each constant is converted once
-        shown = self._elements
-        for c in range(len(shown), len(self.values)):
-            shown.append(_element(self.values[c]))
-        return dict(enumerate(shown))
 
     def seed(self, delta: list) -> None:
         self.ensure(_E, delta)
@@ -527,6 +537,16 @@ def dihedral_tower_depth(reports: list[StageReport]) -> int:
 # Rank-1 construction: H / G / K
 # ---------------------------------------------------------------------------
 
+def _ratio(num: int, den: int) -> tuple:
+    """num/den, den > 0, as a reduced ``(num, den)`` pair."""
+    g = gcd(num, den)
+    return (num // g, den // g)
+
+
+def _fraction(x: tuple) -> Fraction:
+    return Fraction(*x)
+
+
 def _scale_factor(nx: int, dx: int, ny: int, dy: int) -> int:
     """The integer m > 1 with nx/dx = m·(ny/dy), or 0 if there is none;
     denominators are positive and ny is nonzero."""
@@ -539,6 +559,10 @@ def _scale_factor(nx: int, dx: int, ny: int, dy: int) -> int:
 
 
 class _Rank1Run(_Run):
+    """Values are reduced ``(num, den)`` pairs with den > 0."""
+
+    show = staticmethod(_fraction)
+
     def __init__(self, c: R.Rank1Char, p: int, q: int, growth: int):
         super().__init__(growth)
         if R.exponent(c, p) == R.INF:
@@ -548,48 +572,53 @@ class _Rank1Run(_Run):
         self.p, self.q, self.k, self.mult_cursor = p, q, int(R.exponent(c, p)), 2
         self.chars = {"H": R.extend_infinite_at(c, p), "G": c, "K": R.kill_prime_at(c, q)}
         self.units: dict[str, int] = {}  # the constant of each target's designated unit
+        # the built group, generated by the constants, is Z·(num_gcd/den_lcm)
+        self.num_gcd, self.den_lcm = 0, 1
 
-    def relations(self, c: int) -> Iterator[tuple]:
-        vc = self.values[c]
-        nc, dc = vc.numerator, vc.denominator
+    def record(self, c: int, delta: list) -> None:
+        # each inequation is followed by the scale facts of the same pair;
+        # x = m·y needs den(x) | den(y), as both pairs are reduced
+        vc = nc, dc = self.values[c]
+        self.num_gcd, self.den_lcm = gcd(self.num_gcd, nc), lcm(self.den_lcm, dc)
+        add_fact = self.add
         for other, vo in self.values.items():
-            if other == c:
+            if vo == vc:
                 continue
-            yield ("neq", min(c, other), max(c, other))
-            no, do = vo.numerator, vo.denominator
-            m = _scale_factor(nc, dc, no, do)
-            if m:
-                yield ("scale", m, other, c)
-            m = _scale_factor(no, do, nc, dc)
-            if m:
-                yield ("scale", m, c, other)
+            delta.append(("neq", other, c))
+            no, do = vo
+            if not do % dc:
+                m = _scale_factor(nc, dc, no, do)
+                if m:
+                    add_fact(("scale", m, other, c), delta)
+            if not dc % do:
+                m = _scale_factor(no, do, nc, dc)
+                if m:
+                    add_fact(("scale", m, c, other), delta)
 
     def holds_relation(self, fact: tuple) -> bool:
         _, m, i, j = fact
-        x, y = self.values[i], self.values[j]
-        return m * x.numerator * y.denominator == y.numerator * x.denominator
+        (xn, xd), (yn, yd) = self.values[i], self.values[j]
+        return m * xn * yd == yn * xd
 
-    def depth(self, unit_value: Fraction, prime: int) -> int:
+    def depth(self, unit: tuple, prime: int) -> int:
         """Highest power of ``prime`` dividing the unit in the built group,
         the subgroup of Q that the current constants generate."""
-        values = self.values.values()
-        generator = Fraction(gcd(*(v.numerator for v in values)),
-                             lcm(*(v.denominator for v in values)))
-        x = unit_value / generator
-        return valuation(x.numerator, prime) - valuation(x.denominator, prime)
+        un, ud = unit
+        return valuation(un * self.den_lcm, prime) - valuation(ud * self.num_gcd, prime)
 
-    def divide(self, unit_value: Fraction, prime: int, delta: list) -> None:
-        d = self.depth(unit_value, prime)
-        prev = self.ensure(unit_value / prime ** d, delta)
-        new = self.ensure(unit_value / prime ** (d + 1), delta)
+    def divide(self, unit: tuple, prime: int, delta: list) -> None:
+        d = self.depth(unit, prime)
+        un, ud = unit
+        prev = self.ensure(_ratio(un, ud * prime ** d), delta)
+        new = self.ensure(_ratio(un, ud * prime ** (d + 1)), delta)
         self.add(("scale", prime, new, prev), delta)
 
     def seed(self, delta: list) -> None:
-        self.units["H"] = self.ensure(Fraction(1), delta)
+        self.units["H"] = self.ensure((1, 1), delta)
 
     def step(self, s1: bool, s2: bool, delta: list) -> tuple[str, bool]:
         target = "H" if not s1 else ("G" if not s2 else "K")
-        one, p, q = Fraction(1), self.p, self.q
+        one, p, q = (1, 1), self.p, self.q
         if target == "H":
             for _ in range(self.growth):
                 self.divide(one, p, delta)
@@ -597,16 +626,18 @@ class _Rank1Run(_Run):
             return target, True
         if "G" not in self.units:
             k_s = self.depth(one, p)
-            self.units["G"] = self.ensure(Fraction(p ** self.k, p ** k_s), delta)
+            self.units["G"] = self.ensure(_ratio(p ** self.k, p ** k_s), delta)
         u_g = self.values[self.units["G"]]
         if target == "G":
             for _ in range(self.growth):
                 self.divide(u_g, q, delta)
         else:  # K: freeze q at the unit and keep adding integer multiples
-            unit_k = self.units["K"] = self.ensure(u_g / q ** self.depth(u_g, q), delta)
-            base = self.values[unit_k]
+            gn, gd = u_g
+            unit_k = self.units["K"] = self.ensure(
+                _ratio(gn, gd * q ** self.depth(u_g, q)), delta)
+            bn, bd = self.values[unit_k]
             for _ in range(self.growth):
-                new = self.ensure(base * self.mult_cursor, delta)
+                new = self.ensure(_ratio(bn * self.mult_cursor, bd), delta)
                 self.add(("scale", self.mult_cursor, unit_k, new), delta)
                 self.mult_cursor += 1
         return target, True
@@ -614,8 +645,9 @@ class _Rank1Run(_Run):
     def result(self) -> tuple[list[StageReport], R.Rank1Char, VerificationReport]:
         target = self.reports[-1].target_tag
         final_char = self.chars[target]
-        unit_val = self.values[self.units[target]]
-        member = all(R.contains(final_char, v / unit_val) for v in self.values.values())
+        shown = self.partial_map()
+        unit_val = shown[self.units[target]]
+        member = all(R.contains(final_char, v / unit_val) for v in shown.values())
         verification = self.verify(("members-in-final-group", member,
                                     f"designated unit {unit_val}"))
         return self.reports, final_char, verification
@@ -686,23 +718,24 @@ def run_cofinality(c: R.Rank1Char, m: int, w_enum: set[int] | Sequence[int],
         multiplier *= a_primes[kk]
     verdict = "isomorphic" if declared_finite else "not-isomorphic-at-window"
     result = CofinalityResult(table, verdict, multiplier, missed, tuple(a_primes))
-    verification = _verify_cofinality(c, result, w, bound)
+    verification = _verify_cofinality(c, result, m, w, bound)
     return result, verification
 
 
-def _verify_cofinality(c: R.Rank1Char, result: CofinalityResult, w: set[int],
+def _verify_cofinality(c: R.Rank1Char, result: CofinalityResult, m: int, w: set[int],
                        bound: int) -> VerificationReport:
+    """``rule-conformance``: the window primes are the first m primes under
+    the bound with a finite positive exponent, and the table lowers the
+    exponent by exactly 1 at the window primes whose index is missing from w
+    and keeps it everywhere else."""
     checks: list = []
-    conform = True
-    for p in primes_upto(bound):
-        v = R.exponent(c, p)
+    exponents = {p: R.exponent(c, p) for p in primes_upto(bound)}
+    pfin = [p for p, v in exponents.items() if 0 < v != R.INF][:m]
+    lowered = {p for k, p in enumerate(pfin) if k not in w}
+    conform = tuple(pfin) == result.a_primes
+    for p, v in exponents.items():
         got = result.table[p]
-        if p in result.a_primes:
-            k = result.a_primes.index(p)
-            want = int(v) if k in w else int(v) - 1
-        else:
-            want = v
-        if got != want:
+        if (0 if got == v else v - got) != (1 if p in lowered else 0):
             conform = False
     _check(checks, "rule-conformance", conform)
     if result.verdict == "isomorphic":

@@ -346,6 +346,8 @@ def char_from_json(data) -> Rank1Char:
                          f'{{"exceptions": {{prime: exponent}}, "default": rule}}, got {data!r}')
     exc = {}
     for key, v in data.get("exceptions", {}).items():
+        if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+            raise ValueError(f"an exceptions key is a prime in decimal digits, got {key!r}")
         exc[int(key)] = INF if v == "inf" else F.json_int(v)
     return char(exc, _rule_from_json(data["default"]))
 

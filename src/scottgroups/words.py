@@ -131,7 +131,8 @@ def word_to_json(w: FreeWord) -> dict:
 
 
 def word_from_json(d: dict) -> FreeWord:
-    return reduce([(int(g), int(e)) for g, e in d["letters"]], int(d["rank"]))
+    from .formula import json_int  # on use: the words commands load no other module
+    return reduce([(json_int(g), json_int(e)) for g, e in d["letters"]], json_int(d["rank"]))
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,10 @@ class TestExitCodes:
         ["q", "scott", '{"default":"zero"}', "--latex", "--family-bound", "-1"],
         # JSON integers that are floats, strings or booleans are not truncated or parsed
         ["q", "member", '{"exceptions":{"2":1.5},"default":"zero"}', "1/2"],
+        # exception keys are primes in ASCII digits, not whatever int() parses
+        ["q", "member", '{"exceptions":{"1_1":1},"default":"zero"}', "1/11"],
+        ["q", "member", '{"exceptions":{" 11 ":1},"default":"zero"}', "1/11"],
+        ["q", "member", '{"exceptions":{"+11":1},"default":"zero"}', "1/11"],
         ["q", "classify", '{"exceptions":{},"default":{"linear":["1",2.9]}}'],
         ["formula", "render", '{"t":"atom","lhs":{"lin":[["x",2.7]]},"rhs":{"lin":[]}}'],
         ["formula", "render", '{"t":"atom","lhs":{"word":[["x",true]]},"rhs":{"lin":[]}}'],

@@ -52,6 +52,13 @@ class TestDescriptor:
         d = fgab.FgAbelianDesc(2, (2, 12))
         assert fgab.desc_from_json(fgab.desc_to_json(d)) == d
 
+    @pytest.mark.parametrize("data", [{"rank": "2", "torsion": [2]},
+                                      {"rank": 2, "torsion": [2.0]},
+                                      {"rank": True, "torsion": []}])
+    def test_json_integers_are_not_parsed(self, data):
+        with pytest.raises(ValueError):
+            fgab.desc_from_json(data)
+
 
 class TestFiniteScott:
     def test_z2_separates_from_z3(self):

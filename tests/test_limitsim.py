@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -163,9 +165,58 @@ class TestIntegerArithmetic:
             want = int(ratio) if ratio.denominator == 1 and ratio > 1 else 0
             assert L._scale_factor(x.numerator, x.denominator,
                                    y.numerator, y.denominator) == want
-            run.values = {0: y, 1: x}
+            run.values = {0: (y.numerator, y.denominator), 1: (x.numerator, x.denominator)}
             for m in (-2, 1, 2, 3, want):
                 assert run.holds_relation(("scale", m, 0, 1)) == (m * y == x)
+
+
+class TestFactBookkeeping:
+    """Inequations skip the seen-set; every recorded fact is still replayed."""
+
+    TRACE = T([[0, 0], [1, 0], [1, 1], [0, 0], [1, 0], [1, 1], [1, 0], [0, 0], [1, 1], [0, 1]])
+    # len(facts) for TRACE at commit e6e12fe, whose inequations went through
+    # the seen-set and a record-time check like every other fact
+    RUNS = {
+        "abelian": (lambda: L._AbelianRun(3, growth=2), 573),
+        "dihedral": (lambda: L._DihedralRun(growth=2), 501),
+        "rank1": (lambda: L._Rank1Run(R.char({2: R.INF}), 3, 2, growth=2), 341),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_fact_count_and_seen_set(self, name):
+        make, count = self.RUNS[name]
+        run = make()
+        _, _, ver = run.simulate(self.TRACE)
+        assert ver.ok
+        assert len(run.facts) == count
+        assert run.facts == [f for r in run.reports for f in r.diagram_delta]
+        assert not any(f[0] == "neq" for f in run._seen)
+        assert run._seen == {f for f in run.facts if f[0] != "neq"}
+        # every inequation names the newest of its two constants last
+        assert all(f[1] < f[2] for f in run.facts if f[0] == "neq")
+
+    @pytest.mark.parametrize("name", ["abelian", "rank1"])
+    def test_final_replay_checks_inequations(self, name):
+        make, _ = self.RUNS[name]
+        run = make()
+        run.simulate(self.TRACE)
+        assert run.replay()
+        # with every sum and scale fact passing, only an inequation can fail
+        run.holds_relation = lambda fact: True
+        _, i, j = next(f for f in run.facts if f[0] == "neq")
+        run.values[j] = run.values[i]
+        assert run.replay() is False
+        checks = {check: ok for check, ok, _ in run.result()[2].checks}
+        assert checks["final-replay"] is False
+
+    def test_rank1_partial_map_shows_fractions(self):
+        make, _ = self.RUNS["rank1"]
+        run = make()
+        reports, _, _ = run.simulate(self.TRACE)
+        for report in reports:
+            assert all(type(v) is Fraction for v in report.partial_map.values())
+        assert reports[-1].partial_map == {c: Fraction(n, d) for c, (n, d) in run.values.items()}
+        assert all(d > 0 and gcd(n, d) == 1 for n, d in run.values.values())
 
 
 class TestDihedral:
@@ -275,6 +326,30 @@ class TestCofinality:
     def test_window_too_small(self):
         with pytest.raises(ValueError):
             L.run_cofinality(self.CHAR, 10, set(), 10)
+
+    @pytest.mark.parametrize("change", ["missed", "enumerated", "outside", "inf"])
+    def test_one_wrong_entry_fails_rule_conformance(self, change):
+        c = R.char({2: R.INF}, default=("linear", 1, 1))
+        w = {0, 1, 3, 4}
+        res, ver = L.run_cofinality(c, 5, w, 60)
+        assert ver.ok
+        p = {"missed": res.a_primes[2], "enumerated": res.a_primes[0],
+             "outside": 59, "inf": 2}[change]
+        table = dict(res.table)
+        table[p] = 5 if table[p] == R.INF else table[p] + 1
+        wrong = dataclasses.replace(res, table=table)
+        ver = L._verify_cofinality(c, wrong, 5, w, 60)
+        checks = {name: ok for name, ok, _ in ver.checks}
+        assert checks["rule-conformance"] is False and not ver.ok
+
+    def test_wrong_window_primes_fail_rule_conformance(self):
+        c = R.char(default=("linear", 1, 1))
+        w = {0, 2}
+        res, _ = L.run_cofinality(c, 4, w, 60)
+        # the same table, credited to window primes shifted by one
+        shifted = dataclasses.replace(res, a_primes=res.a_primes[1:] + (res.a_primes[0],))
+        ver = L._verify_cofinality(c, shifted, 4, w, 60)
+        assert dict((n, ok) for n, ok, _ in ver.checks)["rule-conformance"] is False
 
     def test_non_window_primes_unchanged(self):
         c = R.char({2: R.INF}, default=("linear", 1, 1))

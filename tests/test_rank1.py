@@ -221,3 +221,8 @@ class TestScottSentences:
     def test_json_round_trip(self):
         for c in (R.Z_CHAR, R.Q_CHAR, CASE2, ROW4):
             assert R.char_from_json(R.char_to_json(c)) == c
+
+    @pytest.mark.parametrize("key", ["1_1", " 11 ", "+11", "١١", "11.0", "", 11])
+    def test_exception_keys_are_ascii_digits(self, key):
+        with pytest.raises(ValueError):
+            R.char_from_json({"exceptions": {key: 1}, "default": "zero"})

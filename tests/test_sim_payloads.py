@@ -6,6 +6,11 @@ code, in order, is pinned.  The digest was computed at commit 4b384a7, whose
 simulators still did their arithmetic on `Fraction` and `DihedralElement`
 and re-checked every fact after each rewrite, so it pins the integer stage
 arithmetic to the payloads of that implementation.
+
+Those commands run at most 24 stages.  A second digest pins 36 commands of
+60 to 100 stages, the lengths the benchmark's `construct` workload runs; it
+was computed at commit e6e12fe, before the simulators stopped passing their
+`neq` facts through the seen-set and moved rank-1 values to integer pairs.
 """
 
 import contextlib
@@ -16,6 +21,7 @@ import random
 from scottgroups import cli
 
 PINNED_SHA256 = "9435dfc98d2ce0b8f0857171275f805402ae8dfc1c7bb80c543a0b79c48aac0f"
+PINNED_LONG_SHA256 = "b110d852cf3db2eeead983e84d1d14a3d18e0fc15b159b4b6ae63a7297eec0c4"
 
 CHARS = [('{"exceptions":{"2":"inf"},"default":"zero"}', 3, 2),
          ('{"exceptions":{"5":"inf"},"default":"zero"}', 2, 5),
@@ -27,21 +33,28 @@ CHARS = [('{"exceptions":{"2":"inf"},"default":"zero"}', 3, 2),
 
 def sim_commands(count: int = 120, seed: int = 2024) -> list[list[str]]:
     rng = random.Random(seed)
-    commands = []
-    for i in range(count):
-        sim = ("abelian", "dihedral", "rank1")[i % 3]
-        stages = rng.randint(1, 24 if rng.random() < 0.2 else 10)
-        bits = ",".join(f"{rng.randint(0, 1)}{rng.randint(0, 1)}" for _ in range(stages))
-        argv = ["sim", sim, "--trace", bits, "--growth", str(rng.randint(1, 3))]
-        if sim == "abelian":
-            argv += ["--k", str(rng.choice((2, 3, 4)))]
-        elif sim == "rank1":
-            char, p, q = rng.choice(CHARS)
-            argv += ["--char", char, "--p", str(p), "--q", str(q)]
-        if rng.random() < 0.2:
-            argv.append("--no-verify")
-        commands.append(argv)
-    return commands
+    return [sim_command(rng, ("abelian", "dihedral", "rank1")[i % 3],
+                        rng.randint(1, 24 if rng.random() < 0.2 else 10), 3)
+            for i in range(count)]
+
+
+def long_sim_commands(count: int = 36, seed: int = 1990) -> list[list[str]]:
+    rng = random.Random(seed)
+    return [sim_command(rng, ("abelian", "dihedral", "rank1")[i % 3], rng.randint(60, 100), 2)
+            for i in range(count)]
+
+
+def sim_command(rng: random.Random, sim: str, stages: int, max_growth: int) -> list[str]:
+    bits = ",".join(f"{rng.randint(0, 1)}{rng.randint(0, 1)}" for _ in range(stages))
+    argv = ["sim", sim, "--trace", bits, "--growth", str(rng.randint(1, max_growth))]
+    if sim == "abelian":
+        argv += ["--k", str(rng.choice((2, 3, 4)))]
+    elif sim == "rank1":
+        char, p, q = rng.choice(CHARS)
+        argv += ["--char", char, "--p", str(p), "--q", str(q)]
+    if rng.random() < 0.2:
+        argv.append("--no-verify")
+    return argv
 
 
 def payload_digest(commands: list[list[str]]) -> str:
@@ -58,3 +71,10 @@ def test_sim_payloads_are_pinned():
     commands = sim_commands()
     assert len(commands) >= 100
     assert payload_digest(commands) == PINNED_SHA256
+
+
+def test_long_sim_payloads_are_pinned():
+    commands = long_sim_commands()
+    assert len(commands) >= 30
+    assert all(60 <= len(argv[3].split(",")) <= 100 for argv in commands)
+    assert payload_digest(commands) == PINNED_LONG_SHA256
