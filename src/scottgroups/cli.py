@@ -30,6 +30,19 @@ def _read_structured(arg: str):
     return json.loads(arg)
 
 
+def _int_list(arg: str, what: str, below: int | None = None) -> list[int]:
+    """A comma-separated list of naturals in ASCII digits, each below
+    ``below`` when it is given; an empty argument is an empty list."""
+    out = []
+    for chunk in arg.split(",") if arg else ():
+        if not (chunk.isascii() and chunk.isdigit()):
+            raise ValueError(f"{what} entry {chunk!r} is not a natural number in ASCII digits")
+        if below is not None and int(chunk) >= below:
+            raise ValueError(f"{what} entry {chunk} is not below {below}")
+        out.append(int(chunk))
+    return out
+
+
 def _read_table(arg: str) -> tuple[dict, object]:
     """A {"table": [[...], ...]} argument: the decoded object and its group."""
     from . import formula as F
@@ -136,7 +149,7 @@ def _cmd_fgab_normalize(args) -> dict:
 
 def _cmd_fgab_scott(args) -> dict:
     from . import fgab
-    torsion = tuple(int(x) for x in args.torsion.split(",")) if args.torsion else ()
+    torsion = tuple(_int_list(args.torsion, "--torsion"))
     desc = fgab.FgAbelianDesc(args.rank, fgab.normalize_torsion(torsion) if torsion else ())
     if args.rank == 0:
         sentence = fgab.scott_sentence_finite(
@@ -273,7 +286,7 @@ def _cmd_sim_cof(args) -> dict:
     from . import limitsim as L
     from . import rank1 as R
     c = R.char_from_json(_read_structured(args.char))
-    w = set(int(x) for x in args.w.split(",")) if args.w else set()
+    w = set(_int_list(args.w, "--w", below=args.m))
     result, ver = L.run_cofinality(c, args.m, w, args.bound)
     return {"table": {str(p): ("inf" if v == R.INF else v) for p, v in result.table.items()},
             "verdict": result.verdict, "multiplier": result.multiplier,

@@ -98,14 +98,22 @@ def gword(letters: Sequence[tuple[str, int]]) -> WordTerm:
 
 
 def term_variables(t: Term) -> frozenset[str]:
+    return frozenset(v for v, _ in _steps(t))
+
+
+def _steps(t: Term, written: bool = False) -> list[tuple[str, int]]:
+    """``t`` as a product of (variable, exponent) powers, in order: an
+    application concatenates, an inverse reverses and negates, unless
+    ``written`` asks for the variables in the order they are written."""
     if isinstance(t, LinTerm):
-        return frozenset(v for v, _ in t.coeffs)
+        return list(t.coeffs)
     if isinstance(t, WordTerm):
-        return frozenset(v for v, _ in t.letters)
+        return list(t.letters)
     if isinstance(t, OpTerm):
-        return term_variables(t.left) | term_variables(t.right)
+        return _steps(t.left, written) + _steps(t.right, written)
     if isinstance(t, InvTerm):
-        return term_variables(t.arg)
+        steps = _steps(t.arg, written)
+        return steps if written else [(v, -k) for v, k in reversed(steps)]
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -345,25 +353,6 @@ class FiniteStructure:
         return all(self.op[a][b] == self.op[b][a] for a in range(k) for b in range(k))
 
 
-def eval_term(t: Term, s: FiniteStructure, env: Mapping[str, int]) -> int:
-    if isinstance(t, LinTerm):
-        acc = s.identity
-        for var, k in t.coeffs:
-            acc = s.apply(acc, s.power(env[var], k))
-        return acc
-    if isinstance(t, WordTerm):
-        acc = s.identity
-        for var, e in t.letters:
-            x = env[var] if e == 1 else s.inv[env[var]]
-            acc = s.apply(acc, x)
-        return acc
-    if isinstance(t, OpTerm):
-        return s.apply(eval_term(t.left, s, env), eval_term(t.right, s, env))
-    if isinstance(t, InvTerm):
-        return s.inv[eval_term(t.arg, s, env)]
-    raise TypeError(f"not a term: {t!r}")
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -524,125 +513,164 @@ def _exists_plan(f: Exists) -> tuple[tuple[tuple[Formula, ...], ...], tuple[Form
     return tuple(map(tuple, ready)), tuple(others)
 
 
-def _holds_atom(f: Formula, s: FiniteStructure, env: Mapping[str, int]) -> bool:
-    same = eval_term(f.lhs, s, env) == eval_term(f.rhs, s, env)
-    return same if isinstance(f, Atomic) else not same
+def _pair(qf: bool, run: Callable) -> Callable[[], tuple[bool, bool]]:
+    """A compiled node's closure as a ``() -> (truth, exact)`` evaluation."""
+    return (lambda: (run(), True)) if qf else run
 
 
 class _Evaluation:
-    """The state of one ``evaluate_exact`` call.
-
-    It holds the structure, the family bound, the values of the bound
-    variables, which quantifiers assign in place and restore on leaving, and
-    memos keyed by node identity: the members drawn so far from each family,
-    each ``Exists`` node's backtracking plan and each ``Forall`` node's
-    all-distinct shortcut.  Every memoised node is reachable from the
-    evaluated formula or from a drawn member, so identities stay valid for
-    the call; the memos go with the state when the call returns.
-    """
+    """The state of one ``evaluate_exact`` call: the structure, the family
+    bound, the values of the bound variables, which quantifiers assign in
+    place and restore on leaving, and each node compiled so far, keyed by
+    node identity.  Compiled families keep the members they draw, so every
+    key stays valid until ``ev`` returns and drops the memo."""
 
     def __init__(self, s: FiniteStructure, bound: int, env: dict[str, int] | None = None):
         self.s = s
         self.bound = bound
         self.env = {} if env is None else env
-        self._members: dict[int, list[Formula]] = {}
-        self._plans: dict[int, tuple] = {}
-        self._shortcuts: dict[int, tuple[bool, bool] | None] = {}
+        self._compiled: dict[int, tuple[bool, Callable]] = {}
+        self._powers: dict[int, tuple[int, ...]] = {}
 
     def ev(self, f: Formula) -> tuple[bool, bool]:
-        if isinstance(f, (Atomic, NegAtomic)):
-            return (_holds_atom(f, self.s, self.env), True)
-        if isinstance(f, FiniteAnd):
-            return _combine_all(map(self.ev, f.items), True)
-        if isinstance(f, FiniteOr):
-            return _combine_any(map(self.ev, f.items), True)
-        if isinstance(f, (FamilyAnd, FamilyOr)):
-            size = f.note.size
-            complete = size is not None and size <= self.bound
-            results = map(self.ev, self._members_of(f, size if complete else self.bound))
-            if isinstance(f, FamilyAnd):
-                return _combine_all(results, complete)
-            return _combine_any(results, complete)
-        if isinstance(f, Exists):
-            return self._exists(f)
-        if isinstance(f, Forall):
-            return self._forall(f)
-        raise TypeError(f"not a formula: {f!r}")
+        try:
+            return _pair(*self._compile(f))()
+        finally:  # the closures refer back to this state: free them without the cycle collector
+            self._compiled.clear()
 
-    def _members_of(self, f: FamilyAnd | FamilyOr, count: int) -> Iterator[Formula]:
-        """The first ``count`` members of ``f``, each drawn once, in index order,
-        when the evaluation first reaches it."""
-        drawn = self._members.setdefault(id(f), [])
-        for i in range(count):
-            if i == len(drawn):
-                drawn.append(f.gen(i))
-            yield drawn[i]
+    def _compile(self, f: Formula) -> tuple[bool, Callable]:
+        """Whether ``f`` is quantifier-free, and its closure, compiled once per
+        call: ``() -> bool`` if it is, else ``() -> (truth, exact)``."""
+        if id(f) in self._compiled:
+            return self._compiled[id(f)]
+        if isinstance(f, (Atomic, NegAtomic)):
+            compiled = True, self._atom(f)
+        elif isinstance(f, (FiniteAnd, FiniteOr)):
+            compiled = self._connective(isinstance(f, FiniteAnd), f.items)
+        elif isinstance(f, (FamilyAnd, FamilyOr)):
+            compiled = False, self._family(f)
+        elif isinstance(f, (Exists, Forall)):
+            compiled = False, (self._exists if isinstance(f, Exists) else self._forall)(f)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        self._compiled[id(f)] = compiled
+        return compiled
+
+    def _power(self, k: int) -> tuple[int, ...]:
+        if k not in self._powers:
+            self._powers[k] = tuple(self.s.power(x, k) for x in range(self.s.size))
+        return self._powers[k]
+
+    def _atom(self, f: Atomic | NegAtomic) -> Callable[[], bool]:
+        # lhs = rhs exactly when lhs * rhs^-1 is the identity
+        steps = _steps(f.lhs) + [(v, -k) for v, k in reversed(_steps(f.rhs))]
+        steps = [(v, self._power(k)) for v, k in steps]
+        op, e, env, equal = self.s.op, self.s.identity, self.env, isinstance(f, Atomic)
+
+        def holds() -> bool:
+            acc = e
+            try:
+                for var, table in steps:
+                    acc = op[acc][table[env[var]]]
+            except KeyError:  # report the first unbound variable as written
+                written = _steps(f.lhs, True) + _steps(f.rhs, True)
+                raise KeyError(next(v for v, _ in written if v not in env)) from None
+            return (acc == e) == equal
+        return holds
+
+    def _connective(self, every: bool, items: Sequence[Formula]) -> tuple[bool, Callable]:
+        """The conjunction (``every``) or disjunction of ``items``."""
+        parts = [self._compile(c) for c in items]
+        if all(qf for qf, _ in parts):
+            tests = [run for _, run in parts]
+
+            def test() -> bool:
+                for t in tests:
+                    if t() != every:
+                        return not every
+                return every
+            return True, test
+        runs = [_pair(*part) for part in parts]
+        combine = _combine_all if every else _combine_any
+        return False, lambda: combine((run() for run in runs), True)
+
+    def _family(self, f: FamilyAnd | FamilyOr) -> Callable[[], tuple[bool, bool]]:
+        size = f.note.size
+        complete = size is not None and size <= self.bound
+        count = size if complete else self.bound
+        combine = _combine_all if isinstance(f, FamilyAnd) else _combine_any
+        drawn: list[tuple[Formula, bool, Callable]] = []
+
+        def results() -> Iterator[tuple[bool, bool]]:
+            # each member is drawn once, in index order, when first reached
+            for i in range(count):
+                if i == len(drawn):
+                    member = f.gen(i)
+                    drawn.append((member, *self._compile(member)))
+                _, qf, run = drawn[i]
+                yield (run(), True) if qf else run()
+        return lambda: combine(results(), complete)
 
     def _restore(self, names: tuple[str, ...], saved: dict[str, int]) -> None:
         for v in names:
             self.env.pop(v, None)
         self.env.update(saved)
 
-    def _exists(self, f: Exists) -> tuple[bool, bool]:
-        plan = self._plans.get(id(f))
-        if plan is None:
-            plan = self._plans[id(f)] = _exists_plan(f)
-        ready, others = plan
-        s, env, names = self.s, self.env, f.vars
-        saved = {v: env[v] for v in names if v in env}
-        saw_true_inexact = False
-        saw_false_inexact = False
+    def _exists(self, f: Exists) -> Callable[[], tuple[bool, bool]]:
+        ready, others = _exists_plan(f)
+        # each depth's checks are compiled when the search first reaches it
+        search = (f.vars, ready, [None] * len(ready), _pair(*self._connective(True, others)))
 
-        def descend(depth: int) -> bool:
-            nonlocal saw_true_inexact, saw_false_inexact
-            if depth == len(names):
-                if others:
-                    t, e = _combine_all(map(self.ev, others), True)
-                    if t and e:
-                        return True
-                    if t:
-                        saw_true_inexact = True
-                    elif not e:
-                        saw_false_inexact = True
-                    return False
+        def run() -> tuple[bool, bool]:
+            saved = {v: self.env[v] for v in f.vars if v in self.env}
+            inexact: set[bool] = set()  # truth values of full assignments not yet decided
+            try:
+                found = self._descend(search, 0, inexact)
+            finally:
+                self._restore(f.vars, saved)
+            if found:
+                return (True, True)
+            return (True in inexact, False) if inexact else (False, True)
+        return run
+
+    def _descend(self, search: tuple, depth: int, inexact: set[bool]) -> bool:
+        """Whether values of the block's variables from ``depth`` on satisfy it;
+        a method, so that no closure calling itself outlives the call in a cycle."""
+        names, ready, checks, rest = search
+        if depth == len(names):
+            t, e = rest()
+            if not e:
+                inexact.add(t)
+            return t and e
+        var, check, env = names[depth], checks[depth], self.env
+        if check is None:
+            check = checks[depth] = self._connective(True, ready[depth])[1]
+        for val in range(self.s.size):
+            env[var] = val
+            if check() and self._descend(search, depth + 1, inexact):
                 return True
-            var, checks = names[depth], ready[depth]
-            for val in range(s.size):
-                env[var] = val
-                if all(_holds_atom(c, s, env) for c in checks) and descend(depth + 1):
-                    return True
-            return False
+        return False
 
-        try:
-            found = descend(0)
-        finally:
-            self._restore(names, saved)
-        if found:
-            return (True, True)
-        if saw_true_inexact:
-            return (True, False)
-        if saw_false_inexact:
-            return (False, False)
-        return (False, True)
-
-    def _forall(self, f: Forall) -> tuple[bool, bool]:
-        if id(f) not in self._shortcuts:
-            self._shortcuts[id(f)] = _all_distinct_shortcut(f, self.s)
-        shortcut = self._shortcuts[id(f)]
+    def _forall(self, f: Forall) -> Callable[[], tuple[bool, bool]]:
+        shortcut = _all_distinct_shortcut(f, self.s)
         if shortcut is not None:
-            return shortcut
-        env, names = self.env, f.vars
-        saved = {v: env[v] for v in names if v in env}
+            return lambda: shortcut
+        body = _pair(*self._compile(f.body))
+        size, env, names = self.s.size, self.env, f.vars
 
-        def assignments():
-            for combo in itertools.product(range(self.s.size), repeat=len(names)):
-                env.update(zip(names, combo))
-                yield self.ev(f.body)
+        def run() -> tuple[bool, bool]:
+            saved = {v: env[v] for v in names if v in env}
 
-        try:
-            return _combine_all(assignments(), True)
-        finally:
-            self._restore(names, saved)
+            def assignments():
+                for combo in itertools.product(range(size), repeat=len(names)):
+                    env.update(zip(names, combo))
+                    yield body()
+
+            try:
+                return _combine_all(assignments(), True)
+            finally:
+                self._restore(names, saved)
+        return run
 
 
 def _free_variables(f: Formula, bound: frozenset[str] = frozenset()) -> frozenset[str]:
@@ -665,8 +693,8 @@ def require_sentence(f: Formula) -> None:
 
     ``evaluate_exact`` reports only the free variables its evaluation
     reaches, so a caller with outside input checks here first.  Evaluation
-    does not walk the formula itself: on finite Scott sentences the walk
-    adds about a tenth to its time."""
+    does not walk the formula itself: on a finite Scott sentence checked on a
+    relabelled copy of its group, the walk costs a third of the evaluation."""
     free = _free_variables(f)
     if free:
         raise _not_a_sentence(min(free))
@@ -683,10 +711,11 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
     reaches raises ValueError; ``require_sentence`` finds the others
     outside families.
 
-    Each family member is drawn from its generator at most once per call,
-    when the evaluation first reaches it, however many assignments read it.
-    The drawn members, like each quantifier block's plan, belong to this
-    call alone: nothing is kept across calls.
+    Each node is compiled once per call: quantifier-free parts into plain
+    boolean closures, atoms into table lookups.  Each family member is drawn
+    and compiled at most once, when the evaluation first reaches it, however
+    many assignments read it.  The compiled closures, the drawn members and
+    the power tables belong to this call alone: nothing is kept across calls.
     """
     if family_bound < 1:
         raise ValueError("family_bound must be >= 1")

@@ -233,6 +233,18 @@ class TestExitCodes:
         ["fgab", "scott-finite", "--table", '{"table":[[false,true],[true,false]]}'],
         # trace entries are bits, as in the compact form
         ["sim", "abelian", "--k", "2", "--trace", '{"steps":[[2,7],[0,0]]}', "--growth", "1"],
+        # comma-separated integer lists are naturals in ASCII digits, and W's indices are below m
+        ["sim", "cof", "--char", '{"exceptions":{},"default":{"linear":[1,1]}}', "--m", "3",
+         "--bound", "30", "--w", "1_1"],
+        ["sim", "cof", "--char", '{"exceptions":{},"default":{"linear":[1,1]}}', "--m", "3",
+         "--bound", "30", "--w=-1"],
+        ["sim", "cof", "--char", '{"exceptions":{},"default":{"linear":[1,1]}}', "--m", "3",
+         "--bound", "30", "--w", "0,3"],
+        ["sim", "cof", "--char", '{"exceptions":{},"default":{"linear":[1,1]}}', "--m", "3",
+         "--bound", "30", "--w", " 2,+1"],
+        ["fgab", "scott", "--rank", "1", "--torsion", "1_2"],
+        ["fgab", "scott", "--rank", "1", "--torsion", "2,"],
+        ["fgab", "scott", "--rank", "1", "--torsion", "-2"],
     ])
     def test_malformed_inputs_are_domain_errors(self, capsys, argv):
         code = cli.main(argv)

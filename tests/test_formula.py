@@ -55,12 +55,25 @@ class TestClassify:
         assert classify_pair(F.Forall(("y",), empty)) == ("Pi", 1)
 
 
+def brute_term(t, s, env):
+    """Independent term evaluator: plain recursion, powers as repeated products."""
+    if isinstance(t, F.OpTerm):
+        return s.op[brute_term(t.left, s, env)][brute_term(t.right, s, env)]
+    if isinstance(t, F.InvTerm):
+        return s.inv[brute_term(t.arg, s, env)]
+    acc = s.identity
+    for var, k in (t.coeffs if isinstance(t, F.LinTerm) else t.letters):
+        for _ in range(abs(k)):
+            acc = s.op[acc][env[var] if k > 0 else s.inv[env[var]]]
+    return acc
+
+
 def brute_eval(f, s, env):
     """Independent truth evaluator: plain recursion, no shortcuts."""
     if isinstance(f, F.Atomic):
-        return F.eval_term(f.lhs, s, env) == F.eval_term(f.rhs, s, env)
+        return brute_term(f.lhs, s, env) == brute_term(f.rhs, s, env)
     if isinstance(f, F.NegAtomic):
-        return F.eval_term(f.lhs, s, env) != F.eval_term(f.rhs, s, env)
+        return brute_term(f.lhs, s, env) != brute_term(f.rhs, s, env)
     if isinstance(f, F.FiniteAnd):
         return all(brute_eval(c, s, env) for c in f.items)
     if isinstance(f, F.FiniteOr):
@@ -78,7 +91,13 @@ def brute_eval(f, s, env):
     raise TypeError(f)
 
 
-def random_term(rng, scope):
+def random_term(rng, scope, depth=2):
+    roll = rng.random()
+    if depth and roll < 0.2:
+        return F.OpTerm(rng.choice([F.ADD, F.MUL]), random_term(rng, scope, depth - 1),
+                        random_term(rng, scope, depth - 1))
+    if depth and roll < 0.4:
+        return F.InvTerm(rng.choice([F.ADD, F.MUL]), random_term(rng, scope, depth - 1))
     if rng.random() < 0.5:
         return F.lin({rng.choice(scope): rng.choice([1, 1, 2, -1]),
                       rng.choice(scope): rng.choice([0, 1, -2])})
@@ -152,9 +171,9 @@ class TestEvaluate:
         rng = random.Random(2026)
         tables = [fgab.cyclic_table(n) for n in (1, 2, 3, 4, 5, 6)]
         tables.append(fgab.table_from_invariant_factors((2, 2)))
-        tables.append(acceptance.dihedral_group(3))  # S3, non-abelian
-        for _ in range(500):
-            f = random_formula(rng, rng.randint(1, 3), [])
+        tables += [acceptance.dihedral_group(3), acceptance.dihedral_group(4)]  # non-abelian
+        for _ in range(2000):
+            f = random_formula(rng, rng.randint(0, 3), ["x", "y", "z"])
             s = rng.choice(tables)
             free = _free_vars(f)
             env = {v: rng.randrange(s.size) for v in free}
