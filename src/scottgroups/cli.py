@@ -298,138 +298,128 @@ def _cmd_sim_cof(args) -> dict:
 # parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _int(arg: str) -> int:
+    """An integer in ASCII digits after an optional ``-``.  argparse's
+    ``type=int`` would also take ``+3``, `` 4``, ``1_2`` and other scripts'
+    digits."""
+    digits = arg[1:] if arg.startswith("-") else arg
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(arg)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}")
+
+
+_RANK = ("--rank", {"type": _int, "required": True})
+_FORMULA_FLAGS = (("--latex", {"action": "store_true", "help": "render LaTeX instead of AST"}),
+                  ("--family-bound", {"type": _int, "default": 3}))
+_NO_VERIFY = ("--no-verify", {"dest": "verify", "action": "store_false"})
+_SIM_FLAGS = (("--trace", {"required": True,
+                           "help": 'compact bits "10,00,11", JSON, @file, or -'}),
+              ("--growth", {"type": _int, "default": 2}),
+              _NO_VERIFY)
+
+# command -> (help, {subcommand -> (handler, arguments)}); an argument is
+# (name, keywords of add_argument), added in order
+_COMMANDS = {
+    "words": ("free-group words and Nielsen moves", {
+        "reduce": (_cmd_words_reduce, (_RANK, ("word", {}))),
+        "primitive": (_cmd_words_primitive, (_RANK, ("words", {"nargs": "+"}))),
+        "nielsen-reduce": (_cmd_words_nielsen, (_RANK, ("words", {"nargs": "+"}))),
+    }),
+    "dinf": ("the infinite dihedral group", {
+        "normalize": (_cmd_dinf_normalize, (("word", {}),)),
+        "genpair": (_cmd_dinf_genpair, (("w1", {}), ("w2", {}))),
+        "primitive": (_cmd_dinf_primitive, (("w1", {}), ("w2", {}))),
+        "scott": (_cmd_dinf_scott, _FORMULA_FLAGS),
+    }),
+    "fgab": ("finitely generated abelian groups", {
+        "normalize": (_cmd_fgab_normalize, (("orders", {"nargs": "+", "type": _int}),)),
+        "scott": (_cmd_fgab_scott, (
+            _RANK,
+            ("--torsion", {"default": "", "help": "comma-separated cyclic orders"}),
+            ("--sigma3", {"action": "store_true",
+                          "help": "emit the generating-tuple Sigma3 sentence instead"}),
+            *_FORMULA_FLAGS)),
+        "scott-finite": (_cmd_fgab_scott_finite, (
+            ("--table", {"required": True, "help": '{"order":k,"table":[[...]]}'}),
+            *_FORMULA_FLAGS)),
+    }),
+    "q": ("rank-1 subgroups of the rationals", {
+        "member": (_cmd_q_member, (
+            ("char", {}),
+            ("rational", {"help": 'reduced fraction, e.g. "3/4"; pass a negative one '
+                                  'after "--", as in: q member CHAR -- -3/11'}))),
+        "iso": (_cmd_q_iso, (("char1", {}), ("char2", {}))),
+        "classify": (_cmd_q_classify, (("char", {}),)),
+        "scott": (_cmd_q_scott, (("char", {}), *_FORMULA_FLAGS)),
+    }),
+    "formula": ("classification, evaluation, rendering", {
+        "classify": (_cmd_formula_classify, (("formula", {}),)),
+        "eval": (_cmd_formula_eval, (
+            ("formula", {}),
+            ("--table", {"required": True}),
+            ("--family-bound", {"type": _int, "default": 8}))),
+        "render": (_cmd_formula_render, (
+            ("formula", {}),
+            ("--format", {"choices": ("text", "latex"), "default": "text"}),
+            ("--family-bound", {"type": _int, "default": 3}))),
+    }),
+    "sim": ("construction simulators", {
+        "abelian": (_cmd_sim_abelian, (("--k", {"type": _int, "required": True}), *_SIM_FLAGS)),
+        "dihedral": (_cmd_sim_dihedral, _SIM_FLAGS),
+        "rank1": (_cmd_sim_rank1, (
+            ("--char", {"required": True}),
+            ("--p", {"type": _int, "required": True}),
+            ("--q", {"type": _int, "required": True}),
+            *_SIM_FLAGS)),
+        "cof": (_cmd_sim_cof, (
+            ("--char", {"required": True}),
+            ("--m", {"type": _int, "required": True}),
+            ("--w", {"default": "", "help": "comma-separated indices enumerated into W"}),
+            ("--bound", {"type": _int, "default": 100}),
+            _NO_VERIFY)),
+    }),
+}
+
+
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of ``_COMMANDS``.  When ``argv`` starts with a command and
+    one of its subcommands, only the parsers on that path are built (3 of
+    28, which saves a short call much of its start-up); otherwise the whole
+    tree is."""
+    leaf = None
+    if argv and len(argv) > 1 and argv[1] in _COMMANDS.get(argv[0], ("", {}))[1]:
+        leaf = argv[0], argv[1]
     parser = argparse.ArgumentParser(
         prog="scottgroups",
         description="Group word problems, Scott sentences, and construction simulators")
     parser.add_argument("--selftest", action="store_true",
                         help="run the acceptance suite and print a pass/fail table")
     sub = parser.add_subparsers(dest="command")
-
-    def add_formula_flags(p):
-        p.add_argument("--latex", action="store_true", help="render LaTeX instead of AST")
-        p.add_argument("--family-bound", type=int, default=3)
-
-    words = sub.add_parser("words", help="free-group words and Nielsen moves")
-    wsub = words.add_subparsers(dest="subcommand", required=True)
-    p = wsub.add_parser("reduce")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_words_reduce)
-    p = wsub.add_parser("primitive")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("words", nargs="+")
-    p.set_defaults(func=_cmd_words_primitive)
-    p = wsub.add_parser("nielsen-reduce")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("words", nargs="+")
-    p.set_defaults(func=_cmd_words_nielsen)
-
-    dinf = sub.add_parser("dinf", help="the infinite dihedral group")
-    dsub = dinf.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("normalize")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_dinf_normalize)
-    p = dsub.add_parser("genpair")
-    p.add_argument("w1")
-    p.add_argument("w2")
-    p.set_defaults(func=_cmd_dinf_genpair)
-    p = dsub.add_parser("primitive")
-    p.add_argument("w1")
-    p.add_argument("w2")
-    p.set_defaults(func=_cmd_dinf_primitive)
-    p = dsub.add_parser("scott")
-    add_formula_flags(p)
-    p.set_defaults(func=_cmd_dinf_scott)
-
-    fg = sub.add_parser("fgab", help="finitely generated abelian groups")
-    fsub = fg.add_subparsers(dest="subcommand", required=True)
-    p = fsub.add_parser("normalize")
-    p.add_argument("orders", nargs="+", type=int)
-    p.set_defaults(func=_cmd_fgab_normalize)
-    p = fsub.add_parser("scott")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--torsion", default="", help="comma-separated cyclic orders")
-    p.add_argument("--sigma3", action="store_true",
-                   help="emit the generating-tuple Sigma3 sentence instead")
-    add_formula_flags(p)
-    p.set_defaults(func=_cmd_fgab_scott)
-    p = fsub.add_parser("scott-finite")
-    p.add_argument("--table", required=True, help='{"order":k,"table":[[...]]}')
-    add_formula_flags(p)
-    p.set_defaults(func=_cmd_fgab_scott_finite)
-
-    q = sub.add_parser("q", help="rank-1 subgroups of the rationals")
-    qsub = q.add_subparsers(dest="subcommand", required=True)
-    p = qsub.add_parser("member")
-    p.add_argument("char")
-    p.add_argument("rational", help='reduced fraction, e.g. "3/4"; pass a negative one '
-                                    'after "--", as in: q member CHAR -- -3/11')
-    p.set_defaults(func=_cmd_q_member)
-    p = qsub.add_parser("iso")
-    p.add_argument("char1")
-    p.add_argument("char2")
-    p.set_defaults(func=_cmd_q_iso)
-    p = qsub.add_parser("classify")
-    p.add_argument("char")
-    p.set_defaults(func=_cmd_q_classify)
-    p = qsub.add_parser("scott")
-    p.add_argument("char")
-    add_formula_flags(p)
-    p.set_defaults(func=_cmd_q_scott)
-
-    fo = sub.add_parser("formula", help="classification, evaluation, rendering")
-    fosub = fo.add_subparsers(dest="subcommand", required=True)
-    p = fosub.add_parser("classify")
-    p.add_argument("formula")
-    p.set_defaults(func=_cmd_formula_classify)
-    p = fosub.add_parser("eval")
-    p.add_argument("formula")
-    p.add_argument("--table", required=True)
-    p.add_argument("--family-bound", type=int, default=8)
-    p.set_defaults(func=_cmd_formula_eval)
-    p = fosub.add_parser("render")
-    p.add_argument("formula")
-    p.add_argument("--format", choices=("text", "latex"), default="text")
-    p.add_argument("--family-bound", type=int, default=3)
-    p.set_defaults(func=_cmd_formula_render)
-
-    sim = sub.add_parser("sim", help="construction simulators")
-    ssub = sim.add_subparsers(dest="subcommand", required=True)
-
-    def add_sim_flags(p):
-        p.add_argument("--trace", required=True,
-                       help='compact bits "10,00,11", JSON, @file, or -')
-        p.add_argument("--growth", type=int, default=2)
-        p.add_argument("--no-verify", dest="verify", action="store_false")
-
-    p = ssub.add_parser("abelian")
-    p.add_argument("--k", type=int, required=True)
-    add_sim_flags(p)
-    p.set_defaults(func=_cmd_sim_abelian)
-    p = ssub.add_parser("dihedral")
-    add_sim_flags(p)
-    p.set_defaults(func=_cmd_sim_dihedral)
-    p = ssub.add_parser("rank1")
-    p.add_argument("--char", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    add_sim_flags(p)
-    p.set_defaults(func=_cmd_sim_rank1)
-    p = ssub.add_parser("cof")
-    p.add_argument("--char", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--w", default="", help="comma-separated indices enumerated into W")
-    p.add_argument("--bound", type=int, default=100)
-    p.add_argument("--no-verify", dest="verify", action="store_false")
-    p.set_defaults(func=_cmd_sim_cof)
-
+    for command, (help_text, leaves) in _COMMANDS.items():
+        if leaf and command != leaf[0]:
+            continue
+        csub = sub.add_parser(command, help=help_text).add_subparsers(
+            dest="subcommand", required=True)
+        for name, (func, arguments) in leaves.items():
+            if leaf and name != leaf[1]:
+                continue
+            p = csub.add_parser(name)
+            for arg, keywords in arguments:
+                p.add_argument(arg, **keywords)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # argparse names them in the usage of the full tree's top-level parser
+        args = _build_parser().parse_args(argv)
     if args.selftest:
         from . import acceptance
         ok = acceptance.run_all(report=lambda line: print(line, file=sys.stderr))

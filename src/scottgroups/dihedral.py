@@ -14,15 +14,15 @@ Z ⋊ Z/2 and decides generation by arithmetic, exactly at all scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
 from . import formula as F
+from . import record
 from .numtheory import Enumeration, diagonal_pair
 
 
-@dataclass(frozen=True)
+@record
 class DihedralWord:
     """Normal form: letters over {a, b} with no equal adjacent pair."""
 
@@ -87,7 +87,7 @@ def word_from_json(d: dict) -> DihedralWord:
 # Z ⋊ Z/2 oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DihedralElement:
     """(translation, flip) with (t1,f1)(t2,f2) = (t1 + (-1)^f1 t2, f1 xor f2).
 

@@ -11,11 +11,11 @@ tables double as evaluation structures for the formula module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
 
 from . import formula as F
+from . import record
 from .formula import FiniteStructure as FiniteGroupTable
 from .numtheory import Enumeration, factorize
 
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class FgAbelianDesc:
     """Z^rank ⊕ (Z/d1 ⊕ ... ⊕ Z/dm) with d1 | d2 | ... | dm, all di >= 2."""
 

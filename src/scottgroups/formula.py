@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
+
+from . import record
 
 ADD = "add"
 MUL = "mul"
@@ -40,7 +41,7 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class LinTerm(Term):
     """Integer linear combination in additive notation; empty means 0."""
 
@@ -56,7 +57,7 @@ class LinTerm(Term):
                 raise ValueError("zero coefficient must be dropped")
 
 
-@dataclass(frozen=True)
+@record
 class WordTerm(Term):
     """Group word in multiplicative notation; letters carry exponent +1/-1."""
 
@@ -68,7 +69,7 @@ class WordTerm(Term):
                 raise ValueError("word letters must have exponent +1 or -1")
 
 
-@dataclass(frozen=True)
+@record
 class OpTerm(Term):
     """Explicit binary application of the group operation."""
 
@@ -77,7 +78,7 @@ class OpTerm(Term):
     right: Term
 
 
-@dataclass(frozen=True)
+@record
 class InvTerm(Term):
     """Explicit inverse (negation in additive notation)."""
 
@@ -130,29 +131,29 @@ class Formula:
         return render(self, "text", 3)
 
 
-@dataclass(frozen=True)
+@record
 class Atomic(Formula):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@record
 class NegAtomic(Formula):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@record
 class FiniteAnd(Formula):
     items: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@record
 class FiniteOr(Formula):
     items: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@record
 class FamilyNote:
     """Identity of an enumerated family: id, parameters, declared size.
 
@@ -167,19 +168,19 @@ class FamilyNote:
     size: int | None
 
 
-@dataclass(frozen=True)
+@record(hidden=("gen",))
 class FamilyAnd(Formula):
     note: FamilyNote
-    gen: Callable[[int], Formula] = field(compare=False, repr=False)
+    gen: Callable[[int], Formula]
 
 
-@dataclass(frozen=True)
+@record(hidden=("gen",))
 class FamilyOr(Formula):
     note: FamilyNote
-    gen: Callable[[int], Formula] = field(compare=False, repr=False)
+    gen: Callable[[int], Formula]
 
 
-@dataclass(frozen=True)
+@record
 class Exists(Formula):
     vars: tuple[str, ...]
     body: Formula
@@ -189,7 +190,7 @@ class Exists(Formula):
             raise ValueError("empty quantifier block")
 
 
-@dataclass(frozen=True)
+@record
 class Forall(Formula):
     vars: tuple[str, ...]
     body: Formula
@@ -287,7 +288,7 @@ def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | Fa
 # Finite structures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class FiniteStructure:
     """A finite group given by its operation table.
 
@@ -357,7 +358,7 @@ class FiniteStructure:
 # Classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Complexity:
     kind: str  # "Sigma" | "Pi" | "DSigma" | "QuantifierFree"
     level: int

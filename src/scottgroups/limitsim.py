@@ -37,7 +37,6 @@ belief; every report says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -45,6 +44,7 @@ from typing import Any, Callable, Sequence
 
 from . import dihedral as D
 from . import rank1 as R
+from . import record
 from .fgab import int_tuple
 from .formula import is_json_int
 from .numtheory import primes_upto, valuation
@@ -53,7 +53,7 @@ PREFIX_CAVEAT = ("verdicts describe the final stage's belief; a genuine limit "
                  "is not observable on a finite trace prefix")
 
 
-@dataclass(frozen=True)
+@record
 class ConstructionTrace:
     """Per-stage guesses: steps[s] = (n in S1 at stage s, n in S2 at stage s)."""
 
@@ -80,7 +80,7 @@ def trace_from_json(data) -> ConstructionTrace:
     return ConstructionTrace.from_bits(steps)
 
 
-@dataclass(frozen=True)
+@record
 class StageReport:
     stage: int
     target_tag: str
@@ -90,7 +90,7 @@ class StageReport:
     resumed_from: int | None = None
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     ok: bool
     checks: tuple[tuple[str, bool, str], ...]
@@ -671,7 +671,7 @@ def run_rank1(c: R.Rank1Char, p: int, q: int, trace: ConstructionTrace,
 # Cofinality construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CofinalityResult:
     table: dict[int, int | float]
     verdict: str

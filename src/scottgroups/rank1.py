@@ -18,13 +18,13 @@ recommendation are all exactly decidable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from . import fgab
 from . import formula as F
+from . import record
 # re-exported: rank1 code calls these through its own names, so that a
 # wrapper installed on rank1.prime_index sees every call made here
 from .numtheory import Enumeration, diagonal_pair, factorize, is_prime, nth_prime, \
@@ -94,7 +94,7 @@ ZERO_RULE: Rule = ("zero",)
 INF_RULE: Rule = ("inf",)
 
 
-@dataclass(frozen=True)
+@record
 class Rank1Char:
     """Finite presentation of a characteristic: exceptions over a default rule."""
 
@@ -148,7 +148,7 @@ def contains(c: Rank1Char, q: Fraction) -> bool:
 # Partition and classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Partition:
     p0: tuple[int, ...]
     pfin: tuple[int, ...]
@@ -205,7 +205,7 @@ def is_isomorphic(c1: Rank1Char, c2: Rank1Char) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class CaseTag:
     p0: str  # "finite" | "infinite"
     pfin: str
@@ -213,7 +213,7 @@ class CaseTag:
     row: int | str  # 1..7, "All0", "AllInf"
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     case: CaseTag
     lower: str

@@ -12,17 +12,18 @@ compositions, the depth bound being the current total word length.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
+
+from . import record
 
 Letter = tuple[int, int]
 
 _ALIASES = {"a": 0, "b": 1, "c": 2}
 
 
-@dataclass(frozen=True)
+@record
 class FreeWord:
     """A reduced word over generators x0..x{rank-1}."""
 
@@ -139,7 +140,7 @@ def word_from_json(d: dict) -> FreeWord:
 # Tuples and elementary moves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class WordTuple:
     """A tuple of reduced words sharing one rank."""
 
@@ -172,7 +173,7 @@ class NielsenMove:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Permute(NielsenMove):
     perm: tuple[int, ...]  # component i receives word perm[i]
 
@@ -181,12 +182,12 @@ class Permute(NielsenMove):
             raise ValueError("not a permutation")
 
 
-@dataclass(frozen=True)
+@record
 class Invert(NielsenMove):
     i: int
 
 
-@dataclass(frozen=True)
+@record
 class RightMultiply(NielsenMove):
     i: int
     j: int

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from scottgroups import cli
 from scottgroups import formula as F
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+USAGE_CONTRACT = Path(__file__).resolve().parent / "cli_usage_contract.json"
 
 
 def run(capsys, *argv):
@@ -252,6 +254,91 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
         assert out == ""  # payload stream stays clean on failure
+
+
+class TestStrictIntegers:
+    CHAR = '{"exceptions":{},"default":{"linear":[1,1]}}'
+    SIM = ["--trace", "10"]
+
+    @pytest.mark.parametrize("argv", [
+        ["fgab", "normalize", "1_2", " 4"],
+        ["fgab", "normalize", "+3"],
+        ["fgab", "normalize", "\u0664"],            # ARABIC-INDIC DIGIT FOUR
+        ["fgab", "normalize", "4", ""],
+        ["fgab", "normalize", "--", "--4"],
+        ["sim", "abelian", "--k", "2", *SIM, "--growth", "1_0"],
+        ["sim", "abelian", "--k", "+2", *SIM],
+        ["sim", "abelian", "--k", "\uff12", *SIM],   # FULLWIDTH DIGIT TWO
+        ["sim", "dihedral", *SIM, "--growth", "2.0"],
+        ["words", "primitive", "--rank", " 2", "ab", "b"],
+        ["words", "reduce", "--rank", "2 ", "ab"],
+        ["words", "nielsen-reduce", "--rank", "0x2", "a", "b"],
+        ["fgab", "scott", "--rank", "+1"],
+        ["sim", "rank1", "--char", CHAR, "--p", "3_", "--q", "2", *SIM],
+        ["sim", "rank1", "--char", CHAR, "--p", "3", "--q", "+2", *SIM],
+        ["sim", "cof", "--char", CHAR, "--m", "1_0"],
+        ["sim", "cof", "--char", CHAR, "--m", "3", "--bound", "1e2"],
+        ["dinf", "scott", "--family-bound", "1_0"],
+        ["q", "scott", '{"default":"zero"}', "--family-bound", " 2"],
+        ["formula", "render", "{}", "--family-bound", "+1"],
+        ["formula", "eval", "{}", "--table", "{}", "--family-bound", "1.0"],
+        ["fgab", "scott-finite", "--table", "{}", "--family-bound", "9" * 5000],
+    ])
+    def test_non_integer_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "invalid int value" in err
+
+    def test_negative_family_bound_stays_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "dinf", "scott", "--family-bound", "-1")
+        assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_plain_and_negative_integers_parse(self):
+        assert [cli._int(a) for a in ("0", "007", "-12", "9" * 40)] == [0, 7, -12, int("9" * 40)]
+        for bad in ("", "-", "+1", " 1", "1 ", "1_0", "\u0664", "0x1", "--1"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli._int(bad)
+
+
+class TestParserTree:
+    @staticmethod
+    def parsers_built(monkeypatch, argv):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser(argv)
+        return len(built)
+
+    def test_a_subcommand_call_builds_only_its_branch(self, monkeypatch):
+        assert self.parsers_built(monkeypatch, ["words", "primitive", "--rank", "2", "a", "b"]) == 3
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["words"], ["words", "-h"], ["bogus", "x"],
+                                      ["words", "bogus"], ["--selftest", "words", "primitive"]])
+    def test_any_other_argv_builds_the_full_tree(self, monkeypatch, argv):
+        # the top-level parser, 6 commands and 21 subcommands
+        assert self.parsers_built(monkeypatch, argv) == 28
+
+
+class TestUsageContract:
+    """Help and usage errors, run as processes, print what they printed when
+    the parser tree was built whole on every call (argparse 3.11 at 80
+    columns)."""
+
+    @pytest.mark.parametrize("case", json.loads(USAGE_CONTRACT.read_text(encoding="utf-8")),
+                             ids=lambda case: " ".join(case["argv"]))
+    def test_output_and_exit_code(self, case):
+        env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+        proc = subprocess.run([sys.executable, "-m", "scottgroups", *case["argv"]],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (case["code"], case["stdout"], case["stderr"])
 
 
 class TestModuleEntry:

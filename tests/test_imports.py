@@ -13,13 +13,18 @@ REPORT = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
           "if m.startswith('scottgroups.'))))")
 
 
-def loaded_after(code):
-    """The scottgroups submodules loaded once ``code`` has run."""
+def last_json_line(code):
+    """The JSON value on the last line ``code`` prints in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", f"{code}\n{REPORT}"],
+    proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def loaded_after(code):
+    """The scottgroups submodules loaded once ``code`` has run."""
+    return last_json_line(f"{code}\n{REPORT}")
 
 
 def test_package_import_loads_no_module():
@@ -36,6 +41,50 @@ def test_subcommand_loads_only_its_module():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['words', 'primitive', '--rank', '2', 'ab', 'b']) == 0")
     assert loaded_after(code) == ["scottgroups.cli", "scottgroups.words"]
+
+
+CHAR = '{"exceptions":{"2":"inf"},"default":"zero"}'
+SENTENCE = '{"t":"ex","vars":["x"],"body":{"t":"natom","lhs":{"lin":[["x",1]]},"rhs":{"lin":[]}}}'
+TABLE = '{"table":[[0,1],[1,0]]}'
+EVERY_SUBCOMMAND = [
+    ["words", "reduce", "--rank", "2", "a*a^-1*b"],
+    ["words", "primitive", "--rank", "2", "ab", "b"],
+    ["words", "nielsen-reduce", "--rank", "2", "a", "ab"],
+    ["dinf", "normalize", "baaba"],
+    ["dinf", "genpair", "aba", "bab"],
+    ["dinf", "primitive", "b", "a"],
+    ["dinf", "scott", "--family-bound", "2"],
+    ["fgab", "normalize", "4", "6"],
+    ["fgab", "scott", "--rank", "2", "--torsion", "2"],
+    ["fgab", "scott-finite", "--table", TABLE],
+    ["q", "member", CHAR, "5/8"],
+    ["q", "iso", CHAR, CHAR],
+    ["q", "classify", CHAR],
+    ["q", "scott", CHAR, "--latex"],
+    ["formula", "classify", SENTENCE],
+    ["formula", "eval", SENTENCE, "--table", TABLE],
+    ["formula", "render", SENTENCE, "--format", "latex"],
+    ["sim", "abelian", "--k", "2", "--trace", "00,10,00", "--growth", "1"],
+    ["sim", "dihedral", "--trace", "10,00,10", "--growth", "1"],
+    ["sim", "rank1", "--char", CHAR, "--p", "3", "--q", "2", "--trace", "00,10,11",
+     "--growth", "1"],
+    ["sim", "cof", "--char", '{"exceptions":{},"default":{"linear":[1,1]}}', "--m", "6",
+     "--w", "0,1,2,3,4,5", "--bound", "60"],
+]
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect():
+    """Loading them is a large share of a CLI call's start-up; modules
+    loaded before the package (by a site hook, say) do not count."""
+    code = ("import contextlib, io, json, sys\n"
+            "before = set(sys.modules)\n"
+            "from scottgroups import cli\n"
+            f"for argv in {EVERY_SUBCOMMAND!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))")
+    assert len({tuple(argv[:2]) for argv in EVERY_SUBCOMMAND}) == 21
+    assert last_json_line(code) == []
 
 
 def test_attribute_access_loads_the_module():

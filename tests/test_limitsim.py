@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -337,7 +336,8 @@ class TestCofinality:
              "outside": 59, "inf": 2}[change]
         table = dict(res.table)
         table[p] = 5 if table[p] == R.INF else table[p] + 1
-        wrong = dataclasses.replace(res, table=table)
+        wrong = L.CofinalityResult(table, res.verdict, res.multiplier, res.missed,
+                                   res.a_primes)
         ver = L._verify_cofinality(c, wrong, 5, w, 60)
         checks = {name: ok for name, ok, _ in ver.checks}
         assert checks["rule-conformance"] is False and not ver.ok
@@ -347,7 +347,8 @@ class TestCofinality:
         w = {0, 2}
         res, _ = L.run_cofinality(c, 4, w, 60)
         # the same table, credited to window primes shifted by one
-        shifted = dataclasses.replace(res, a_primes=res.a_primes[1:] + (res.a_primes[0],))
+        shifted = L.CofinalityResult(res.table, res.verdict, res.multiplier, res.missed,
+                                     res.a_primes[1:] + (res.a_primes[0],))
         ver = L._verify_cofinality(c, shifted, 4, w, 60)
         assert dict((n, ok) for n, ok, _ in ver.checks)["rule-conformance"] is False
 
