@@ -218,7 +218,6 @@ def _cmd_formula_classify(args) -> dict:
 def _cmd_formula_eval(args) -> dict:
     from . import formula as F
     f = F.from_json_dict(_read_structured(args.formula))
-    F.require_sentence(f)
     _, table = _read_table(args.table)
     truth, exact = F.evaluate_exact(f, table, args.family_bound)
     return {"truth": truth, "exact": exact}

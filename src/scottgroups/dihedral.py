@@ -75,14 +75,6 @@ def concat(u: DihedralWord, v: DihedralWord) -> DihedralWord:
     return normalize(u.letters + v.letters)
 
 
-def word_to_json(w: DihedralWord) -> dict:
-    return {"letters": w.letters}
-
-
-def word_from_json(d: dict) -> DihedralWord:
-    return normalize(d["letters"])
-
-
 # ---------------------------------------------------------------------------
 # Z ⋊ Z/2 oracle
 # ---------------------------------------------------------------------------

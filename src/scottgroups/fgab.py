@@ -16,16 +16,7 @@ from itertools import count, product
 
 from . import formula as F
 from . import record
-from .formula import FiniteStructure as FiniteGroupTable
 from .numtheory import Enumeration, factorize
-
-__all__ = [
-    "FgAbelianDesc", "FiniteGroupTable", "normalize_torsion",
-    "cyclic_table", "table_from_invariant_factors", "abelian_tables_upto",
-    "tables_isomorphic", "delta_formula", "scott_sentence_finite",
-    "scott_sentence_zn", "scott_sentence_fg_abelian", "scott_sentence_sigma3_fg",
-    "torsion_free_sentence", "independent_tuple_sentence", "dependence_sentence",
-]
 
 
 @record
@@ -51,14 +42,6 @@ class FgAbelianDesc:
         for d in self.invariant_factors:
             out *= d
         return out
-
-
-def desc_to_json(d: FgAbelianDesc) -> dict:
-    return {"rank": d.rank, "torsion": list(d.invariant_factors)}
-
-
-def desc_from_json(data: dict) -> FgAbelianDesc:
-    return FgAbelianDesc(F.json_int(data["rank"]), tuple(map(F.json_int, data["torsion"])))
 
 
 def normalize_torsion(cyclic_orders: tuple[int, ...] | list[int]) -> tuple[int, ...]:
@@ -93,13 +76,13 @@ def _invariant_factors(primary) -> tuple[int, ...]:
 # Finite group tables
 # ---------------------------------------------------------------------------
 
-def cyclic_table(n: int) -> FiniteGroupTable:
+def cyclic_table(n: int) -> F.FiniteStructure:
     if n < 1:
         raise ValueError("order must be >= 1")
-    return FiniteGroupTable.from_table([[(i + j) % n for j in range(n)] for i in range(n)])
+    return F.FiniteStructure.from_table([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
-def table_from_invariant_factors(factors: tuple[int, ...] | list[int]) -> FiniteGroupTable:
+def table_from_invariant_factors(factors: tuple[int, ...] | list[int]) -> F.FiniteStructure:
     """Table of ⊕ Z/d over the given factors (the trivial group if empty)."""
     factors = tuple(factors)
     if not factors:
@@ -127,7 +110,7 @@ def table_from_invariant_factors(factors: tuple[int, ...] | list[int]) -> Finite
         ti = decode(i)
         rows.append([encode(tuple((x + y) % d for x, y, d in zip(ti, decode(j), sizes)))
                      for j in range(total)])
-    return FiniteGroupTable.from_table(rows)
+    return F.FiniteStructure.from_table(rows)
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:
@@ -154,7 +137,7 @@ def abelian_invariant_factor_lists(order: int) -> list[tuple[int, ...]]:
     return sorted(_invariant_factors(chosen) for chosen in product(*per_prime))
 
 
-def abelian_tables_upto(max_order: int) -> list[tuple[tuple[int, ...], FiniteGroupTable]]:
+def abelian_tables_upto(max_order: int) -> list[tuple[tuple[int, ...], F.FiniteStructure]]:
     """One (invariant factors, table) pair per isomorphism class, orders 1..max."""
     out = []
     for order in range(1, max_order + 1):
@@ -163,7 +146,7 @@ def abelian_tables_upto(max_order: int) -> list[tuple[tuple[int, ...], FiniteGro
     return out
 
 
-def _element_expressions(t: FiniteGroupTable) -> tuple[list[int], list[tuple[int, ...]]]:
+def _element_expressions(t: F.FiniteStructure) -> tuple[list[int], list[tuple[int, ...]]]:
     """A generating sequence and, per element, a word over it (index list)."""
     gens: list[int] = []
     expr: dict[int, tuple[int, ...]] = {t.identity: ()}
@@ -181,7 +164,7 @@ def _element_expressions(t: FiniteGroupTable) -> tuple[list[int], list[tuple[int
     return gens, [expr[x] for x in range(t.size)]
 
 
-def _element_order(t: FiniteGroupTable, x: int) -> int:
+def _element_order(t: F.FiniteStructure, x: int) -> int:
     acc, n = x, 1
     while acc != t.identity:
         acc = t.apply(acc, x)
@@ -189,11 +172,11 @@ def _element_order(t: FiniteGroupTable, x: int) -> int:
     return n
 
 
-def _order_profile(t: FiniteGroupTable) -> tuple[int, ...]:
+def _order_profile(t: F.FiniteStructure) -> tuple[int, ...]:
     return tuple(sorted(_element_order(t, x) for x in range(t.size)))
 
 
-def tables_isomorphic(t1: FiniteGroupTable, t2: FiniteGroupTable) -> bool:
+def tables_isomorphic(t1: F.FiniteStructure, t2: F.FiniteStructure) -> bool:
     """Brute-force isomorphism test via generator images."""
     if t1.size != t2.size:
         return False
@@ -371,7 +354,7 @@ def scott_sentence_zn(n: int) -> F.FiniteAnd:
                   dependence_sentence(n))
 
 
-def delta_formula(t: FiniteGroupTable, names: tuple[str, ...]) -> F.FiniteAnd:
+def delta_formula(t: F.FiniteStructure, names: tuple[str, ...]) -> F.FiniteAnd:
     """Quantifier-free diagram: all products, all inequations, identity pinned.
 
     An abelian table is written additively.  A non-abelian one is written in
@@ -408,7 +391,7 @@ def _distinctness_sentence(count: int) -> F.Formula:
     return F.Forall(names, F.FiniteOr(tuple(pairs)))
 
 
-def scott_sentence_finite(t: FiniteGroupTable) -> F.FiniteAnd:
+def scott_sentence_finite(t: F.FiniteStructure) -> F.FiniteAnd:
     """Existential diagram sentence plus a cardinality cap; pins t exactly."""
     k = t.size
     names = _gen_names(k, "t")

@@ -10,8 +10,10 @@ blocks.  Negation occurs only on atoms.  The module provides
   {and, forall} blocks, reporting the least class,
 * exact evaluation over finite group tables, with families truncated at a
   caller-supplied bound and an honesty flag saying whether the truncated
-  answer is already decided; each family member is drawn at most once per
-  evaluation, and nothing is kept across evaluations,
+  answer is already decided; one backtracking search serves both
+  quantifier blocks, each node is compiled once per evaluation and scope,
+  each family member is drawn at most once, and nothing is kept across
+  evaluations,
 * deterministic text / LaTeX rendering,
 * a JSON codec; family generators are never serialized, they are rebuilt
   from a registry keyed by enumeration id + parameters.
@@ -98,23 +100,17 @@ def gword(letters: Sequence[tuple[str, int]]) -> WordTerm:
     return WordTerm(tuple(letters))
 
 
-def term_variables(t: Term) -> frozenset[str]:
-    return frozenset(v for v, _ in _steps(t))
-
-
-def _steps(t: Term, written: bool = False) -> list[tuple[str, int]]:
+def _steps(t: Term) -> list[tuple[str, int]]:
     """``t`` as a product of (variable, exponent) powers, in order: an
-    application concatenates, an inverse reverses and negates, unless
-    ``written`` asks for the variables in the order they are written."""
+    application concatenates, an inverse reverses and negates."""
     if isinstance(t, LinTerm):
         return list(t.coeffs)
     if isinstance(t, WordTerm):
         return list(t.letters)
     if isinstance(t, OpTerm):
-        return _steps(t.left, written) + _steps(t.right, written)
+        return _steps(t.left) + _steps(t.right)
     if isinstance(t, InvTerm):
-        steps = _steps(t.arg, written)
-        return steps if written else [(v, -k) for v, k in reversed(steps)]
+        return [(v, -k) for v, k in reversed(_steps(t.arg))]
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -374,22 +370,15 @@ class Complexity:
 _CLASSIFY_PROBE = 3  # family members inspected; emitted families are shape-uniform
 
 
-def _is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (Atomic, NegAtomic)):
-        return True
-    if isinstance(f, (FiniteAnd, FiniteOr)):
-        return all(_is_quantifier_free(c) for c in f.items)
-    return False
-
-
 def _levels(f: Formula) -> tuple[int, int]:
-    """Least n with f in Sigma_n, least n with f in Pi_n."""
-    if _is_quantifier_free(f):
+    """Least n with f in Sigma_n, least n with f in Pi_n; (0, 0) exactly when
+    f is quantifier-free, and both at least 1 otherwise."""
+    if isinstance(f, (Atomic, NegAtomic)):
         return (0, 0)
     if isinstance(f, (FiniteAnd, FiniteOr)):
         # finite connectives never raise the level of their arguments
         child = [_levels(c) for c in f.items]
-        return (max(1, max(s for s, _ in child)), max(1, max(p for _, p in child)))
+        return (max((s for s, _ in child), default=0), max((p for _, p in child), default=0))
     if isinstance(f, (FamilyAnd, FamilyOr)):
         size = f.note.size
         if size == 0:
@@ -417,12 +406,13 @@ def classify(f: Formula) -> Complexity:
     Pi(n) part, while not itself being Sigma(n) or Pi(n), reports DSigma(n).
     """
     s, p = _levels(f)
-    if s == 0 and p == 0:
+    if s == 0:
         return Complexity("QuantifierFree", 0)
     if isinstance(f, FiniteAnd):
-        for n in range(1, min(s, p)):
-            if all(_levels(c)[0] <= n or _levels(c)[1] <= n for c in f.items):
-                return Complexity("DSigma", n)
+        # the least n at which every conjunct is Sigma(n) or Pi(n)
+        n = max(min(_levels(c)) for c in f.items)
+        if n < min(s, p):
+            return Complexity("DSigma", n)
     if p < s:
         return Complexity("Pi", p)
     return Complexity("Sigma", s)
@@ -456,15 +446,6 @@ def _combine_any(results: Iterator[tuple[bool, bool]], complete: bool) -> tuple[
     return (True, False)
 
 
-def _flatten_and(f: Formula) -> list[Formula]:
-    if isinstance(f, FiniteAnd):
-        out: list[Formula] = []
-        for c in f.items:
-            out.extend(_flatten_and(c))
-        return out
-    return [f]
-
-
 def _bare_var(t: Term) -> str | None:
     if isinstance(t, LinTerm) and len(t.coeffs) == 1 and t.coeffs[0][1] == 1:
         return t.coeffs[0][0]
@@ -495,23 +476,37 @@ def _all_distinct_shortcut(f: Forall, s: FiniteStructure) -> tuple[bool, bool] |
     return None
 
 
-def _exists_plan(f: Exists) -> tuple[tuple[tuple[Formula, ...], ...], tuple[Formula, ...]]:
-    """The backtracking plan of ``f``: per depth, the atoms its variable
-    completes, and the conjuncts left for a full assignment."""
-    conjuncts = _flatten_and(f.body)
-    quantified = set(f.vars)
-    others = [c for c in conjuncts if not isinstance(c, (Atomic, NegAtomic))]
-    # an atom becomes checkable as soon as its last quantified variable is set
+def _atom_steps(f: Atomic | NegAtomic, scope: frozenset[str]) -> list[tuple[str, int]]:
+    """``lhs * rhs^-1`` as (variable, exponent) powers, in order; the first
+    variable outside ``scope`` raises ValueError."""
+    steps = _steps(f.lhs) + [(v, -k) for v, k in reversed(_steps(f.rhs))]
+    for v, _ in steps:
+        if v not in scope:
+            raise ValueError(f"not a sentence: variable {v!r} is free")
+    return steps
+
+
+def _block_plan(f: Exists | Forall, scope: frozenset[str]) -> tuple[list[list], list[Formula]]:
+    """The body's conjuncts (Exists) or disjuncts (Forall), split into the
+    atoms each depth of the search completes and the items left for a full
+    assignment.  Every atom is checked against ``scope``, the variables the
+    body sees, even one at a depth the search never reaches."""
+    split = FiniteAnd if isinstance(f, Exists) else FiniteOr
     position = {v: i for i, v in enumerate(f.vars)}
     ready: list[list[Formula]] = [[] for _ in f.vars]
-    for c in conjuncts:
-        if isinstance(c, (Atomic, NegAtomic)):
-            needed = (term_variables(c.lhs) | term_variables(c.rhs)) & quantified
-            if needed:
-                ready[max(position[v] for v in needed)].append(c)
-            else:
-                others.append(c)
-    return tuple(map(tuple, ready)), tuple(others)
+    others: list[Formula] = []
+    todo = [f.body]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, split):
+            todo.extend(reversed(c.items))
+        elif isinstance(c, (Atomic, NegAtomic)):
+            # an atom is checkable as soon as its last quantified variable is set
+            depths = [position[v] for v, _ in _atom_steps(c, scope) if v in position]
+            (ready[max(depths)] if depths else others).append(c)
+        else:
+            others.append(c)
+    return ready, others
 
 
 def _pair(qf: bool, run: Callable) -> Callable[[], tuple[bool, bool]]:
@@ -523,38 +518,46 @@ class _Evaluation:
     """The state of one ``evaluate_exact`` call: the structure, the family
     bound, the values of the bound variables, which quantifiers assign in
     place and restore on leaving, and each node compiled so far, keyed by
-    node identity.  Compiled families keep the members they draw, so every
-    key stays valid until ``ev`` returns and drops the memo."""
+    node identity and scope, the variables bound where the node sits.
+    Compiled families keep the members they draw, so every key stays valid
+    until ``ev`` returns and drops the memo.
+
+    One backtracking search serves both quantifier blocks: Exists looks for
+    an assignment that makes its body exactly true, Forall for one that
+    makes its body exactly false."""
 
     def __init__(self, s: FiniteStructure, bound: int, env: dict[str, int] | None = None):
         self.s = s
         self.bound = bound
         self.env = {} if env is None else env
-        self._compiled: dict[int, tuple[bool, Callable]] = {}
+        self._compiled: dict[tuple[int, frozenset[str]], tuple[bool, Callable]] = {}
         self._powers: dict[int, tuple[int, ...]] = {}
 
     def ev(self, f: Formula) -> tuple[bool, bool]:
         try:
-            return _pair(*self._compile(f))()
+            return _pair(*self._compile(f, frozenset(self.env)))()
         finally:  # the closures refer back to this state: free them without the cycle collector
             self._compiled.clear()
 
-    def _compile(self, f: Formula) -> tuple[bool, Callable]:
+    def _compile(self, f: Formula, scope: frozenset[str]) -> tuple[bool, Callable]:
         """Whether ``f`` is quantifier-free, and its closure, compiled once per
-        call: ``() -> bool`` if it is, else ``() -> (truth, exact)``."""
-        if id(f) in self._compiled:
-            return self._compiled[id(f)]
+        call and scope: ``() -> bool`` if it is, else ``() -> (truth, exact)``.
+        ``scope`` holds the variables of the initial environment and of the
+        enclosing blocks; an atom with a variable outside it raises ValueError."""
+        key = (id(f), scope)
+        if key in self._compiled:
+            return self._compiled[key]
         if isinstance(f, (Atomic, NegAtomic)):
-            compiled = True, self._atom(f)
+            compiled = True, self._atom(f, scope)
         elif isinstance(f, (FiniteAnd, FiniteOr)):
-            compiled = self._connective(isinstance(f, FiniteAnd), f.items)
+            compiled = self._connective(isinstance(f, FiniteAnd), f.items, scope)
         elif isinstance(f, (FamilyAnd, FamilyOr)):
-            compiled = False, self._family(f)
+            compiled = False, self._family(f, scope)
         elif isinstance(f, (Exists, Forall)):
-            compiled = False, (self._exists if isinstance(f, Exists) else self._forall)(f)
+            compiled = False, self._block(f, scope)
         else:
             raise TypeError(f"not a formula: {f!r}")
-        self._compiled[id(f)] = compiled
+        self._compiled[key] = compiled
         return compiled
 
     def _power(self, k: int) -> tuple[int, ...]:
@@ -562,26 +565,24 @@ class _Evaluation:
             self._powers[k] = tuple(self.s.power(x, k) for x in range(self.s.size))
         return self._powers[k]
 
-    def _atom(self, f: Atomic | NegAtomic) -> Callable[[], bool]:
+    def _atom(self, f: Atomic | NegAtomic, scope: frozenset[str]) -> Callable[[], bool]:
         # lhs = rhs exactly when lhs * rhs^-1 is the identity
-        steps = _steps(f.lhs) + [(v, -k) for v, k in reversed(_steps(f.rhs))]
-        steps = [(v, self._power(k)) for v, k in steps]
+        steps = [(v, self._power(k)) for v, k in _atom_steps(f, scope)]
         op, e, env, equal = self.s.op, self.s.identity, self.env, isinstance(f, Atomic)
 
         def holds() -> bool:
             acc = e
-            try:
-                for var, table in steps:
-                    acc = op[acc][table[env[var]]]
-            except KeyError:  # report the first unbound variable as written
-                written = _steps(f.lhs, True) + _steps(f.rhs, True)
-                raise KeyError(next(v for v, _ in written if v not in env)) from None
+            for var, table in steps:
+                acc = op[acc][table[env[var]]]
             return (acc == e) == equal
         return holds
 
-    def _connective(self, every: bool, items: Sequence[Formula]) -> tuple[bool, Callable]:
+    def _connective(self, every: bool, items: Sequence[Formula],
+                    scope: frozenset[str]) -> tuple[bool, Callable]:
         """The conjunction (``every``) or disjunction of ``items``."""
-        parts = [self._compile(c) for c in items]
+        if len(items) == 1:
+            return self._compile(items[0], scope)
+        parts = [self._compile(c, scope) for c in items]
         if all(qf for qf, _ in parts):
             tests = [run for _, run in parts]
 
@@ -595,7 +596,7 @@ class _Evaluation:
         combine = _combine_all if every else _combine_any
         return False, lambda: combine((run() for run in runs), True)
 
-    def _family(self, f: FamilyAnd | FamilyOr) -> Callable[[], tuple[bool, bool]]:
+    def _family(self, f: FamilyAnd | FamilyOr, scope: frozenset[str]) -> Callable:
         size = f.note.size
         complete = size is not None and size <= self.bound
         count = size if complete else self.bound
@@ -607,98 +608,58 @@ class _Evaluation:
             for i in range(count):
                 if i == len(drawn):
                     member = f.gen(i)
-                    drawn.append((member, *self._compile(member)))
+                    drawn.append((member, *self._compile(member, scope)))
                 _, qf, run = drawn[i]
                 yield (run(), True) if qf else run()
         return lambda: combine(results(), complete)
 
-    def _restore(self, names: tuple[str, ...], saved: dict[str, int]) -> None:
-        for v in names:
-            self.env.pop(v, None)
-        self.env.update(saved)
-
-    def _exists(self, f: Exists) -> Callable[[], tuple[bool, bool]]:
-        ready, others = _exists_plan(f)
+    def _block(self, f: Exists | Forall, scope: frozenset[str]) -> Callable:
+        goal = isinstance(f, Exists)  # a witness gives the body this value, and so the block
+        shortcut = None if goal else _all_distinct_shortcut(f, self.s)
+        if shortcut is not None:
+            return lambda: shortcut
+        scope = scope | frozenset(f.vars)
+        ready, others = _block_plan(f, scope)
         # each depth's checks are compiled when the search first reaches it
-        search = (f.vars, ready, [None] * len(ready), _pair(*self._connective(True, others)))
+        search = (f.vars, goal, scope, ready, [None] * len(ready),
+                  _pair(*self._connective(goal, others, scope)))
+        env = self.env
 
         def run() -> tuple[bool, bool]:
-            saved = {v: self.env[v] for v in f.vars if v in self.env}
-            inexact: set[bool] = set()  # truth values of full assignments not yet decided
+            saved = {v: env[v] for v in f.vars if v in env}
+            inexact: set[bool] = set()  # body values of full assignments not yet decided
             try:
                 found = self._descend(search, 0, inexact)
             finally:
-                self._restore(f.vars, saved)
+                for v in f.vars:
+                    env.pop(v, None)
+                env.update(saved)
             if found:
-                return (True, True)
-            return (True in inexact, False) if inexact else (False, True)
+                return (goal, True)
+            if inexact:  # the truncated values of the undecided assignments decide, inexactly
+                return ((goal in inexact) == goal, False)
+            return (not goal, True)
         return run
 
     def _descend(self, search: tuple, depth: int, inexact: set[bool]) -> bool:
-        """Whether values of the block's variables from ``depth`` on satisfy it;
-        a method, so that no closure calling itself outlives the call in a cycle."""
-        names, ready, checks, rest = search
+        """Whether values of the block's variables from ``depth`` on give its
+        body the goal value exactly.  A value whose ready atoms already give
+        the body the other value is not extended.  A method, so that no
+        closure calling itself outlives the call in a cycle."""
+        names, goal, scope, ready, checks, rest = search
         if depth == len(names):
             t, e = rest()
             if not e:
                 inexact.add(t)
-            return t and e
+            return t == goal and e
         var, check, env = names[depth], checks[depth], self.env
         if check is None:
-            check = checks[depth] = self._connective(True, ready[depth])[1]
+            check = checks[depth] = self._connective(goal, ready[depth], scope)[1]
         for val in range(self.s.size):
             env[var] = val
-            if check() and self._descend(search, depth + 1, inexact):
+            if check() == goal and self._descend(search, depth + 1, inexact):
                 return True
         return False
-
-    def _forall(self, f: Forall) -> Callable[[], tuple[bool, bool]]:
-        shortcut = _all_distinct_shortcut(f, self.s)
-        if shortcut is not None:
-            return lambda: shortcut
-        body = _pair(*self._compile(f.body))
-        size, env, names = self.s.size, self.env, f.vars
-
-        def run() -> tuple[bool, bool]:
-            saved = {v: env[v] for v in names if v in env}
-
-            def assignments():
-                for combo in itertools.product(range(size), repeat=len(names)):
-                    env.update(zip(names, combo))
-                    yield body()
-
-            try:
-                return _combine_all(assignments(), True)
-            finally:
-                self._restore(names, saved)
-        return run
-
-
-def _free_variables(f: Formula, bound: frozenset[str] = frozenset()) -> frozenset[str]:
-    """Variables of ``f`` outside families that no quantifier binds."""
-    if isinstance(f, (Atomic, NegAtomic)):
-        return (term_variables(f.lhs) | term_variables(f.rhs)) - bound
-    if isinstance(f, (FiniteAnd, FiniteOr)):
-        return frozenset().union(*(_free_variables(c, bound) for c in f.items))
-    if isinstance(f, (Exists, Forall)):
-        return _free_variables(f.body, bound | frozenset(f.vars))
-    return frozenset()
-
-
-def _not_a_sentence(name: str) -> ValueError:
-    return ValueError(f"not a sentence: variable {name!r} is free")
-
-
-def require_sentence(f: Formula) -> None:
-    """Raise ValueError naming a free variable of ``f`` outside families.
-
-    ``evaluate_exact`` reports only the free variables its evaluation
-    reaches, so a caller with outside input checks here first.  Evaluation
-    does not walk the formula itself: on a finite Scott sentence checked on a
-    relabelled copy of its group, the walk costs a third of the evaluation."""
-    free = _free_variables(f)
-    if free:
-        raise _not_a_sentence(min(free))
 
 
 def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tuple[bool, bool]:
@@ -708,22 +669,20 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
     ``family_bound`` members; the second component reports whether the
     truncated value is already the exact one (a disjunction with a true
     member, a conjunction with a false member, or a family whose declared
-    size fits under the bound).  A free variable that the evaluation
-    reaches raises ValueError; ``require_sentence`` finds the others
-    outside families.
+    size fits under the bound).  A free variable raises ValueError before
+    the evaluation starts, or, in a family member, when the member is
+    first drawn.
 
-    Each node is compiled once per call: quantifier-free parts into plain
-    boolean closures, atoms into table lookups.  Each family member is drawn
-    and compiled at most once, when the evaluation first reaches it, however
-    many assignments read it.  The compiled closures, the drawn members and
-    the power tables belong to this call alone: nothing is kept across calls.
+    Each node is compiled once per call and scope: quantifier-free parts
+    into plain boolean closures, atoms into table lookups.  Each family
+    member is drawn and compiled at most once, when the evaluation first
+    reaches it, however many assignments read it.  The compiled closures,
+    the drawn members and the power tables belong to this call alone:
+    nothing is kept across calls.
     """
     if family_bound < 1:
         raise ValueError("family_bound must be >= 1")
-    try:
-        return _Evaluation(s, family_bound).ev(f)
-    except KeyError as exc:  # an unbound variable
-        raise _not_a_sentence(exc.args[0]) from None
+    return _Evaluation(s, family_bound).ev(f)
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,6 @@ class ConstructionTrace:
     def from_bits(cls, bits: Sequence[Sequence[int]]) -> "ConstructionTrace":
         return cls(tuple((bool(a), bool(b)) for a, b in bits))
 
-    def to_json(self) -> dict:
-        return {"steps": [[int(a), int(b)] for a, b in self.steps]}
-
 
 def trace_from_json(data) -> ConstructionTrace:
     steps = data.get("steps") if isinstance(data, dict) else None

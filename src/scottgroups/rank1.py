@@ -483,18 +483,12 @@ def rank1_axioms() -> F.FiniteAnd:
                   F.Exists(("x",), F.NegAtomic(F.lin({"x": 1}), F.ZERO)))
 
 
-def scott_sentence_sigma3(c: Rank1Char, truncation: int = 8) -> F.FiniteAnd:
-    """Sigma(3): a generator whose rational multiples are exactly the group.
-
-    ``truncation`` is a preview hint recorded with the families; the
-    enumerations themselves stay infinite.
-    """
+def scott_sentence_sigma3(c: Rank1Char) -> F.FiniteAnd:
+    """Sigma(3): a generator whose rational multiples are exactly the group."""
     cj = char_to_json(c)
-    realized = F.family("and", "rank1-lambda-exists",
-                        {"char": cj, "var": "x1", "preview": truncation})
+    realized = F.family("and", "rank1-lambda-exists", {"char": cj, "var": "x1"})
     onto = F.Forall(("y",), F.family("or", "rank1-lambda-onto",
-                                     {"char": cj, "var": "x1", "target": "y",
-                                      "preview": truncation}))
+                                     {"char": cj, "var": "x1", "target": "y"}))
     return F.conj(F.abelian_axioms(),
                   fgab.torsion_free_sentence(),
                   F.Exists(("x1",), F.conj(realized, onto)))

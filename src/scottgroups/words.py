@@ -131,11 +131,6 @@ def word_to_json(w: FreeWord) -> dict:
     return {"rank": w.rank, "letters": [[g, e] for g, e in w.letters]}
 
 
-def word_from_json(d: dict) -> FreeWord:
-    from .formula import json_int  # on use: the words commands load no other module
-    return reduce([(json_int(g), json_int(e)) for g, e in d["letters"]], json_int(d["rank"]))
-
-
 # ---------------------------------------------------------------------------
 # Tuples and elementary moves
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ from scottgroups import formula as F
 from scottgroups import rank1 as R
 
 
+X, Y = F.lin({"x": 1}), F.lin({"y": 1})
+
+
 def classify_pair(f):
     c = F.classify(f)
     return (c.kind, c.level)
@@ -53,6 +56,102 @@ class TestClassify:
                          {"char": R.char_to_json(R.Z_CHAR), "target": "y"})
         assert empty.note.size == 0
         assert classify_pair(F.Forall(("y",), empty)) == ("Pi", 1)
+
+    def test_connective_over_an_empty_family_is_quantifier_free(self):
+        empty = finite_family("and", ())
+        assert classify_pair(empty) == ("QuantifierFree", 0)
+        assert classify_pair(F.conj(empty, F.Atomic(X, X))) == ("QuantifierFree", 0)
+        assert classify_pair(F.disj(F.conj(empty))) == ("QuantifierFree", 0)
+
+    def test_matches_reference_on_random_conjunctions(self):
+        rng = random.Random(13)
+        infinite = [F.family("and", "multiple-neq", {"var": "x"}),
+                    F.family("or", "all-combo-eq", {"target": "x", "vars": ["y"]})]
+        for _ in range(3000):
+            items = [random_formula(rng, rng.randint(0, 4), ["x", "y"])
+                     for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:
+                block = rng.choice([F.Exists, F.Forall])
+                items.append(block(("x",), rng.choice(infinite)))
+            f = F.FiniteAnd(tuple(items))
+            assert classify_pair(f) == reference_classify(f)
+
+    def test_matches_reference_on_emitted_sentences(self):
+        for f in emitted_sentences():
+            assert classify_pair(f) == reference_classify(f)
+
+    def test_families_are_shape_uniform(self):
+        # classify reads only the first few members of a family
+        seen = set()
+        for f in emitted_sentences():
+            for fam in family_nodes(f):
+                seen.add(fam.note.enum_id)
+                assert len({F._levels(m) for m in F.family_members(fam, 40)}) <= 1, fam.note
+        assert seen == set(F._REGISTRY)
+
+
+def reference_levels(f):
+    """Least Sigma and Pi levels, testing every subtree for quantifiers anew.
+    An empty family is quantifier-free, also inside a finite connective."""
+    def quantifier_free(g):
+        if isinstance(g, (F.Atomic, F.NegAtomic)) or (
+                isinstance(g, (F.FamilyAnd, F.FamilyOr)) and g.note.size == 0):
+            return True
+        if isinstance(g, (F.FiniteAnd, F.FiniteOr)):
+            return all(quantifier_free(c) for c in g.items)
+        return False
+
+    if quantifier_free(f):
+        return (0, 0)
+    if isinstance(f, (F.FiniteAnd, F.FiniteOr)):
+        child = [reference_levels(c) for c in f.items]
+        return (max(1, max(s for s, _ in child)), max(1, max(p for _, p in child)))
+    if isinstance(f, (F.FamilyAnd, F.FamilyOr)):
+        if f.note.size == 0:
+            return (0, 0)
+        child = [reference_levels(m) for m in F.family_members(f, F._CLASSIFY_PROBE)]
+        if isinstance(f, F.FamilyAnd):
+            p = max(1, max(pp for _, pp in child))
+            return (p + 1, p)
+        s = max(1, max(ss for ss, _ in child))
+        return (s, s + 1)
+    if isinstance(f, F.Exists):
+        s = max(1, reference_levels(f.body)[0])
+        return (s, s + 1)
+    p = max(1, reference_levels(f.body)[1])
+    return (p + 1, p)
+
+
+def reference_classify(f):
+    """The least class, trying each d-Sigma level of a conjunction in turn."""
+    s, p = reference_levels(f)
+    if s == 0 and p == 0:
+        return ("QuantifierFree", 0)
+    if isinstance(f, F.FiniteAnd):
+        for n in range(1, min(s, p)):
+            if all(reference_levels(c)[0] <= n or reference_levels(c)[1] <= n
+                   for c in f.items):
+                return ("DSigma", n)
+    return ("Pi", p) if p < s else ("Sigma", s)
+
+
+def emitted_sentences():
+    return [D.scott_sentence_dinf(), fgab.scott_sentence_zn(1), fgab.scott_sentence_zn(3),
+            fgab.scott_sentence_fg_abelian(fgab.FgAbelianDesc(2, (2, 4))),
+            fgab.scott_sentence_sigma3_fg(fgab.FgAbelianDesc(2, (2,))),
+            R.scott_sentence_rationals(),
+            *(R.scott_sentence(c) for c in acceptance.ROW_EXAMPLES.values())]
+
+
+def family_nodes(f):
+    """The family nodes of ``f`` outside other families."""
+    if isinstance(f, (F.FamilyAnd, F.FamilyOr)):
+        return [f]
+    if isinstance(f, (F.FiniteAnd, F.FiniteOr)):
+        return [fam for c in f.items for fam in family_nodes(c)]
+    if isinstance(f, (F.Exists, F.Forall)):
+        return family_nodes(f.body)
+    return []
 
 
 def brute_term(t, s, env):
@@ -129,9 +228,9 @@ def random_formula(rng, depth, free_vars):
         members = tuple(random_formula(rng, depth - 1, free_vars)
                         for _ in range(rng.randint(0, 4)))
         return finite_family(rng.choice(["and", "or"]), members)
-    var = f"v{rng.randint(0, 20)}"
-    body = random_formula(rng, depth - 1, free_vars + [var])
-    return (F.Exists if rng.random() < 0.5 else F.Forall)((var,), body)
+    names = tuple(f"v{rng.randint(0, 20)}" for _ in range(rng.randint(1, 3)))
+    body = random_formula(rng, depth - 1, free_vars + list(names))
+    return (F.Exists if rng.random() < 0.5 else F.Forall)(names, body)
 
 
 class TestEvaluate:
@@ -207,10 +306,32 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             F.evaluate_exact(F.Atomic(F.ZERO, F.ZERO), fgab.cyclic_table(2), 0)
 
+    @pytest.mark.parametrize("sentence,name", [
+        # the false first conjunct settles the conjunction before the block runs
+        (F.conj(F.NegAtomic(F.ZERO, F.ZERO), F.Exists(("x",), F.Atomic(X, Y))), "y"),
+        # x != x fails at depth 0, so the search never reaches the atom with y
+        (F.Exists(("x", "z"), F.conj(F.NegAtomic(X, X), F.Atomic(F.lin({"z": 1}), Y))), "y"),
+        # x = x holds at depth 0, so no assignment reaches the atom with y
+        (F.Forall(("x", "z"), F.disj(F.Atomic(X, X), F.Atomic(F.lin({"z": 1}), Y))), "y"),
+        # of several free variables, the first one compiled is named
+        (F.conj(F.Atomic(X, Y), F.Atomic(F.lin({"a": 1}), F.ZERO)), "x"),
+    ])
+    def test_free_variable_is_rejected_before_evaluation(self, sentence, name):
+        with pytest.raises(ValueError, match=f"variable '{name}' is free"):
+            F.evaluate_exact(sentence, fgab.cyclic_table(2))
+
+
+def _term_vars(t):
+    if isinstance(t, F.OpTerm):
+        return _term_vars(t.left) | _term_vars(t.right)
+    if isinstance(t, F.InvTerm):
+        return _term_vars(t.arg)
+    return {var for var, _ in (t.coeffs if isinstance(t, F.LinTerm) else t.letters)}
+
 
 def _free_vars(f, bound=frozenset()):
     if isinstance(f, (F.Atomic, F.NegAtomic)):
-        return (F.term_variables(f.lhs) | F.term_variables(f.rhs)) - bound
+        return (_term_vars(f.lhs) | _term_vars(f.rhs)) - bound
     if isinstance(f, (F.FiniteAnd, F.FiniteOr)):
         out = set()
         for c in f.items:

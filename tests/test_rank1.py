@@ -218,6 +218,22 @@ class TestScottSentences:
             got = F.classify(R.scott_sentence(c))
             assert (got.kind, got.level) == want[rec]
 
+    def test_sigma3_json_with_a_preview_parameter_loads(self):
+        # earlier versions wrote an unused "preview": 8 into both families' params
+        sentence = R.scott_sentence_sigma3(ROW4)
+        data = F.to_json_dict(sentence)
+        block = data["items"][2]["body"]
+        for fam in (block["items"][0], block["items"][1]["body"]):
+            fam["params"]["preview"] = 8
+        old = F.from_json_dict(data)
+        got = F.classify(old)
+        assert (got.kind, got.level) == ("Sigma", 3)
+        assert '"preview": 8' in F.render(old, "text", 3)
+        assert F.render(old, "latex", 3).startswith(r"\[")
+        fresh, loaded = sentence.items[2].body.items, old.items[2].body.items
+        assert F.family_members(loaded[0], 10) == F.family_members(fresh[0], 10)
+        assert F.family_members(loaded[1].body, 10) == F.family_members(fresh[1].body, 10)
+
     def test_json_round_trip(self):
         for c in (R.Z_CHAR, R.Q_CHAR, CASE2, ROW4):
             assert R.char_from_json(R.char_to_json(c)) == c

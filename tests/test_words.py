@@ -63,17 +63,6 @@ class TestParsing:
         with pytest.raises(ValueError):
             W.parse_word("a", 4)
 
-    def test_json_round_trip(self):
-        word = w("ab^-1a")
-        assert W.word_from_json(W.word_to_json(word)) == word
-
-    @pytest.mark.parametrize("data", [{"rank": "2", "letters": [[0, 1]]},
-                                      {"rank": 2, "letters": [[0, 1.0]]},
-                                      {"rank": 2, "letters": [["1", 1]]}])
-    def test_json_integers_are_not_parsed(self, data):
-        with pytest.raises(ValueError):
-            W.word_from_json(data)
-
 
 class TestMoves:
     def test_invert(self):
