@@ -16,8 +16,9 @@ sentence stays true.  The four constructions:
                 characteristic is controlled by an enumerated index set
 
 The three stage-based simulators share one core, ``_Run``, which names
-constants, records facts, checks each fact as it is recorded, checks each
-rewrite of the map once on the named values, and drives the stages
+constants, indexes them by one key per value, records facts, checks each
+fact as it is recorded, checks the one rewrite of the map a stage may make
+on the named values, and drives the stages
 (``advance``, ``simulate``, and ``fork``, which the acceptance sweep uses to
 share trace prefixes); a simulator adds only its value algebra plus ``seed``,
 ``step`` and ``result``.  The algebras compute on integers: integer vectors
@@ -38,8 +39,9 @@ belief; every report says so.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Any, Callable, Sequence
 
 from . import dihedral as D
@@ -104,34 +106,44 @@ def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
 
 class _Run:
     """Constants with their values in the current target, the recorded facts
-    and one report per stage.  A subclass supplies ``record(c, delta)``,
-    which appends to the stage's delta the facts a fresh constant c takes
-    part in, ``holds_relation(fact)``, ``seed(delta)`` for stage 0,
-    ``step(s1, s2, delta) -> (target, resumes)`` and ``result()``.  A
-    subclass whose values never change sets ``show`` to convert each value
-    once for the reports.  ``belief`` is the last stage's (s1, s2); the
-    class attribute is the belief before stage 0.  ``facts`` is the
-    concatenation of the stage deltas.
+    and one report per stage.  A subclass supplies ``record(c, key, delta)``,
+    which appends to the stage's delta the facts a fresh constant c (whose
+    index key is ``key``) takes part in, ``holds_relation(fact)``,
+    ``seed(delta)`` for stage 0, ``step(s1, s2, delta) -> (target,
+    resumes)`` and ``result()``.  A subclass whose values never change sets
+    ``show`` to convert each value once for the reports.  ``belief`` is the
+    last stage's (s1, s2); the class attribute is the belief before stage 0.
+    ``facts`` is the concatenation of the stage deltas.
+
+    ``used``, the one index of the named values, maps ``key(value)`` to the
+    constant, in constant order.  The key is the value itself (rank-1) or
+    an integer (abelian, dihedral), injective on the named values and their
+    sums or products, that turns the group operation into integer addition
+    or subtraction: ``record`` finds a candidate's constant with one integer
+    operation and one lookup.  ``key`` widens the scale it packs with, and
+    re-keys ``used``, when a value about to be named needs it.
 
     Facts come in two kinds.  An inequation ``("neq", other, c)`` names the
     newest constant c, so it cannot repeat; it is emitted only after the two
     values compare unequal, and that comparison is its check, so it goes
     straight into the delta.  A ``sum``, ``mul`` or ``scale`` fact can
     repeat, so it goes through ``add``, which keeps it once in ``_seen``
-    (which holds only these) and checks it with ``holds_relation``.
+    (which holds only these) and checks it with ``holds_relation`` on the
+    values themselves, never on their keys.
 
     ``stage-soundness`` (every fact recorded by stage s holds in stage s's
     map) is proved without replaying the facts.  Each fact is checked once,
-    as it is recorded.  Values change only through ``rewrite``, which maps
-    integer vectors (only the abelian run rewrites) and is checked once, on
-    the named values: the new value of every constant is the old one's image
-    under the linear map whose columns are f(e_i), f(0) = 0, and the new
-    values are pairwise distinct.  A linear map keeps every sum fact
-    x + y = z true, and a map injective on the named values keeps every
-    ``neq`` fact true, so by induction over the rewrites every recorded fact
-    holds in every stage's map.  This costs O(values · dim²) a rewrite
-    instead of O(facts); ``final-replay`` still re-checks every recorded
-    fact, inequations included, once at the end of the run."""
+    as it is recorded.  Values change only through ``_AbelianRun.rewrite``,
+    which maps integer vectors and is checked on the named values: the new
+    value of every constant is the old one's image under the linear map
+    whose columns are f(e_i), f(0) = 0, and the new values are pairwise
+    distinct.  A linear map keeps every sum fact x + y = z true, and a map
+    injective on the named values keeps every ``neq`` fact true, so by
+    induction over the rewrites every recorded fact holds in every stage's
+    map.  A stage composes its moves into one map, so this costs one
+    rewrite per stage, O(values · dim²), instead of O(facts);
+    ``final-replay`` still re-checks every recorded fact, inequations
+    included, once at the end of the run."""
 
     belief = (False, False)
     show: Callable[[Any], Any] | None = None
@@ -141,7 +153,7 @@ class _Run:
             raise ValueError("growth must be >= 1")
         self.growth = growth
         self.values: dict[int, Any] = {}
-        self.used: dict[Any, int] = {}
+        self.used: dict[Any, int] = {}  # key(value) -> constant
         self.facts: list[tuple] = []
         self._seen: set[tuple] = set()
         self._shown: list = []  # show(values[c]), by c, where ``show`` is set
@@ -158,29 +170,19 @@ class _Run:
         if not self.holds_relation(fact):
             self.sound = False
 
+    def key(self, value):
+        """The index key of a value that is or is about to be named."""
+        return value
+
     def ensure(self, value, delta: list) -> int:
         """The constant holding ``value``; a new one is recorded first."""
-        c = self.used.get(value)
+        key = self.key(value)  # may re-key ``used``, so it is read after
+        c = self.used.get(key)
         if c is None:
-            c = self.used[value] = len(self.values)
+            c = self.used[key] = len(self.values)
             self.values[c] = value
-            self.record(c, delta)
+            self.record(c, key, delta)
         return c
-
-    def rewrite(self, f: Callable[[tuple], tuple]) -> None:
-        """Re-express every constant's value, an integer vector, through
-        ``f``; stage-soundness fails unless f is linear and injective on the
-        named values."""
-        dim = len(self.values[0])
-        rows = list(zip(*(f(_unit_vector(dim, i)) for i in range(dim))))
-        new = {c: f(v) for c, v in self.values.items()}
-        linear = not any(f((0,) * dim)) and all(
-            w == tuple(sum(map(mul, v, row)) for row in rows)
-            for v, w in zip(self.values.values(), new.values()))
-        self.values = new
-        self.used = {v: c for c, v in new.items()}
-        if not linear or len(self.used) != len(new):
-            self.sound = False
 
     def inequations(self, c: int) -> list[tuple]:
         """``("neq", other, c)`` for every other constant whose value
@@ -292,24 +294,52 @@ def _matrix_rank(rows: list[tuple]) -> int:
     return rank
 
 
+def _pack(v: tuple, width: int) -> int:
+    """Σ v_i·2^(width·i), a linear map."""
+    key = 0
+    for x in reversed(v):
+        key = (key << width) + x
+    return key
+
+
 class _AbelianRun(_Run):
+    """Values are integer vectors, keyed by ``_pack`` at a ``width`` with
+    4·``maxabs`` < 2^width, ``maxabs`` being the largest absolute entry of
+    a named value.  Vectors whose entries differ by less than 2^width have
+    equal keys only if they are equal, and a sum or difference of two named
+    values differs from a named value by at most 3·maxabs in each entry, so
+    the lookups in ``record`` find exactly the named sums and differences."""
+
     def __init__(self, k: int, growth: int):
         if k < 2:
             raise ValueError("k must be >= 2")
         super().__init__(growth)
         self.k, self.dim = k, k - 1
         self.gen_layers: dict[str, int] = {}  # "s1"/"s2" -> coordinate index
+        self.maxabs = self.width = 0
 
-    def record(self, c: int, delta: list) -> None:
+    def rekey(self) -> None:
+        """Choose the least width for ``maxabs`` and re-key."""
+        self.width = width = (4 * self.maxabs).bit_length()
+        self.used = {_pack(v, width): c for c, v in self.values.items()}
+
+    def key(self, v: tuple) -> int:
+        top = max(map(abs, v))
+        if top > self.maxabs:  # v is about to be named
+            self.maxabs = top
+            if 4 * top >= 1 << self.width:
+                self.rekey()
+        return _pack(v, self.width)
+
+    def record(self, c: int, kc: int, delta: list) -> None:
         delta += self.inequations(c)
-        vc = self.values[c]
         used, add_fact = self.used, self.add
-        for other, vo in self.values.items():
-            s = used.get(tuple(map(add, vc, vo)))
+        for ko, other in used.items():
+            s = used.get(kc + ko)
             if s is not None:
                 add_fact(("sum", c, other, s), delta)
                 add_fact(("sum", other, c, s), delta)
-            diff = used.get(tuple(map(sub, vc, vo)))
+            diff = used.get(kc - ko)
             if diff is not None:
                 add_fact(("sum", other, diff, c), delta)
 
@@ -317,27 +347,65 @@ class _AbelianRun(_Run):
         _, i, j, k = fact
         return tuple(map(add, self.values[i], self.values[j])) == self.values[k]
 
+    def rewrite(self, f: Callable[[tuple], tuple]) -> None:
+        """Re-express every constant's value through ``f`` and re-key;
+        stage-soundness fails unless f is linear and injective on the named
+        values.  The one scan for the new ``maxabs`` serves the keys and the
+        next collapse."""
+        olds = list(self.values.values())
+        dim = len(olds[0])
+        news = [f(v) for v in olds]
+        rows = zip(*(f(_unit_vector(dim, i)) for i in range(dim)))
+        # each old value's image under the linear map, computed row by row
+        images = zip(*([sum(map(mul, v, row)) for v in olds] for row in rows))
+        linear = not any(f((0,) * dim)) and list(images) == news
+        self.values = dict(enumerate(news))
+        self.maxabs = max(map(abs, chain.from_iterable(news)))
+        self.rekey()
+        if not linear or len(self.used) != len(news):
+            self.sound = False
+
     def seed(self, delta: list) -> None:
         self.ensure((0,) * self.dim, delta)
         for i in range(self.dim):
             self.ensure(_unit_vector(self.dim, i), delta)
 
-    def expand(self, layer: str, delta: list) -> None:
-        self.rewrite(lambda v: _pad(v, self.dim + 1))
-        self.dim += 1
-        self.gen_layers[layer] = self.dim - 1
-        self.ensure(_unit_vector(self.dim, self.dim - 1), delta)
+    def expand(self, layers: list[str], delta: list) -> None:
+        """Give each layer a fresh coordinate, in one rewrite, and name its
+        unit vector."""
+        first = self.dim
+        self.dim += len(layers)
+        self.rewrite(lambda v: _pad(v, self.dim))
+        for coord, layer in enumerate(layers, first):
+            self.gen_layers[layer] = coord
+            self.ensure(_unit_vector(self.dim, coord), delta)
 
-    def collapse(self, layer: str) -> None:
-        coord = self.gen_layers.pop(layer)
-        maxabs = max((abs(x) for v in self.values.values() for x in v), default=0)
-        m = 1 + 2 * maxabs  # _squash is then injective on the named values
-        self.rewrite(lambda v: _squash(v, coord, m))
-        self.dim -= 1
-        # surviving layer coordinates shift down past the removed one
-        for name, idx in list(self.gen_layers.items()):
-            if idx > coord:
-                self.gen_layers[name] = idx - 1
+    def collapse(self, layers: list[str]) -> None:
+        """Fold each layer's coordinate into coordinate 0 and drop it, in one
+        rewrite.  Each fold weighs its coordinate by m = 1 + 2·(the largest
+        entry before it), so it is injective on the named values."""
+        folds: list[tuple[int, int]] = []
+
+        def fold(v: tuple) -> tuple:
+            for coord, m in folds:
+                v = _squash(v, coord, m)
+            return v
+
+        maxabs = self.maxabs
+        for layer in layers:
+            if folds:
+                # the largest entry after the folds so far, exactly: entries
+                # off coordinate 0 are old, and the last fold put m > maxabs
+                # at coordinate 0 of its coordinate's named unit vector
+                maxabs = max(maxabs, max(abs(fold(v)[0]) for v in self.values.values()))
+            coord = self.gen_layers.pop(layer)
+            folds.append((coord, 1 + 2 * maxabs))
+            self.dim -= 1
+            # surviving layer coordinates shift down past the removed one
+            for name, idx in self.gen_layers.items():
+                if idx > coord:
+                    self.gen_layers[name] = idx - 1
+        self.rewrite(fold)
 
     def grow(self, delta: list) -> None:
         """Name the first ``growth`` vectors of Z^dim not yet named."""
@@ -347,15 +415,16 @@ class _AbelianRun(_Run):
             cursor += 1
 
     def step(self, s1: bool, s2: bool, delta: list) -> tuple[str, bool]:
-        # layer transitions, s2 first on the way down so indices stay sane
-        if "s2" in self.gen_layers and not (s1 and s2):
-            self.collapse("s2")
-        if "s1" in self.gen_layers and not s1:
-            self.collapse("s1")
-        if s1 and "s1" not in self.gen_layers:
-            self.expand("s1", delta)
-        if s1 and s2 and "s2" not in self.gen_layers:
-            self.expand("s2", delta)
+        # s2 collapses first so indices stay sane; a stage that collapses
+        # expands nothing (s2 is a layer only while s1 is)
+        down = [layer for layer, keep in (("s2", s1 and s2), ("s1", s1))
+                if layer in self.gen_layers and not keep]
+        up = [layer for layer, want in (("s1", s1), ("s2", s1 and s2))
+              if want and layer not in self.gen_layers]
+        if down:
+            self.collapse(down)
+        if up:
+            self.expand(up, delta)
         self.grow(delta)
         dim = _abelian_dim(self.k, s1, s2)
         return f"Z{dim}", _abelian_dim(self.k, *self.belief) > dim
@@ -425,16 +494,29 @@ class _DihedralRun(_Run):
         self.depth = 0
         self.a = _reflection(0, 1)  # the current a
         self.enum_cursor = 0
+        self.den_lcm = 1  # L, the lcm of the named denominators
 
-    def record(self, c: int, delta: list) -> None:
+    def key(self, v: tuple) -> int:
+        """2·(t·L) + flip for the translation t = num/den: the key of x·y is
+        kx + ky when x is a translation (kx even) and kx - ky when it is a
+        reflection.  Keys are distinct on elements whose translations lie in
+        (1/L)·Z, as the named values and their products do; a denominator
+        outside L widens L and re-keys."""
+        num, den, flip = v
+        if self.den_lcm % den:  # v is about to be named
+            self.den_lcm = lcm(self.den_lcm, den)
+            self.used = {self.key(w): c for c, w in self.values.items()}
+        return 2 * num * (self.den_lcm // den) + flip
+
+    def record(self, c: int, kc: int, delta: list) -> None:
         delta += self.inequations(c)
-        vc = self.values[c]
         used, add_fact = self.used, self.add
-        for other, vo in self.values.items():
-            prod = used.get(_dmul(vc, vo))
+        sign = -1 if kc & 1 else 1
+        for ko, other in used.items():
+            prod = used.get(kc + sign * ko)
             if prod is not None:
                 add_fact(("mul", c, other, prod), delta)
-            prod = used.get(_dmul(vo, vc))
+            prod = used.get(ko - kc if ko & 1 else ko + kc)
             if prod is not None:
                 add_fact(("mul", other, c, prod), delta)
 
@@ -449,7 +531,7 @@ class _DihedralRun(_Run):
 
     def deepen(self, delta: list) -> None:
         """Express the current a as a'·b·a' for a fresh deeper reflection a'."""
-        old_a = self.used[self.a]
+        old_a = self.used[self.key(self.a)]
         num, den, _ = self.a
         self.a = _reflection(num + den, 2 * den)  # midpoint of the old reflection and b
         self.depth += 1
@@ -572,7 +654,7 @@ class _Rank1Run(_Run):
         # the built group, generated by the constants, is Z·(num_gcd/den_lcm)
         self.num_gcd, self.den_lcm = 0, 1
 
-    def record(self, c: int, delta: list) -> None:
+    def record(self, c: int, _key: tuple, delta: list) -> None:
         # each inequation is followed by the scale facts of the same pair;
         # x = m·y needs den(x) | den(y), as both pairs are reduced
         vc = nc, dc = self.values[c]

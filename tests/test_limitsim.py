@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -218,6 +219,115 @@ class TestFactBookkeeping:
         assert all(d > 0 and gcd(n, d) == 1 for n, d in run.values.values())
 
 
+class TestFactOracle:
+    """Each stage's delta holds exactly the facts a brute-force scan of the
+    reported values finds, by plain arithmetic on tuples, ``Fraction`` and
+    ``DihedralElement`` (no ``_dmul``, no key index, no ``record``).
+
+    The recording rule: when a constant c is named, it is recorded unequal
+    to every earlier constant, and every relation among constants up to c
+    that involves c is recorded: a sum fact with c in any place, a product
+    or scale fact with c as a factor.  Values change only at the start of a
+    stage, before anything is named, so the end-of-stage values serve for
+    every constant the stage names.  A dihedral deepening also records its
+    two defining relations."""
+
+    CHAR = R.char({2: R.INF})
+    RUNS = {
+        "abelian": lambda growth, rng: L._AbelianRun(rng.choice((2, 3)), growth),
+        "dihedral": lambda growth, rng: L._DihedralRun(growth),
+        "rank1": lambda growth, rng: L._Rank1Run(TestFactOracle.CHAR, 3, 2, growth),
+    }
+
+    @staticmethod
+    def scan(sim: str, values: dict, new: set) -> set:
+        """Relation facts whose newest constant is in ``new``, over every
+        ordered pair of named values (for products and scales, every pair
+        whose newer member is in ``new``)."""
+        index = {v: c for c, v in values.items()}
+        if sim == "abelian":
+            pairs = itertools.product(values, repeat=2)
+        else:
+            pairs = {pair for c in new for o in range(c + 1) for pair in ((c, o), (o, c))}
+        facts = set()
+        for x, y in pairs:
+            vx, vy = values[x], values[y]
+            if sim == "abelian":
+                z = index.get(tuple(map(operator.add, vx, vy)))
+                if z is not None and max(x, y, z) in new:
+                    facts.add(("sum", x, y, z))
+            elif sim == "dihedral":
+                z = index.get(vx * vy)
+                if z is not None and z <= max(x, y):
+                    facts.add(("mul", x, y, z))
+            elif x != y:
+                m = vy / vx
+                if m.denominator == 1 and m > 1:
+                    facts.add(("scale", int(m), x, y))
+        return facts
+
+    @classmethod
+    def expected_deltas(cls, sim: str, steps, reports) -> list[set]:
+        recorded, deltas, named, depth = set(), [], 0, 0
+        belief = L._DihedralRun.belief
+        for (s1, s2), report in zip(steps, reports):
+            values = report.partial_map
+            assert sorted(values) == list(range(len(values)))
+            new = set(range(named, len(values)))
+            named = len(values)
+            facts = {("neq", o, c) for c in new for o in range(c) if values[o] != values[c]}
+            facts |= cls.scan(sim, values, new)
+            if sim == "dihedral" and belief[0] and not s1:
+                # a_d, the reflection at 1 - 2^-d, defines a_(d-1) = a_d b a_d
+                depth += 1
+                index = {v: c for c, v in values.items()}
+                a_new = index[D.DihedralElement(1 - Fraction(1, 2 ** depth), True)]
+                a_old = index[D.DihedralElement(1 - Fraction(2, 2 ** depth), True)]
+                aux = index[values[a_new] * D.B_ELEM]
+                facts |= {("mul", a_new, 2, aux), ("mul", aux, a_new, a_old)}
+            facts -= recorded
+            recorded |= facts
+            deltas.append(facts)
+            belief = (s1, s2)
+        return deltas
+
+    @classmethod
+    def assert_matches_oracle(cls, sim, trace, reports):
+        for stage, (report, want) in enumerate(
+                zip(reports, cls.expected_deltas(sim, trace.steps, reports))):
+            got = report.diagram_delta
+            assert len(set(got)) == len(got), (sim, stage)
+            assert set(got) == want, (sim, stage, set(got) ^ want)
+
+    @pytest.mark.parametrize("growth", [1, 2])
+    @pytest.mark.parametrize("sim", sorted(RUNS))
+    def test_deltas_match_brute_force(self, sim, growth):
+        rng = random.Random(f"oracle {sim} {growth}")
+        for length in (1, rng.randint(2, 12), rng.randint(13, 25), 40):
+            trace = T([[rng.randint(0, 1), rng.randint(0, 1)] for _ in range(length)])
+            reports, _, ver = self.RUNS[sim](growth, rng).simulate(trace)
+            assert ver.ok
+            self.assert_matches_oracle(sim, trace, reports)
+
+    def test_abelian_entries_past_64_bits(self):
+        # each collapse weighs the folded coordinate by 1 + 2·max|entry|, so
+        # the largest entry doubles with every fold: five folds a cycle
+        trace = T([[1, 1], [0, 0], [1, 1], [0, 0], [1, 0], [0, 0]] * 14)
+        run = L._AbelianRun(2, growth=1)
+        reports, tag, ver = run.simulate(trace)
+        assert tag == "Z1" and ver.ok
+        assert max(abs(x) for v in reports[-1].partial_map.values() for x in v).bit_length() > 64
+        self.assert_matches_oracle("abelian", trace, reports)
+
+    def test_dihedral_tower_past_depth_64(self):
+        trace = T([[1, 0], [0, 0]] * 65)
+        run = L._DihedralRun(growth=1)
+        reports, tag, ver = run.simulate(trace)
+        assert tag == "H" and ver.ok and run.depth == 65
+        assert max(v.translation.denominator for v in reports[-1].partial_map.values()) == 2 ** 65
+        self.assert_matches_oracle("dihedral", trace, reports)
+
+
 class TestDihedral:
     def test_settled_dinf(self):
         reports, tag, ver = L.run_dihedral(T([[1, 0]] * 6), growth=2)
@@ -404,6 +514,7 @@ class TestFork:
             for belief in steps[:split]:
                 run.advance(*belief)
             twin = run.fork()
+            assert twin.used == run.used and twin.used is not run.used
             # the original moves on first, along another suffix
             for belief in self.random_steps(rng, rng.randint(1, 4)):
                 run.advance(*belief)
@@ -411,7 +522,7 @@ class TestFork:
                 twin.advance(*belief)
             got = self.summary(twin.result())
             assert got == self.summary(make().simulate(T(steps))), (name, steps, split)
-            kept = (list(twin.reports), dict(twin.values), list(twin.facts))
+            kept = (list(twin.reports), dict(twin.values), list(twin.facts), dict(twin.used))
             for belief in self.random_steps(rng, rng.randint(1, 4)):
                 run.advance(*belief)
-            assert (twin.reports, twin.values, twin.facts) == kept, (name, steps, split)
+            assert (twin.reports, twin.values, twin.facts, twin.used) == kept, (name, steps, split)
