@@ -4,10 +4,10 @@ generated abelian groups, and rank-1 torsion-free abelian groups.
 
 Importing the package loads none of its modules: each one listed in
 ``__all__`` loads on first use, as ``scottgroups.words`` or as the
-attribute ``scottgroups.words``.  Family enumerations register themselves
-when their module (``fgab``, ``dihedral`` or ``rank1``) loads; the formula
-registry imports those modules on a miss, so formulas can be rebuilt from
-their JSON form with no further setup.
+attribute ``scottgroups.words``.  Only sentence code imports ``formula``.
+``fgab``, ``dihedral`` and ``rank1`` declare their family enumerations in
+``FAMILIES`` tables; ``formula.family`` imports all three on a miss, so
+formulas can be rebuilt from their JSON form with no further setup.
 """
 
 import importlib
@@ -22,6 +22,19 @@ def __getattr__(name: str):
     if name in __all__:
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def is_json_int(v: object) -> bool:
+    """Whether ``v`` decoded as a JSON integer: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def json_int(v) -> int:
+    """``v`` if it decoded as a JSON integer; a float, a string or a boolean
+    raises ValueError rather than being truncated or parsed."""
+    if not is_json_int(v):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
 
 
 class FrozenInstanceError(AttributeError):

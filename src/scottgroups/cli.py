@@ -6,8 +6,9 @@ input), 2 usage error.  Structured arguments (characteristics, tables,
 traces, formulas) are inline JSON, ``@path`` to read a file, or ``-`` for
 stdin.
 
-Each handler imports the modules it uses when it runs, so a call loads
-only what its subcommand needs.
+Each handler imports the modules it uses when it runs, and they import
+``formula`` only to build or read a sentence, so a call loads only what
+its subcommand needs (``tests/test_imports.py`` lists each one's modules).
 """
 
 from __future__ import annotations
@@ -175,12 +176,22 @@ def _cmd_fgab_scott_finite(args) -> dict:
 # q (rank-1 subgroups of the rationals)
 # ---------------------------------------------------------------------------
 
-def _cmd_q_member(args) -> dict:
+def _rational(arg: str):
+    """``n`` or ``n/d`` in ASCII digits after an optional ``-``, d >= 1; ``Fraction``
+    would also take ``+1/3``, `` 1/3``, ``1_0/3``, ``1.5``, ``1e-3``, ``١/٣``."""
     from fractions import Fraction
+    num, slash, den = arg.partition("/")
+    digits = num.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit() and (
+            not slash or den.isascii() and den.isdigit() and den.strip("0"))):
+        raise ValueError(f"rational {arg!r} is not n or n/d in ASCII digits with d at least 1")
+    return Fraction(int(num), int(den or 1))
 
+
+def _cmd_q_member(args) -> dict:
     from . import rank1 as R
     c = R.char_from_json(_read_structured(args.char))
-    return {"contains": R.contains(c, Fraction(args.rational))}
+    return {"contains": R.contains(c, _rational(args.rational))}
 
 
 def _cmd_q_iso(args) -> dict:
@@ -348,8 +359,8 @@ _COMMANDS = {
     "q": ("rank-1 subgroups of the rationals", {
         "member": (_cmd_q_member, (
             ("char", {}),
-            ("rational", {"help": 'reduced fraction, e.g. "3/4"; pass a negative one '
-                                  'after "--", as in: q member CHAR -- -3/11'}))),
+            ("rational", {"help": 'n or n/d in ASCII digits, e.g. "3/4"; pass a negative '
+                                  'one after "--", as in: q member CHAR -- -3/11'}))),
         "iso": (_cmd_q_iso, (("char1", {}), ("char2", {}))),
         "classify": (_cmd_q_classify, (("char", {}),)),
         "scott": (_cmd_q_scott, (("char", {}), *_FORMULA_FLAGS)),

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from typing import TYPE_CHECKING
 
-from . import formula as F
 from . import record
 from .numtheory import Enumeration, diagonal_pair
+
+if TYPE_CHECKING:
+    from . import formula as F
 
 
 @record
@@ -242,13 +245,12 @@ def _eval_free_word_in_dinf(letters: tuple[tuple[str, int], ...]) -> DihedralEle
 # Scott sentence
 # ---------------------------------------------------------------------------
 
-def _word_term(w: DihedralWord, names: tuple[str, str]) -> F.Term:
-    if not w.letters:
-        return F.IDENT
-    return F.gword([(names[0] if ch == "a" else names[1], 1) for ch in w.letters])
+def _word_letters(w: DihedralWord, names: tuple[str, str]) -> list[tuple[str, int]]:
+    return [(names[0] if ch == "a" else names[1], 1) for ch in w.letters]
 
 
 def _name_pair(params: dict, key: str) -> tuple[str, str]:
+    from . import formula as F
     names = F.family_param(params, key, "names")
     if len(names) != 2:
         raise ValueError(f"family parameter {key!r} must name two variables, got {list(names)}")
@@ -256,12 +258,13 @@ def _name_pair(params: dict, key: str) -> tuple[str, str]:
 
 
 def _build_triple_family(params: dict):
+    from . import formula as F
     names = _name_pair(params, "pair")
     targets = F.family_param(params, "targets", "names")
 
     def gen(i: int) -> F.Formula:
         triple = map(nth_normal_form, _TRIPLES[i])
-        return F.conj(*(F.Atomic(F.gword([(t, 1)]), _word_term(w, names))
+        return F.conj(*(F.Atomic(F.gword([(t, 1)]), F.gword(_word_letters(w, names)))
                         for t, w in zip(targets, triple)))
 
     return gen, None
@@ -273,6 +276,7 @@ _TRIPLES = Enumeration((a, b, s - a - b) for s in count()
 
 
 def _build_relations_family(params: dict):
+    from . import formula as F
     names = _name_pair(params, "pair")
 
     def gen(i: int) -> F.Formula:
@@ -286,48 +290,51 @@ def _build_relations_family(params: dict):
 
 
 def _build_imprimitive_family(params: dict):
+    from . import formula as F
     pair = _name_pair(params, "pair")
     others = _name_pair(params, "others")
 
     def gen(i: int) -> F.Formula:
         u, v = nth_imprimitive_pair(i)
-        return F.disj(F.NegAtomic(_word_term(u, others), F.gword([(pair[0], 1)])),
-                      F.NegAtomic(_word_term(v, others), F.gword([(pair[1], 1)])))
+        return F.disj(F.NegAtomic(F.gword(_word_letters(u, others)), F.gword([(pair[0], 1)])),
+                      F.NegAtomic(F.gword(_word_letters(v, others)), F.gword([(pair[1], 1)])))
 
     return gen, None
 
 
-F.register_family("dinf-generating-triples", _build_triple_family)
-F.register_family("dinf-relations", _build_relations_family)
-F.register_family("dinf-imprimitive-pairs", _build_imprimitive_family)
-
-
-def _sq(name: str) -> F.Term:
-    return F.gword([(name, 1), (name, 1)])
+FAMILIES = {
+    "dinf-generating-triples": _build_triple_family,
+    "dinf-relations": _build_relations_family,
+    "dinf-imprimitive-pairs": _build_imprimitive_family,
+}
 
 
 def triple_generation_sentence() -> F.Formula:
     """Pi(2): every triple is generated by a pair of involutions."""
+    from . import formula as F
     members = F.family("or", "dinf-generating-triples",
                        {"pair": ["x1", "x2"], "targets": ["u", "v", "w"]})
-    body = F.conj(F.Atomic(_sq("x1"), F.IDENT), F.Atomic(_sq("x2"), F.IDENT), members)
+    body = F.conj(F.Atomic(F.gword([("x1", 1)] * 2), F.IDENT),
+                  F.Atomic(F.gword([("x2", 1)] * 2), F.IDENT), members)
     return F.Forall(("u", "v", "w"), F.Exists(("x1", "x2"), body))
 
 
 def orbit_witness_sentence() -> F.Formula:
     """Sigma(2): a pair with the right relations avoiding imprimitive images."""
+    from . import formula as F
     relations = F.family("and", "dinf-relations", {"pair": ["x1", "x2"]})
     avoid = F.family("and", "dinf-imprimitive-pairs",
                      {"pair": ["x1", "x2"], "others": ["y1", "y2"]})
     guard = F.Forall(("y1", "y2"),
-                     F.disj(F.NegAtomic(_sq("y1"), F.IDENT),
-                            F.NegAtomic(_sq("y2"), F.IDENT),
+                     F.disj(F.NegAtomic(F.gword([("y1", 1)] * 2), F.IDENT),
+                            F.NegAtomic(F.gword([("y2", 1)] * 2), F.IDENT),
                             avoid))
     return F.Exists(("x1", "x2"), F.conj(relations, guard))
 
 
 def scott_sentence_dinf() -> F.FiniteAnd:
     """d-Sigma(2) Scott sentence: axioms ∧ triple generation ∧ orbit witness."""
+    from . import formula as F
     return F.conj(F.group_axioms(F.MUL),
                   triple_generation_sentence(),
                   orbit_witness_sentence())

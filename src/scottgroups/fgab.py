@@ -11,12 +11,15 @@ tables double as evaluation structures for the formula module.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count, product
+from typing import TYPE_CHECKING
 
-from . import formula as F
 from . import record
-from .numtheory import Enumeration, factorize
+from .numtheory import Enumeration, _int_tuples, factorize, int_tuple  # tuples re-exported
+
+if TYPE_CHECKING:
+    from . import formula as F
 
 
 @record
@@ -79,18 +82,14 @@ def _invariant_factors(primary) -> tuple[int, ...]:
 def cyclic_table(n: int) -> F.FiniteStructure:
     if n < 1:
         raise ValueError("order must be >= 1")
-    return F.FiniteStructure.from_table([[(i + j) % n for j in range(n)] for i in range(n)])
+    return table_from_invariant_factors((n,))
 
 
 def table_from_invariant_factors(factors: tuple[int, ...] | list[int]) -> F.FiniteStructure:
     """Table of ⊕ Z/d over the given factors (the trivial group if empty)."""
-    factors = tuple(factors)
-    if not factors:
-        return cyclic_table(1)
-    sizes = list(factors)
-    total = 1
-    for d in sizes:
-        total *= d
+    from . import formula as F
+    sizes = tuple(factors)
+    total = math.prod(sizes)
 
     def decode(i: int) -> tuple[int, ...]:
         out = []
@@ -205,33 +204,13 @@ def tables_isomorphic(t1: F.FiniteStructure, t2: F.FiniteStructure) -> bool:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _int_tuples(n: int) -> Enumeration:
-    """Z^n by max |k| and then lexicographically in the integer order
-    0 < 1 < -1 < 2 < -2 < ...; the zero tuple comes first (and alone, for n = 0)."""
-    def shells():
-        yield (0,) * n
-        if not n:
-            return
-        ordered = [0]
-        for r in count(1):
-            ordered += (r, -r)
-            yield from (t for t in product(ordered, repeat=n) if max(map(abs, t)) == r)
-
-    return Enumeration(shells())
-
-
-def int_tuple(n: int, i: int, include_zero: bool = False) -> tuple[int, ...]:
-    """i-th integer n-tuple in the diagonal order (by max |k|, then lex)."""
-    return _int_tuples(n)[i if include_zero else i + 1]
-
-
-@lru_cache(maxsize=None)
 def _span_coefficients(n: int) -> Enumeration:
     """(k, m̄) for k >= 2 and nonzero m̄ in {0..k-1}^n, by k and then m̄ lexicographically."""
     return Enumeration((k, m) for k in count(2) for m in product(range(k), repeat=n) if any(m))
 
 
 def _build_multiple_neq(params: dict):
+    from . import formula as F
     var = F.family_param(params, "var", "name")
 
     def gen(i: int) -> F.Formula:
@@ -241,6 +220,7 @@ def _build_multiple_neq(params: dict):
 
 
 def _build_pure_span(params: dict):
+    from . import formula as F
     targets = F.family_param(params, "targets", "names")
     witness = F.family_param(params, "witness", "name")
 
@@ -251,27 +231,19 @@ def _build_pure_span(params: dict):
     return gen, None if targets else 0  # no targets: no nonzero m̄, no member
 
 
-def _build_nonzero_combo_neq(params: dict):
+def _build_nonzero_combo(params: dict, equal: bool):
+    from . import formula as F
     names = F.family_param(params, "vars", "names")
+    atom = F.Atomic if equal else F.NegAtomic
 
     def gen(i: int) -> F.Formula:
-        combo = int_tuple(len(names), i)
-        return F.NegAtomic(F.lin(dict(zip(names, combo))), F.ZERO)
+        return atom(F.lin(dict(zip(names, int_tuple(len(names), i)))), F.ZERO)
 
     return gen, None if names else 0  # no variables: no nonzero combination
 
 
-def _build_nonzero_combo_eq(params: dict):
-    names = F.family_param(params, "vars", "names")
-
-    def gen(i: int) -> F.Formula:
-        combo = int_tuple(len(names), i)
-        return F.Atomic(F.lin(dict(zip(names, combo))), F.ZERO)
-
-    return gen, None if names else 0
-
-
 def _build_all_combo_eq(params: dict):
+    from . import formula as F
     target = F.family_param(params, "target", "name")
     names = F.family_param(params, "vars", "names")
 
@@ -283,6 +255,7 @@ def _build_all_combo_eq(params: dict):
 
 
 def _build_fg_relations(params: dict):
+    from . import formula as F
     rank = F.family_param(params, "rank", "int")
     torsion = F.family_param(params, "torsion", "ints")
     if rank < 0 or any(d < 2 for d in torsion):
@@ -302,12 +275,14 @@ def _build_fg_relations(params: dict):
     return gen, None if names else 1
 
 
-F.register_family("multiple-neq", _build_multiple_neq)
-F.register_family("pure-span", _build_pure_span)
-F.register_family("nonzero-combo-neq", _build_nonzero_combo_neq)
-F.register_family("nonzero-combo-eq", _build_nonzero_combo_eq)
-F.register_family("all-combo-eq", _build_all_combo_eq)
-F.register_family("fg-abelian-relations", _build_fg_relations)
+FAMILIES = {
+    "multiple-neq": _build_multiple_neq,
+    "pure-span": _build_pure_span,
+    "nonzero-combo-neq": partial(_build_nonzero_combo, equal=False),
+    "nonzero-combo-eq": partial(_build_nonzero_combo, equal=True),
+    "all-combo-eq": _build_all_combo_eq,
+    "fg-abelian-relations": _build_fg_relations,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +295,7 @@ def _gen_names(n: int, prefix: str = "x") -> tuple[str, ...]:
 
 def torsion_free_sentence(var: str = "x") -> F.Formula:
     """Pi(1): every nonzero element has all nonzero multiples nonzero."""
+    from . import formula as F
     return F.Forall((var,), F.disj(F.Atomic(F.lin({var: 1}), F.ZERO),
                                    F.family("and", "multiple-neq", {"var": var})))
 
@@ -331,6 +307,7 @@ def independent_tuple_sentence(n: int) -> F.Formula:
     {0..k-1}^n, so a multiple k·y lies in the span only with every
     coefficient divisible by k.
     """
+    from . import formula as F
     gens = _gen_names(n)
     pure = F.Forall(("y",), F.family("and", "pure-span",
                                      {"targets": list(gens), "witness": "y"}))
@@ -340,12 +317,14 @@ def independent_tuple_sentence(n: int) -> F.Formula:
 
 def dependence_sentence(n: int) -> F.Formula:
     """Pi(2): any n+1 elements satisfy a nontrivial integer relation."""
+    from . import formula as F
     names = _gen_names(n + 1)
     return F.Forall(names, F.family("or", "nonzero-combo-eq", {"vars": list(names)}))
 
 
 def scott_sentence_zn(n: int) -> F.FiniteAnd:
     """d-Sigma(2) Scott sentence for Z^n."""
+    from . import formula as F
     if n < 1:
         raise ValueError("rank must be >= 1; use scott_sentence_finite for the trivial group")
     return F.conj(F.abelian_axioms(),
@@ -360,6 +339,7 @@ def delta_formula(t: F.FiniteStructure, names: tuple[str, ...]) -> F.FiniteAnd:
     An abelian table is written additively.  A non-abelian one is written in
     words, since a linear term does not keep the order of a product.
     """
+    from . import formula as F
     k = t.size
     if len(names) != k:
         raise ValueError("one variable per element required")
@@ -385,6 +365,7 @@ def delta_formula(t: F.FiniteStructure, names: tuple[str, ...]) -> F.FiniteAnd:
 
 def _distinctness_sentence(count: int) -> F.Formula:
     """Pi(1): among ``count`` elements some two coincide."""
+    from . import formula as F
     names = _gen_names(count, "y")
     pairs = [F.Atomic(F.lin({a: 1}), F.lin({b: 1}))
              for idx, a in enumerate(names) for b in names[idx + 1:]]
@@ -393,6 +374,7 @@ def _distinctness_sentence(count: int) -> F.Formula:
 
 def scott_sentence_finite(t: F.FiniteStructure) -> F.FiniteAnd:
     """Existential diagram sentence plus a cardinality cap; pins t exactly."""
+    from . import formula as F
     k = t.size
     names = _gen_names(k, "t")
     return F.conj(F.Exists(names, delta_formula(t, names)),
@@ -405,6 +387,7 @@ def scott_sentence_fg_abelian(desc: FgAbelianDesc) -> F.FiniteAnd:
     The first conjunct reads: there are elements forming a copy of T such
     that every element either is one of them or has infinite order.
     """
+    from . import formula as F
     if desc.rank < 1:
         raise ValueError("rank must be >= 1; use scott_sentence_finite for finite groups")
     t = table_from_invariant_factors(desc.invariant_factors)
@@ -426,6 +409,7 @@ def scott_sentence_sigma3_fg(desc: FgAbelianDesc) -> F.FiniteAnd:
     Asserts a tuple realizing exactly the relations of the standard
     generators and generating everything; always available, if suboptimal.
     """
+    from . import formula as F
     names = _gen_names(desc.rank + len(desc.invariant_factors), "g")
     relations = F.family("and", "fg-abelian-relations",
                          {"rank": desc.rank, "torsion": list(desc.invariant_factors),

@@ -16,7 +16,8 @@ blocks.  Negation occurs only on atoms.  The module provides
   evaluations,
 * deterministic text / LaTeX rendering,
 * a JSON codec; family generators are never serialized, they are rebuilt
-  from a registry keyed by enumeration id + parameters.
+  from enumeration id + parameters by the ``FAMILIES`` table of the module
+  that owns the id (``dihedral``, ``fgab`` or ``rank1``).
 
 Only finite classification levels are supported.
 """
@@ -25,9 +26,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from . import record
+from . import is_json_int, json_int, record  # both JSON checks are re-exported
 
 ADD = "add"
 MUL = "mul"
@@ -211,26 +213,11 @@ def family_members(f: FamilyAnd | FamilyOr, count: int) -> list[Formula]:
 
 
 # ---------------------------------------------------------------------------
-# Family registry: enumeration id + params -> (generator, size)
+# Family tables: enumeration id + params -> (generator, size)
 # ---------------------------------------------------------------------------
 
 FamilyBuilder = Callable[[dict], tuple[Callable[[int], Formula], int | None]]
-
-_REGISTRY: dict[str, FamilyBuilder] = {}
-
-
-def is_json_int(v: Any) -> bool:
-    """Whether ``v`` decoded as a JSON integer: an int that is not a bool."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def json_int(v: Any) -> int:
-    """``v`` if it decoded as a JSON integer; a float, a string or a boolean
-    raises ValueError rather than being truncated or parsed."""
-    if not is_json_int(v):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return v
-
+_FAMILY_OWNERS = tuple(f"{__package__}.{name}" for name in ("dihedral", "fgab", "rank1"))
 
 _PARAM_KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "name": ("a string", lambda v: isinstance(v, str)),
@@ -255,23 +242,24 @@ def family_param(params: Mapping[str, Any], key: str, kind: str) -> Any:
     return tuple(value) if isinstance(value, list) else value
 
 
-def register_family(enum_id: str, builder: FamilyBuilder) -> None:
-    if enum_id in _REGISTRY:
-        raise ValueError(f"family enumeration {enum_id!r} already registered")
-    _REGISTRY[enum_id] = builder
-
-
 def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | FamilyOr:
-    """Build a family node through the registry (the only supported path).
+    """Build a family node from its builder (the only supported path).
 
-    Families register when their module loads, so an id not yet registered
-    first imports the modules that own families and is looked up again.
+    ``dihedral``, ``fgab`` and ``rank1`` declare their families in a table
+    ``FAMILIES = {enum_id: builder}``.  The tables of those already loaded
+    are read first; only an id none of them has imports all three.
     """
-    if enum_id not in _REGISTRY:
-        from . import dihedral, fgab, rank1  # importing them registers their families
-    if enum_id not in _REGISTRY:
+    for name in _FAMILY_OWNERS:
+        owner = sys.modules.get(name)
+        if owner and enum_id in owner.FAMILIES:
+            builder = owner.FAMILIES[enum_id]
+            break
+    else:
+        from . import dihedral, fgab, rank1
+        builder = {**dihedral.FAMILIES, **fgab.FAMILIES, **rank1.FAMILIES}.get(enum_id)
+    if builder is None:
         raise KeyError(f"unknown family enumeration {enum_id!r}")
-    gen, size = _REGISTRY[enum_id](dict(params))
+    gen, size = builder(dict(params))
     note = FamilyNote(enum_id, json.dumps(dict(params), sort_keys=True), size)
     if kind == "and":
         return FamilyAnd(note, gen)
@@ -600,8 +588,10 @@ class _Evaluation:
         size = f.note.size
         complete = size is not None and size <= self.bound
         count = size if complete else self.bound
-        combine = _combine_all if isinstance(f, FamilyAnd) else _combine_any
+        goal = isinstance(f, FamilyOr)  # a member with this value decides the family
+        combine = _combine_any if goal else _combine_all
         drawn: list[tuple[Formula, bool, Callable]] = []
+        tests: list[Callable[[], bool]] = []  # set once all members are drawn and quantifier-free
 
         def results() -> Iterator[tuple[bool, bool]]:
             # each member is drawn once, in index order, when first reached
@@ -609,9 +599,19 @@ class _Evaluation:
                 if i == len(drawn):
                     member = f.gen(i)
                     drawn.append((member, *self._compile(member, scope)))
+                    if i == count - 1 and all(qf for _, qf, _ in drawn):
+                        tests.extend(run for _, _, run in drawn)
                 _, qf, run = drawn[i]
                 yield (run(), True) if qf else run()
-        return lambda: combine(results(), complete)
+
+        def evaluate() -> tuple[bool, bool]:
+            if not tests:
+                return combine(results(), complete)
+            for test in tests:
+                if test() == goal:
+                    return (goal, True)
+            return (not goal, complete)
+        return evaluate
 
     def _block(self, f: Exists | Forall, scope: frozenset[str]) -> Callable:
         goal = isinstance(f, Exists)  # a witness gives the body this value, and so the block

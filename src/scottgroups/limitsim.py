@@ -38,18 +38,17 @@ belief; every report says so.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from . import dihedral as D
-from . import rank1 as R
-from . import record
-from .fgab import int_tuple
-from .formula import is_json_int
-from .numtheory import primes_upto, valuation
+from . import is_json_int, record
+from .numtheory import int_tuple, primes_upto, valuation
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from . import dihedral as D, rank1 as R
 
 PREFIX_CAVEAT = ("verdicts describe the final stage's belief; a genuine limit "
                  "is not observable on a finite trace prefix")
@@ -111,9 +110,10 @@ class _Run:
     index key is ``key``) takes part in, ``holds_relation(fact)``,
     ``seed(delta)`` for stage 0, ``step(s1, s2, delta) -> (target,
     resumes)`` and ``result()``.  A subclass whose values never change sets
-    ``show`` to convert each value once for the reports.  ``belief`` is the
-    last stage's (s1, s2); the class attribute is the belief before stage 0.
-    ``facts`` is the concatenation of the stage deltas.
+    ``show`` to convert a stage's new values, a list, once each for the
+    reports.  ``belief`` is the last stage's (s1, s2); the class attribute is
+    the belief before stage 0.  ``facts`` is the concatenation of the stage
+    deltas.
 
     ``used``, the one index of the named values, maps ``key(value)`` to the
     constant, in constant order.  The key is the value itself (rank-1) or
@@ -146,7 +146,7 @@ class _Run:
     included, once at the end of the run."""
 
     belief = (False, False)
-    show: Callable[[Any], Any] | None = None
+    show: Callable[[list], list] | None = None
 
     def __init__(self, growth: int):
         if growth < 1:
@@ -156,7 +156,7 @@ class _Run:
         self.used: dict[Any, int] = {}  # key(value) -> constant
         self.facts: list[tuple] = []
         self._seen: set[tuple] = set()
-        self._shown: list = []  # show(values[c]), by c, where ``show`` is set
+        self._shown: list = []  # the shown values[c], by c, where ``show`` is set
         self.reports: list[StageReport] = []
         self.last_stage_for_tag: dict[str, int] = {}
         self.sound = True
@@ -207,8 +207,7 @@ class _Run:
         if self.show is None:
             return dict(self.values)
         shown = self._shown
-        for c in range(len(shown), len(self.values)):
-            shown.append(self.show(self.values[c]))
+        shown += self.show([self.values[c] for c in range(len(shown), len(self.values))])
         return dict(enumerate(shown))
 
     def advance(self, s1: bool, s2: bool) -> None:
@@ -471,8 +470,10 @@ def _triple(e: D.DihedralElement) -> tuple:
     return (t.numerator, t.denominator, e.flip)
 
 
-def _element(x: tuple) -> D.DihedralElement:
-    return D.DihedralElement(Fraction(x[0], x[1]), x[2])
+def _elements(xs: list[tuple]) -> list[D.DihedralElement]:
+    import fractions
+    from . import dihedral as D
+    return [D.DihedralElement(fractions.Fraction(n, d), flip) for n, d, flip in xs]
 
 
 def _reflection(num: int, den: int) -> tuple:
@@ -481,13 +482,13 @@ def _reflection(num: int, den: int) -> tuple:
     return (num // g, den // g, True)
 
 
-_E = _triple(D.E_ELEM)
-_B = _triple(D.B_ELEM)
+_E = (0, 1, False)  # the identity
+_B = (1, 1, True)  # b, the reflection at 1
 
 
 class _DihedralRun(_Run):
     belief = (True, False)  # conventional starting belief
-    show = staticmethod(_element)
+    show = staticmethod(_elements)
 
     def __init__(self, growth: int):
         super().__init__(growth)
@@ -544,6 +545,7 @@ class _DihedralRun(_Run):
 
     def grow(self, delta: list) -> None:
         """Name the next ``growth`` normal forms, in a and b, not yet named."""
+        from . import dihedral as D
         size = len(self.values) + self.growth
         while len(self.values) < size:
             value = _E
@@ -622,8 +624,9 @@ def _ratio(num: int, den: int) -> tuple:
     return (num // g, den // g)
 
 
-def _fraction(x: tuple) -> Fraction:
-    return Fraction(*x)
+def _fractions(xs: list[tuple]) -> list[Fraction]:
+    import fractions
+    return [fractions.Fraction(*x) for x in xs]
 
 
 def _scale_factor(nx: int, dx: int, ny: int, dy: int) -> int:
@@ -640,9 +643,10 @@ def _scale_factor(nx: int, dx: int, ny: int, dy: int) -> int:
 class _Rank1Run(_Run):
     """Values are reduced ``(num, den)`` pairs with den > 0."""
 
-    show = staticmethod(_fraction)
+    show = staticmethod(_fractions)
 
     def __init__(self, c: R.Rank1Char, p: int, q: int, growth: int):
+        from . import rank1 as R
         super().__init__(growth)
         if R.exponent(c, p) == R.INF:
             raise ValueError("p must lie in P0 or Pfin (finite exponent)")
@@ -722,6 +726,7 @@ class _Rank1Run(_Run):
         return target, True
 
     def result(self) -> tuple[list[StageReport], R.Rank1Char, VerificationReport]:
+        from . import rank1 as R
         target = self.reports[-1].target_tag
         final_char = self.chars[target]
         shown = self.partial_map()
@@ -768,6 +773,7 @@ def run_cofinality(c: R.Rank1Char, m: int, w_enum: set[int] | Sequence[int],
     falls in the window's upper half; a finite window cannot certify
     cofiniteness, which the report's caveat records.
     """
+    from . import rank1 as R
     if not R._rule_class_flags(c)[1]:
         raise ValueError("Pfin must be infinite under the representation")
     w = set(int(x) for x in w_enum)
@@ -807,6 +813,7 @@ def _verify_cofinality(c: R.Rank1Char, result: CofinalityResult, m: int, w: set[
     the bound with a finite positive exponent, and the table lowers the
     exponent by exactly 1 at the window primes whose index is missing from w
     and keeps it everywhere else."""
+    from . import rank1 as R
     checks: list = []
     exponents = {p: R.exponent(c, p) for p in primes_upto(bound)}
     pfin = [p for p, v in exponents.items() if 0 < v != R.INF][:m]

@@ -16,7 +16,7 @@ in Brent's form); that cofactor must lie below ``MR_LIMIT``.
 
 ``Enumeration`` indexes an infinite iterator, computing each item once; the
 Scott-sentence families whose members are found by a search or built in
-order read them through one.
+order read them through one, as ``int_tuple`` reads the integer tuples.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from itertools import compress, count, islice
+from functools import lru_cache
+from itertools import compress, count, islice, product
 from typing import Iterable, Iterator
 
 # the largest prime with an index here is the last prime below 2^24
@@ -227,6 +228,27 @@ class Enumeration:
             if i >= len(items):
                 raise IndexError(f"the enumeration ends after {len(items)} items")
         return items[i]
+
+
+@lru_cache(maxsize=None)
+def _int_tuples(n: int) -> Enumeration:
+    """Z^n by max |k| and then lexicographically in the integer order
+    0 < 1 < -1 < 2 < -2 < ...; the zero tuple comes first (and alone, for n = 0)."""
+    def shells():
+        yield (0,) * n
+        if not n:
+            return
+        ordered = [0]
+        for r in count(1):
+            ordered += (r, -r)
+            yield from (t for t in product(ordered, repeat=n) if max(map(abs, t)) == r)
+
+    return Enumeration(shells())
+
+
+def int_tuple(n: int, i: int, include_zero: bool = False) -> tuple[int, ...]:
+    """i-th integer n-tuple in the diagonal order (by max |k|, then lex)."""
+    return _int_tuples(n)[i if include_zero else i + 1]
 
 
 _TABLE = PrimeTable()

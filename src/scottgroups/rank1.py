@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, NamedTuple
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from . import fgab
-from . import formula as F
-from . import record
+from . import json_int, record
 # re-exported: rank1 code calls these through its own names, so that a
 # wrapper installed on rank1.prime_index sees every call made here
 from .numtheory import Enumeration, diagonal_pair, factorize, is_prime, nth_prime, \
     prime_index, primes, primes_upto
+
+if TYPE_CHECKING:
+    from . import formula as F
 
 INF = math.inf
 
@@ -329,7 +330,7 @@ def _rule_from_json(data) -> Rule:
     if isinstance(data, dict) and "linear" in data:
         pair = data["linear"]
         if isinstance(pair, list) and len(pair) == 2:
-            return ("linear", F.json_int(pair[0]), F.json_int(pair[1]))
+            return ("linear", json_int(pair[0]), json_int(pair[1]))
     elif isinstance(data, dict) and isinstance(data.get("residue"), list):
         return ("residue", tuple(_rule_from_json(sub) for sub in data["residue"]))
     raise ValueError(f"malformed rule: {data!r}")
@@ -348,7 +349,7 @@ def char_from_json(data) -> Rank1Char:
     for key, v in data.get("exceptions", {}).items():
         if not (isinstance(key, str) and key.isascii() and key.isdigit()):
             raise ValueError(f"an exceptions key is a prime in decimal digits, got {key!r}")
-        exc[int(key)] = INF if v == "inf" else F.json_int(v)
+        exc[int(key)] = INF if v == "inf" else json_int(v)
     return char(exc, _rule_from_json(data["default"]))
 
 
@@ -393,39 +394,28 @@ def lambda_member(c: Rank1Char, i: int) -> Fraction:
 # Scott sentence families
 # ---------------------------------------------------------------------------
 
-def _build_lambda_exists(params: dict):
+def _build_lambda(params: dict, onto: bool):
+    """q·var = target (``onto``) or ∃y q·var = y, one member per rational q of the group."""
+    from . import formula as F
     c = char_from_json(F.family_param(params, "char", "object"))
     var = F.family_param(params, "var", "name")
+    target = F.family_param(params, "target", "name") if onto else "y"
 
     def gen(i: int) -> F.Formula:
         q = lambda_member(c, i)
-        return F.Exists(("y",), F.Atomic(F.lin({"y": q.denominator, var: -q.numerator}),
-                                         F.ZERO))
-
-    return gen, None
-
-
-def _build_lambda_onto(params: dict):
-    c = char_from_json(F.family_param(params, "char", "object"))
-    var = F.family_param(params, "var", "name")
-    target = F.family_param(params, "target", "name")
-
-    def gen(i: int) -> F.Formula:
-        q = lambda_member(c, i)
-        return F.Atomic(F.lin({target: q.denominator, var: -q.numerator}), F.ZERO)
+        member = F.Atomic(F.lin({target: q.denominator, var: -q.numerator}), F.ZERO)
+        return member if onto else F.Exists(("y",), member)
 
     return gen, None
 
 
 def _build_pinf_divisible(params: dict):
+    from . import formula as F
     c = char_from_json(F.family_param(params, "char", "object"))
     target = F.family_param(params, "target", "name")
     rule_inf = _rule_class_flags(c)[2]
     finite_pinf = sorted(p for p, v in c.exceptions if v == INF) if not rule_inf else []
-    if not rule_inf and not finite_pinf:
-        size = 0
-    else:
-        size = None
+    size = None if rule_inf or finite_pinf else 0
 
     def member(p: int, k: int) -> F.Formula:
         return F.Exists(("z",), F.Atomic(F.lin({"z": p ** k, target: -1}), F.ZERO))
@@ -441,12 +431,11 @@ def _build_pinf_divisible(params: dict):
 
 
 def _build_non_pinf_indivisible(params: dict):
+    from . import formula as F
     c = char_from_json(F.family_param(params, "char", "object"))
     var = F.family_param(params, "var", "name")
-    if all(_class_rule(c.default, r) == INF_RULE for r in range(_rule_modulus(c.default))):
-        size = sum(1 for _, v in c.exceptions if v != INF)
-    else:
-        size = None
+    all_inf = all(_class_rule(c.default, r) == INF_RULE for r in range(_rule_modulus(c.default)))
+    size = sum(1 for _, v in c.exceptions if v != INF) if all_inf else None
 
     def gen(i: int) -> F.Formula:
         p = _enumerations(c).non_pinf[i]
@@ -456,6 +445,7 @@ def _build_non_pinf_indivisible(params: dict):
 
 
 def _build_all_primes_divisible(params: dict):
+    from . import formula as F
     target = F.family_param(params, "target", "name")
 
     def gen(i: int) -> F.Formula:
@@ -464,11 +454,13 @@ def _build_all_primes_divisible(params: dict):
     return gen, None
 
 
-F.register_family("rank1-lambda-exists", _build_lambda_exists)
-F.register_family("rank1-lambda-onto", _build_lambda_onto)
-F.register_family("rank1-pinf-divisible", _build_pinf_divisible)
-F.register_family("rank1-non-pinf-indivisible", _build_non_pinf_indivisible)
-F.register_family("primes-divisible", _build_all_primes_divisible)
+FAMILIES = {
+    "rank1-lambda-exists": partial(_build_lambda, onto=False),
+    "rank1-lambda-onto": partial(_build_lambda, onto=True),
+    "rank1-pinf-divisible": _build_pinf_divisible,
+    "rank1-non-pinf-indivisible": _build_non_pinf_indivisible,
+    "primes-divisible": _build_all_primes_divisible,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +469,7 @@ F.register_family("primes-divisible", _build_all_primes_divisible)
 
 def rank1_axioms() -> F.FiniteAnd:
     """Pi(2) axioms: nontrivial torsion-free abelian of rank at most 1."""
+    from . import fgab, formula as F
     return F.conj(F.abelian_axioms(),
                   fgab.torsion_free_sentence(),
                   fgab.dependence_sentence(1),
@@ -485,6 +478,7 @@ def rank1_axioms() -> F.FiniteAnd:
 
 def scott_sentence_sigma3(c: Rank1Char) -> F.FiniteAnd:
     """Sigma(3): a generator whose rational multiples are exactly the group."""
+    from . import fgab, formula as F
     cj = char_to_json(c)
     realized = F.family("and", "rank1-lambda-exists", {"char": cj, "var": "x1"})
     onto = F.Forall(("y",), F.family("or", "rank1-lambda-onto",
@@ -501,6 +495,7 @@ def scott_sentence_dsigma2(c: Rank1Char) -> F.FiniteAnd:
     which: every element is infinitely divisible at the infinite-exponent
     primes, and some element is indivisible at every other prime.
     """
+    from . import formula as F
     base = remove_finite_part(c)
     cj = char_to_json(base)
     divisible = F.Forall(("y",), F.family("and", "rank1-pinf-divisible",
@@ -512,6 +507,7 @@ def scott_sentence_dsigma2(c: Rank1Char) -> F.FiniteAnd:
 
 def scott_sentence_rationals() -> F.FiniteAnd:
     """Pi(2) Scott sentence for the full rational group."""
+    from . import formula as F
     divisible = F.Forall(("y",), F.family("and", "primes-divisible", {"target": "y"}))
     return F.conj(rank1_axioms(), divisible)
 

@@ -247,6 +247,9 @@ class TestExitCodes:
         ["fgab", "scott", "--rank", "1", "--torsion", "1_2"],
         ["fgab", "scott", "--rank", "1", "--torsion", "2,"],
         ["fgab", "scott", "--rank", "1", "--torsion", "-2"],
+        # a rational is n or n/d in ASCII digits, d at least 1: not what Fraction() parses
+        *(["q", "member", '{"default":"zero"}', "--", r] for r in (
+            "١/٣", "1_0/3", "+1/3", " 1/3 ", "1.5", "1e-3", "1/", "1/00", "--1/3")),
     ])
     def test_malformed_inputs_are_domain_errors(self, capsys, argv):
         code = cli.main(argv)

@@ -87,7 +87,9 @@ class TestClassify:
             for fam in family_nodes(f):
                 seen.add(fam.note.enum_id)
                 assert len({F._levels(m) for m in F.family_members(fam, 40)}) <= 1, fam.note
-        assert seen == set(F._REGISTRY)
+        tables = [D.FAMILIES, fgab.FAMILIES, R.FAMILIES]
+        assert seen == set().union(*tables)
+        assert len(seen) == sum(map(len, tables))  # no id is owned twice
 
 
 def reference_levels(f):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 REPORT = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
@@ -46,31 +48,54 @@ def test_subcommand_loads_only_its_module():
 CHAR = '{"exceptions":{"2":"inf"},"default":"zero"}'
 SENTENCE = '{"t":"ex","vars":["x"],"body":{"t":"natom","lhs":{"lin":[["x",1]]},"rhs":{"lin":[]}}}'
 TABLE = '{"table":[[0,1],[1,0]]}'
-EVERY_SUBCOMMAND = [
-    ["words", "reduce", "--rank", "2", "a*a^-1*b"],
-    ["words", "primitive", "--rank", "2", "ab", "b"],
-    ["words", "nielsen-reduce", "--rank", "2", "a", "ab"],
-    ["dinf", "normalize", "baaba"],
-    ["dinf", "genpair", "aba", "bab"],
-    ["dinf", "primitive", "b", "a"],
-    ["dinf", "scott", "--family-bound", "2"],
-    ["fgab", "normalize", "4", "6"],
-    ["fgab", "scott", "--rank", "2", "--torsion", "2"],
-    ["fgab", "scott-finite", "--table", TABLE],
-    ["q", "member", CHAR, "5/8"],
-    ["q", "iso", CHAR, CHAR],
-    ["q", "classify", CHAR],
-    ["q", "scott", CHAR, "--latex"],
-    ["formula", "classify", SENTENCE],
-    ["formula", "eval", SENTENCE, "--table", TABLE],
-    ["formula", "render", SENTENCE, "--format", "latex"],
-    ["sim", "abelian", "--k", "2", "--trace", "00,10,00", "--growth", "1"],
-    ["sim", "dihedral", "--trace", "10,00,10", "--growth", "1"],
-    ["sim", "rank1", "--char", CHAR, "--p", "3", "--q", "2", "--trace", "00,10,11",
-     "--growth", "1"],
-    ["sim", "cof", "--char", '{"exceptions":{},"default":{"linear":[1,1]}}', "--m", "6",
-     "--w", "0,1,2,3,4,5", "--bound", "60"],
+# every subcommand, and the package modules a call of it loads, exactly
+FOOTPRINTS = [
+    (["words", "reduce", "--rank", "2", "a*a^-1*b"], "cli words"),
+    (["words", "primitive", "--rank", "2", "ab", "b"], "cli words"),
+    (["words", "nielsen-reduce", "--rank", "2", "a", "ab"], "cli words"),
+    (["dinf", "normalize", "baaba"], "cli dihedral numtheory"),
+    (["dinf", "genpair", "aba", "bab"], "cli dihedral numtheory"),
+    (["dinf", "primitive", "b", "a"], "cli dihedral numtheory"),
+    (["dinf", "scott", "--family-bound", "2"], "cli dihedral formula numtheory"),
+    (["fgab", "normalize", "4", "6"], "cli fgab numtheory"),
+    (["fgab", "scott", "--rank", "2", "--torsion", "2"], "cli fgab formula numtheory"),
+    (["fgab", "scott-finite", "--table", TABLE], "cli fgab formula numtheory"),
+    (["q", "member", CHAR, "5/8"], "cli numtheory rank1"),
+    (["q", "iso", CHAR, CHAR], "cli numtheory rank1"),
+    (["q", "classify", CHAR], "cli numtheory rank1"),
+    (["q", "scott", CHAR, "--latex"], "cli fgab formula numtheory rank1"),
+    (["formula", "classify", SENTENCE], "cli formula"),
+    (["formula", "eval", SENTENCE, "--table", TABLE], "cli formula"),
+    (["formula", "render", SENTENCE, "--format", "latex"], "cli formula"),
+    (["sim", "abelian", "--k", "2", "--trace", "00,10,00", "--growth", "1"],
+     "cli limitsim numtheory"),
+    (["sim", "dihedral", "--trace", "10,00,10", "--growth", "1"],
+     "cli dihedral limitsim numtheory"),
+    (["sim", "rank1", "--char", CHAR, "--p", "3", "--q", "2", "--trace", "00,10,11",
+      "--growth", "1"], "cli limitsim numtheory rank1"),
+    (["sim", "cof", "--char", '{"exceptions":{},"default":{"linear":[1,1]}}', "--m", "6",
+      "--w", "0,1,2,3,4,5", "--bound", "60"], "cli limitsim numtheory rank1"),
 ]
+EVERY_SUBCOMMAND = [argv for argv, _ in FOOTPRINTS]
+
+
+@pytest.mark.parametrize("argv, modules", FOOTPRINTS,
+                         ids=[" ".join(argv[:2]) for argv in EVERY_SUBCOMMAND])
+def test_subcommand_loads_exactly_its_modules(argv, modules):
+    """A decision loads no ``formula``; ``words`` and ``sim abelian`` compute
+    on integers alone and load no ``fractions`` either."""
+    code = ("import contextlib, io, json, sys\n"
+            "before = set(sys.modules)\n"
+            "from scottgroups import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "new = set(sys.modules) - before\n"
+            "package = sorted(m.split('.')[1] for m in new if m.startswith('scottgroups.'))\n"
+            "print(json.dumps([package, 'fractions' in new]))")
+    got, fractions = last_json_line(code)
+    assert got == modules.split()
+    if argv[0] == "words" or argv[:2] == ["sim", "abelian"]:
+        assert not fractions
 
 
 def test_no_subcommand_loads_dataclasses_or_inspect():
