@@ -185,6 +185,8 @@ def _rational(arg: str):
     if not (digits.isascii() and digits.isdigit() and (
             not slash or den.isascii() and den.isdigit() and den.strip("0"))):
         raise ValueError(f"rational {arg!r} is not n or n/d in ASCII digits with d at least 1")
+    if max(len(digits), len(den)) > 4300:  # int() converts no more
+        raise ValueError("a rational's numerator and denominator have at most 4300 digits")
     return Fraction(int(num), int(den or 1))
 
 

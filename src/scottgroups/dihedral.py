@@ -74,10 +74,6 @@ def normalize(raw: str) -> DihedralWord:
     return DihedralWord("".join(stack))
 
 
-def concat(u: DihedralWord, v: DihedralWord) -> DihedralWord:
-    return normalize(u.letters + v.letters)
-
-
 # ---------------------------------------------------------------------------
 # Z ⋊ Z/2 oracle
 # ---------------------------------------------------------------------------

@@ -393,14 +393,16 @@ def classify(f: Formula) -> Complexity:
     A top-level finite conjunction that splits into a Sigma(n) part and a
     Pi(n) part, while not itself being Sigma(n) or Pi(n), reports DSigma(n).
     """
-    s, p = _levels(f)
+    # a conjunction's levels are its conjuncts' maxima, so each conjunct is
+    # walked once; any other formula is its own one conjunct
+    child = [_levels(c) for c in f.items] if isinstance(f, FiniteAnd) else [_levels(f)]
+    s, p = max((cs for cs, _ in child), default=0), max((cp for _, cp in child), default=0)
     if s == 0:
         return Complexity("QuantifierFree", 0)
-    if isinstance(f, FiniteAnd):
-        # the least n at which every conjunct is Sigma(n) or Pi(n)
-        n = max(min(_levels(c)) for c in f.items)
-        if n < min(s, p):
-            return Complexity("DSigma", n)
+    # the least n at which every conjunct is Sigma(n) or Pi(n)
+    n = max(map(min, child))
+    if n < min(s, p):
+        return Complexity("DSigma", n)
     if p < s:
         return Complexity("Pi", p)
     return Complexity("Sigma", s)

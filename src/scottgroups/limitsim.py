@@ -129,7 +129,8 @@ class _Run:
     straight into the delta.  A ``sum``, ``mul`` or ``scale`` fact can
     repeat, so it goes through ``add``, which keeps it once in ``_seen``
     (which holds only these) and checks it with ``holds_relation`` on the
-    values themselves, never on their keys.
+    values themselves, never on their keys; ``_Rank1Run.record`` does the
+    same inline.
 
     ``stage-soundness`` (every fact recorded by stage s holds in stage s's
     map) is proved without replaying the facts.  Each fact is checked once,
@@ -142,8 +143,12 @@ class _Run:
     induction over the rewrites every recorded fact holds in every stage's
     map.  A stage composes its moves into one map, so this costs one
     rewrite per stage, O(values · dim²), instead of O(facts);
-    ``final-replay`` still re-checks every recorded fact, inequations
-    included, once at the end of the run."""
+    ``final-replay`` still re-checks every recorded fact once at the end of
+    the run: each relation by ``holds_relation``, and the inequations at
+    once, by one pass that finds the final values pairwise distinct.  Every
+    inequation names two different constants, so distinct values make
+    every one true, and the verdict is the fact-by-fact one; only values
+    that are not distinct fall back to checking each inequation."""
 
     belief = (False, False)
     show: Callable[[list], list] | None = None
@@ -193,9 +198,10 @@ class _Run:
     def replay(self) -> bool:
         """Whether every recorded fact holds in the current map."""
         values, holds_relation = self.values, self.holds_relation
+        distinct = len(set(values.values())) == len(values)
         for fact in self.facts:
             if fact[0] == "neq":
-                if values[fact[1]] == values[fact[2]]:
+                if not distinct and values[fact[1]] == values[fact[2]]:
                     return False
             elif not holds_relation(fact):
                 return False
@@ -307,7 +313,12 @@ class _AbelianRun(_Run):
     a named value.  Vectors whose entries differ by less than 2^width have
     equal keys only if they are equal, and a sum or difference of two named
     values differs from a named value by at most 3·maxabs in each entry, so
-    the lookups in ``record`` find exactly the named sums and differences."""
+    the lookups in ``record`` find exactly the named sums and differences.
+
+    ``cursor`` is the index in ``int_tuple`` order of the first vector that
+    ``grow`` has not seen named.  Between rewrites the named set only grows,
+    so no vector before it becomes unnamed and ``grow`` resumes there;
+    ``rewrite`` changes the vectors and resets it to 0."""
 
     def __init__(self, k: int, growth: int):
         if k < 2:
@@ -315,7 +326,7 @@ class _AbelianRun(_Run):
         super().__init__(growth)
         self.k, self.dim = k, k - 1
         self.gen_layers: dict[str, int] = {}  # "s1"/"s2" -> coordinate index
-        self.maxabs = self.width = 0
+        self.maxabs = self.width = self.cursor = 0
 
     def rekey(self) -> None:
         """Choose the least width for ``maxabs`` and re-key."""
@@ -361,6 +372,7 @@ class _AbelianRun(_Run):
         self.values = dict(enumerate(news))
         self.maxabs = max(map(abs, chain.from_iterable(news)))
         self.rekey()
+        self.cursor = 0
         if not linear or len(self.used) != len(news):
             self.sound = False
 
@@ -408,10 +420,10 @@ class _AbelianRun(_Run):
 
     def grow(self, delta: list) -> None:
         """Name the first ``growth`` vectors of Z^dim not yet named."""
-        size, cursor = len(self.values) + self.growth, 0
+        size = len(self.values) + self.growth
         while len(self.values) < size:
-            self.ensure(int_tuple(self.dim, cursor, include_zero=True), delta)
-            cursor += 1
+            self.ensure(int_tuple(self.dim, self.cursor, include_zero=True), delta)
+            self.cursor += 1
 
     def step(self, s1: bool, s2: bool, delta: list) -> tuple[str, bool]:
         # s2 collapses first so indices stay sane; a stage that collapses
@@ -463,11 +475,6 @@ def _dmul(x: tuple, y: tuple) -> tuple:
         n, d = n1 * d2 + n2 * d1, d1 * d2
     g = gcd(n, d)
     return (n // g, d // g, f1 != f2)
-
-
-def _triple(e: D.DihedralElement) -> tuple:
-    t = e.translation
-    return (t.numerator, t.denominator, e.flip)
 
 
 def _elements(xs: list[tuple]) -> list[D.DihedralElement]:
@@ -629,17 +636,6 @@ def _fractions(xs: list[tuple]) -> list[Fraction]:
     return [fractions.Fraction(*x) for x in xs]
 
 
-def _scale_factor(nx: int, dx: int, ny: int, dy: int) -> int:
-    """The integer m > 1 with nx/dx = m·(ny/dy), or 0 if there is none;
-    denominators are positive and ny is nonzero."""
-    num, den = nx * dy, dx * ny
-    if den < 0:
-        num, den = -num, -den
-    if num > den and num % den == 0:
-        return num // den
-    return 0
-
-
 class _Rank1Run(_Run):
     """Values are reduced ``(num, den)`` pairs with den > 0."""
 
@@ -660,23 +656,32 @@ class _Rank1Run(_Run):
 
     def record(self, c: int, _key: tuple, delta: list) -> None:
         # each inequation is followed by the scale facts of the same pair;
-        # x = m·y needs den(x) | den(y), as both pairs are reduced
+        # x = m·y needs den(x) | den(y), as both pairs are reduced, and then
+        # m = num(x)·(den(y)/den(x)) / num(y), an integer m > 1 or no fact.
+        # ``add`` and ``holds_relation`` are inlined: the seen-set, and the
+        # check m·num(y)·den(x) == num(x)·den(y) on the values
         vc = nc, dc = self.values[c]
         self.num_gcd, self.den_lcm = gcd(self.num_gcd, nc), lcm(self.den_lcm, dc)
-        add_fact = self.add
+        seen = self._seen
         for other, vo in self.values.items():
             if vo == vc:
                 continue
             delta.append(("neq", other, c))
             no, do = vo
-            if not do % dc:
-                m = _scale_factor(nc, dc, no, do)
-                if m:
-                    add_fact(("scale", m, other, c), delta)
-            if not dc % do:
-                m = _scale_factor(no, do, nc, dc)
-                if m:
-                    add_fact(("scale", m, c, other), delta)
+            if not do % dc:  # c = m·other
+                m, r = divmod(nc * (do // dc), no)
+                if m > 1 and not r and (fact := ("scale", m, other, c)) not in seen:
+                    seen.add(fact)
+                    delta.append(fact)
+                    if m * no * dc != nc * do:
+                        self.sound = False
+            if not dc % do:  # other = m·c
+                m, r = divmod(no * (dc // do), nc)
+                if m > 1 and not r and (fact := ("scale", m, c, other)) not in seen:
+                    seen.add(fact)
+                    delta.append(fact)
+                    if m * nc * do != no * dc:
+                        self.sound = False
 
     def holds_relation(self, fact: tuple) -> bool:
         _, m, i, j = fact

@@ -214,24 +214,6 @@ def apply_move(t: WordTuple, m: NielsenMove) -> WordTuple:
     return WordTuple(t.rank, tuple(ws))
 
 
-def inverse_moves(m: NielsenMove) -> tuple[NielsenMove, ...]:
-    """A composition of elementary moves undoing ``m``.
-
-    Right-multiplication inverts as invert / right-multiply / invert, since
-    only the positive product is elementary.
-    """
-    if isinstance(m, Permute):
-        inv = [0] * len(m.perm)
-        for i, p in enumerate(m.perm):
-            inv[p] = i
-        return (Permute(tuple(inv)),)
-    if isinstance(m, Invert):
-        return (m,)
-    if isinstance(m, RightMultiply):
-        return (Invert(m.j), RightMultiply(m.i, m.j), Invert(m.j))
-    raise TypeError(f"not a Nielsen move: {m!r}")
-
-
 @lru_cache(maxsize=None)
 def _all_moves_cached(rank: int) -> tuple[NielsenMove, ...]:
     moves: list[NielsenMove] = [Permute(p) for p in permutations(range(rank))

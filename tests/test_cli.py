@@ -250,6 +250,9 @@ class TestExitCodes:
         # a rational is n or n/d in ASCII digits, d at least 1: not what Fraction() parses
         *(["q", "member", '{"default":"zero"}', "--", r] for r in (
             "١/٣", "1_0/3", "+1/3", " 1/3 ", "1.5", "1e-3", "1/", "1/00", "--1/3")),
+        # more digits than int() converts
+        *(["q", "member", '{"exceptions":{"2":"inf"},"default":"zero"}', r]
+          for r in ("9" * 5000, "1/" + "9" * 5000)),
     ])
     def test_malformed_inputs_are_domain_errors(self, capsys, argv):
         code = cli.main(argv)
@@ -257,6 +260,12 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
         assert out == ""  # payload stream stays clean on failure
+
+    def test_huge_rational_names_the_digit_limit(self, capsys):
+        code, out, err = run(capsys, "q", "member", '{"default":"zero"}', "1/" + "9" * 4301)
+        assert code == 1 and out == "" and "4300 digits" in err
+        code, out, _ = run(capsys, "q", "member", '{"default":"zero"}', "9" * 4300)
+        assert code == 0 and out.strip() == '{"contains": true}'  # an integer, in Z
 
 
 class TestStrictIntegers:

@@ -9,8 +9,15 @@ import pytest
 from scottgroups import dihedral as D
 from scottgroups import limitsim as L
 from scottgroups import rank1 as R
+from scottgroups.numtheory import int_tuple
 
 T = L.ConstructionTrace.from_bits
+
+
+def triple(e: D.DihedralElement) -> tuple:
+    """A dihedral element as the simulator's (num, den, flip) triple."""
+    t = e.translation
+    return (t.numerator, t.denominator, e.flip)
 
 
 def all_traces(length):
@@ -143,8 +150,8 @@ class TestIntegerArithmetic:
 
         for _ in range(3000):
             x, y = dyadic(), dyadic()
-            got = L._dmul(L._triple(x), L._triple(y))
-            assert got == L._triple(x * y)
+            got = L._dmul(triple(x), triple(y))
+            assert got == triple(x * y)
             assert L._elements([got]) == [x * y]
 
     def test_rank1_scale_matches_fraction_ratio(self):
@@ -161,12 +168,17 @@ class TestIntegerArithmetic:
                 x = y * rng.randint(-4, 6)
             if x == 0:
                 continue
-            ratio = x / y
-            want = int(ratio) if ratio.denominator == 1 and ratio > 1 else 0
-            assert L._scale_factor(x.numerator, x.denominator,
-                                   y.numerator, y.denominator) == want
+            # ("scale", m, i, j) says m·value(i) = value(j); y is constant 0
+            # and x, recorded next, constant 1
+            want = [("scale", int(ratio), i, j) for ratio, i, j in ((x / y, 0, 1), (y / x, 1, 0))
+                    if ratio.denominator == 1 and ratio > 1]
             run.values = {0: (y.numerator, y.denominator), 1: (x.numerator, x.denominator)}
-            for m in (-2, 1, 2, 3, want):
+            run._seen, run.sound, delta = set(), True, []
+            run.record(1, (x.numerator, x.denominator), delta)
+            assert delta == ([("neq", 0, 1)] + want if x != y else []), (x, y)
+            assert run._seen == set(want) and run.sound
+            ratio = x / y
+            for m in (-2, 1, 2, 3, int(ratio) if ratio.denominator == 1 else 0):
                 assert run.holds_relation(("scale", m, 0, 1)) == (m * y == x)
 
 
@@ -326,6 +338,28 @@ class TestFactOracle:
         assert tag == "H" and ver.ok and run.depth == 65
         assert max(v.translation.denominator for v in reports[-1].partial_map.values()) == 2 ** 65
         self.assert_matches_oracle("dihedral", trace, reports)
+
+
+class _RestartingAbelianRun(L._AbelianRun):
+    """The abelian run whose ``grow`` scans Z^dim from index 0 every stage."""
+
+    def grow(self, delta: list) -> None:
+        size, cursor = len(self.values) + self.growth, 0
+        while len(self.values) < size:
+            self.ensure(int_tuple(self.dim, cursor, include_zero=True), delta)
+            cursor += 1
+
+
+class TestAbelianGrowCursor:
+    def test_matches_a_grow_that_restarts_from_zero(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            k, growth = rng.randint(2, 4), rng.randint(1, 3)
+            trace = T([[rng.randint(0, 1), rng.randint(0, 1)] for _ in range(rng.randint(1, 30))])
+            reports, tag, ver = L._AbelianRun(k, growth).simulate(trace)
+            assert ver.ok
+            want = _RestartingAbelianRun(k, growth).simulate(trace)
+            assert (reports, tag, ver) == want, (k, growth, trace.steps)
 
 
 class TestDihedral:

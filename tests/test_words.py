@@ -15,6 +15,22 @@ def tup(rank, *texts):
     return W.word_tuple(rank, *texts)
 
 
+def inverse_moves(m):
+    """A composition of elementary moves undoing ``m``.
+
+    Right-multiplication inverts as invert / right-multiply / invert, since
+    only the positive product is elementary.
+    """
+    if isinstance(m, W.Permute):
+        inv = [0] * len(m.perm)
+        for i, p in enumerate(m.perm):
+            inv[p] = i
+        return (W.Permute(tuple(inv)),)
+    if isinstance(m, W.Invert):
+        return (m,)
+    return (W.Invert(m.j), W.RightMultiply(m.i, m.j), W.Invert(m.j))
+
+
 class TestReduce:
     def test_cancellation(self):
         assert W.reduce([(0, 1), (0, -1), (1, 1)], 2) == w("b")
@@ -106,7 +122,7 @@ class TestMoves:
             t = W.WordTuple(2, (rng.choice(words_pool), rng.choice(words_pool)))
             for m in W.all_moves(2):
                 undone = W.apply_move(t, m)
-                for back in W.inverse_moves(m):
+                for back in inverse_moves(m):
                     undone = W.apply_move(undone, back)
                 assert undone == t
 
