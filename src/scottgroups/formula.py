@@ -12,8 +12,8 @@ blocks.  Negation occurs only on atoms.  The module provides
   caller-supplied bound and an honesty flag saying whether the truncated
   answer is already decided; one backtracking search serves both
   quantifier blocks, each node is compiled once per evaluation and scope,
-  each family member is drawn at most once, and nothing is kept across
-  evaluations,
+  and no compiled closure is kept across evaluations; a node built by
+  ``family`` draws each member once and keeps it while the node lives,
 * deterministic text / LaTeX rendering,
 * a JSON codec; family generators are never serialized, they are rebuilt
   from enumeration id + parameters by the ``FAMILIES`` table of the module
@@ -248,6 +248,10 @@ def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | Fa
     ``dihedral``, ``fgab`` and ``rank1`` declare their families in a table
     ``FAMILIES = {enum_id: builder}``.  The tables of those already loaded
     are read first; only an id none of them has imports all three.
+
+    The node draws each member from the builder once and keeps it for as
+    long as the node lives, so rendering, ``classify``, ``family_members``
+    and every ``evaluate_exact`` on the node share one copy of member i.
     """
     for name in _FAMILY_OWNERS:
         owner = sys.modules.get(name)
@@ -259,13 +263,25 @@ def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | Fa
         builder = {**dihedral.FAMILIES, **fgab.FAMILIES, **rank1.FAMILIES}.get(enum_id)
     if builder is None:
         raise KeyError(f"unknown family enumeration {enum_id!r}")
-    gen, size = builder(dict(params))
+    build, size = builder(dict(params))
     note = FamilyNote(enum_id, json.dumps(dict(params), sort_keys=True), size)
     if kind == "and":
-        return FamilyAnd(note, gen)
+        return FamilyAnd(note, _drawn_once(build))
     if kind == "or":
-        return FamilyOr(note, gen)
+        return FamilyOr(note, _drawn_once(build))
     raise ValueError(f"family kind must be 'and' or 'or', got {kind!r}")
+
+
+def _drawn_once(build: Callable[[int], Formula]) -> Callable[[int], Formula]:
+    """``build`` with each member kept at its own index once drawn, for as
+    long as the family node lives; ``setdefault`` keeps the first of two
+    concurrent draws of one index, so both callers share it."""
+    members: dict[int, Formula] = {}
+
+    def gen(i: int) -> Formula:
+        member = members.get(i)
+        return members.setdefault(i, build(i)) if member is None else member
+    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +494,13 @@ def _atom_steps(f: Atomic | NegAtomic, scope: frozenset[str]) -> list[tuple[str,
 
 def _block_plan(f: Exists | Forall, scope: frozenset[str]) -> tuple[list[list], list[Formula]]:
     """The body's conjuncts (Exists) or disjuncts (Forall), split into the
-    atoms each depth of the search completes and the items left for a full
-    assignment.  Every atom is checked against ``scope``, the variables the
-    body sees, even one at a depth the search never reaches."""
+    atoms each depth of the search completes, each with its steps, and the
+    items left for a full assignment.  Every atom is checked against
+    ``scope``, the variables the body sees, even one at a depth the search
+    never reaches."""
     split = FiniteAnd if isinstance(f, Exists) else FiniteOr
     position = {v: i for i, v in enumerate(f.vars)}
-    ready: list[list[Formula]] = [[] for _ in f.vars]
+    ready: list[list[tuple[Formula, list[tuple[str, int]]]]] = [[] for _ in f.vars]
     others: list[Formula] = []
     todo = [f.body]
     while todo:
@@ -492,11 +509,40 @@ def _block_plan(f: Exists | Forall, scope: frozenset[str]) -> tuple[list[list], 
             todo.extend(reversed(c.items))
         elif isinstance(c, (Atomic, NegAtomic)):
             # an atom is checkable as soon as its last quantified variable is set
-            depths = [position[v] for v, _ in _atom_steps(c, scope) if v in position]
-            (ready[max(depths)] if depths else others).append(c)
+            steps = _atom_steps(c, scope)
+            depths = [position[v] for v, _ in steps if v in position]
+            if depths:
+                ready[max(depths)].append((c, steps))
+            else:
+                others.append(c)
         else:
             others.append(c)
     return ready, others
+
+
+def _reduced(steps: list[tuple[str, int]]) -> list[tuple[str, int]]:
+    """``steps`` with adjacent powers of one variable merged and the powers
+    that cancel dropped, as in free reduction."""
+    out: list[tuple[str, int]] = []
+    for v, k in steps:
+        if out and out[-1][0] == v:
+            k += out.pop()[1]
+        if k:
+            out.append((v, k))
+    return out
+
+
+class _PowerTables(dict):
+    """k -> the table of x^k over the domain of one structure, each built
+    when first asked for."""
+
+    def __init__(self, s: FiniteStructure):
+        super().__init__()
+        self.s = s
+
+    def __missing__(self, k: int) -> tuple[int, ...]:
+        table = self[k] = tuple(self.s.power(x, k) for x in range(self.s.size))
+        return table
 
 
 def _pair(qf: bool, run: Callable) -> Callable[[], tuple[bool, bool]]:
@@ -518,10 +564,11 @@ class _Evaluation:
 
     def __init__(self, s: FiniteStructure, bound: int, env: dict[str, int] | None = None):
         self.s = s
+        self.domain = range(s.size)
         self.bound = bound
         self.env = {} if env is None else env
         self._compiled: dict[tuple[int, frozenset[str]], tuple[bool, Callable]] = {}
-        self._powers: dict[int, tuple[int, ...]] = {}
+        self._powers = _PowerTables(s)
 
     def ev(self, f: Formula) -> tuple[bool, bool]:
         try:
@@ -538,7 +585,7 @@ class _Evaluation:
         if key in self._compiled:
             return self._compiled[key]
         if isinstance(f, (Atomic, NegAtomic)):
-            compiled = True, self._atom(f, scope)
+            compiled = True, self._atom(f, _atom_steps(f, scope))
         elif isinstance(f, (FiniteAnd, FiniteOr)):
             compiled = self._connective(isinstance(f, FiniteAnd), f.items, scope)
         elif isinstance(f, (FamilyAnd, FamilyOr)):
@@ -550,29 +597,52 @@ class _Evaluation:
         self._compiled[key] = compiled
         return compiled
 
-    def _power(self, k: int) -> tuple[int, ...]:
-        if k not in self._powers:
-            self._powers[k] = tuple(self.s.power(x, k) for x in range(self.s.size))
-        return self._powers[k]
-
-    def _atom(self, f: Atomic | NegAtomic, scope: frozenset[str]) -> Callable[[], bool]:
-        # lhs = rhs exactly when lhs * rhs^-1 is the identity
-        steps = [(v, self._power(k)) for v, k in _atom_steps(f, scope)]
-        op, e, env, equal = self.s.op, self.s.identity, self.env, isinstance(f, Atomic)
+    def _atom(self, f: Atomic | NegAtomic, steps: list[tuple[str, int]]) -> Callable[[], bool]:
+        """The test of an atom whose ``lhs * rhs^-1`` has these steps.  That
+        product is the identity exactly when the product of all powers but
+        the last is the inverse of the last, so up to three powers compile
+        to one expression of table lookups; longer atoms fold a loop."""
+        equal = isinstance(f, Atomic)
+        powers = _reduced(steps)
+        if not powers:
+            return (lambda: True) if equal else (lambda: False)
+        op, env, tables = self.s.op, self.env, self._powers
+        v, k = powers.pop()
+        last = tables[-k]
+        if not powers:
+            e = self.s.identity
+            return (lambda: last[env[v]] == e) if equal else (lambda: last[env[v]] != e)
+        (v0, k0), *rest = powers
+        t0 = tables[k0]
+        if not rest:
+            if equal:
+                return lambda: t0[env[v0]] == last[env[v]]
+            return lambda: t0[env[v0]] != last[env[v]]
+        if len(rest) == 1:
+            (v1, k1), = rest
+            t1 = tables[k1]
+            if equal:
+                return lambda: op[t0[env[v0]]][t1[env[v1]]] == last[env[v]]
+            return lambda: op[t0[env[v0]]][t1[env[v1]]] != last[env[v]]
+        rest = [(u, tables[j]) for u, j in rest]
 
         def holds() -> bool:
-            acc = e
-            for var, table in steps:
+            acc = t0[env[v0]]
+            for var, table in rest:
                 acc = op[acc][table[env[var]]]
-            return (acc == e) == equal
+            return (acc == last[env[v]]) == equal
         return holds
 
     def _connective(self, every: bool, items: Sequence[Formula],
                     scope: frozenset[str]) -> tuple[bool, Callable]:
         """The conjunction (``every``) or disjunction of ``items``."""
-        if len(items) == 1:
-            return self._compile(items[0], scope)
-        parts = [self._compile(c, scope) for c in items]
+        return self._join(every, [self._compile(c, scope) for c in items])
+
+    @staticmethod
+    def _join(every: bool, parts: list[tuple[bool, Callable]]) -> tuple[bool, Callable]:
+        """The conjunction (``every``) or disjunction of compiled parts."""
+        if len(parts) == 1:
+            return parts[0]
         if all(qf for qf, _ in parts):
             tests = [run for _, run in parts]
 
@@ -623,7 +693,7 @@ class _Evaluation:
         scope = scope | frozenset(f.vars)
         ready, others = _block_plan(f, scope)
         # each depth's checks are compiled when the search first reaches it
-        search = (f.vars, goal, scope, ready, [None] * len(ready),
+        search = (f.vars, goal, ready, [None] * len(ready),
                   _pair(*self._connective(goal, others, scope)))
         env = self.env
 
@@ -648,7 +718,7 @@ class _Evaluation:
         body the goal value exactly.  A value whose ready atoms already give
         the body the other value is not extended.  A method, so that no
         closure calling itself outlives the call in a cycle."""
-        names, goal, scope, ready, checks, rest = search
+        names, goal, ready, checks, rest = search
         if depth == len(names):
             t, e = rest()
             if not e:
@@ -656,8 +726,9 @@ class _Evaluation:
             return t == goal and e
         var, check, env = names[depth], checks[depth], self.env
         if check is None:
-            check = checks[depth] = self._connective(goal, ready[depth], scope)[1]
-        for val in range(self.s.size):
+            atoms = [(True, self._atom(f, steps)) for f, steps in ready[depth]]
+            check = checks[depth] = self._join(goal, atoms)[1]
+        for val in self.domain:
             env[var] = val
             if check() == goal and self._descend(search, depth + 1, inexact):
                 return True
@@ -676,11 +747,14 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
     first drawn.
 
     Each node is compiled once per call and scope: quantifier-free parts
-    into plain boolean closures, atoms into table lookups.  Each family
-    member is drawn and compiled at most once, when the evaluation first
-    reaches it, however many assignments read it.  The compiled closures,
-    the drawn members and the power tables belong to this call alone:
-    nothing is kept across calls.
+    into plain boolean closures, atoms of up to three powers into one
+    expression of table lookups.  Each family member is drawn and compiled
+    at most once, when the evaluation first reaches it, however many
+    assignments read it.  The compiled closures and the power tables belong
+    to this call alone.  The members of a node built by ``family`` live as
+    long as that node, so a later call, ``render`` or ``classify`` on the
+    node reuses them; a family node built directly draws its members anew
+    in each call.
     """
     if family_bound < 1:
         raise ValueError("family_bound must be >= 1")

@@ -212,6 +212,26 @@ def finite_family(kind, members):
     return (F.FamilyAnd if kind == "and" else F.FamilyOr)(note, members.__getitem__)
 
 
+def term_of_steps(rng, steps):
+    """A random term whose (variable, exponent) powers are exactly ``steps``,
+    in order: a word, a linear term, an application or an inverse."""
+    if not steps:
+        return rng.choice([F.ZERO, F.IDENT])
+    roll = rng.random()
+    if roll < 0.2:
+        inverse = [(v, -k) for v, k in reversed(steps)]
+        return F.InvTerm(rng.choice([F.ADD, F.MUL]), term_of_steps(rng, inverse))
+    if len(steps) > 1 and roll < 0.5:
+        cut = rng.randint(1, len(steps) - 1)
+        return F.OpTerm(rng.choice([F.ADD, F.MUL]), term_of_steps(rng, steps[:cut]),
+                        term_of_steps(rng, steps[cut:]))
+    if all(k in (1, -1) for _, k in steps):
+        return F.WordTerm(tuple(steps))
+    if len({v for v, _ in steps}) == len(steps):
+        return F.LinTerm(tuple(steps))
+    return F.OpTerm(F.MUL, F.LinTerm((steps[0],)), term_of_steps(rng, steps[1:]))
+
+
 def random_formula(rng, depth, free_vars):
     roll = rng.random()
     if depth == 0 or roll < 0.3:
@@ -297,6 +317,64 @@ class TestEvaluate:
         assert drawn == {i: 1 for i in range(5)}  # once, not once per element
         assert F.evaluate_exact(sentence, s3, 5) == (True, False)
         assert drawn == {i: 2 for i in range(5)}  # nothing kept across calls
+
+    @pytest.mark.parametrize("steps", range(8))
+    def test_atoms_of_every_step_count_agree_with_brute_force(self, steps):
+        # atoms of up to three powers run as one expression, longer ones as a
+        # loop; adjacent powers of one variable merge and may cancel
+        rng = random.Random(steps)
+        tables = [fgab.cyclic_table(6), fgab.table_from_invariant_factors((2, 2)),
+                  acceptance.dihedral_group(3), acceptance.dihedral_group(4)]
+        names = ("x", "y", "z")
+        for cls in (F.Atomic, F.NegAtomic):
+            for _ in range(6):
+                powers = [(rng.choice(names), rng.choice([1, -1, 2, -2, 3]))
+                          for _ in range(steps)]
+                cut = rng.randint(0, steps)
+                rhs = [(v, -k) for v, k in reversed(powers[cut:])]
+                atom = cls(term_of_steps(rng, powers[:cut]), term_of_steps(rng, rhs))
+                assert len(F._atom_steps(atom, frozenset(names))) == steps
+                for s in tables:
+                    for values in itertools.product(range(s.size), repeat=3):
+                        env = dict(zip(names, values))
+                        want = brute_eval(atom, s, env)
+                        assert F._Evaluation(s, 8, dict(env)).ev(atom) == (want, True)
+                    # the same atom as the check of a quantifier block's search
+                    for y, z in itertools.product(range(s.size), repeat=2):
+                        env = {"y": y, "z": z}
+                        truths = [brute_eval(atom, s, {**env, "x": x}) for x in range(s.size)]
+                        assert (F._Evaluation(s, 8, dict(env)).ev(F.Exists(("x",), atom))
+                                == (any(truths), True))
+                        assert (F._Evaluation(s, 8, dict(env)).ev(F.Forall(("x",), atom))
+                                == (all(truths), True))
+
+    def test_family_node_draws_each_member_once(self, monkeypatch):
+        drawn = collections.Counter()
+
+        def member(i):
+            return F.Atomic(F.gword([("x", 1)] * i + [("x", -1)] * i), F.IDENT)
+
+        def counted(params):
+            def gen(i):
+                drawn[i] += 1
+                return member(i)
+            return gen, None
+
+        monkeypatch.setitem(fgab.FAMILIES, "test-counted", counted)
+        family = F.family("and", "test-counted", {})
+        sentence = F.Forall(("x",), family)
+        F.render(sentence, "text", 5)
+        F.render(sentence, "latex", 5)
+        assert classify_pair(sentence) == ("Pi", 1)
+        s3 = acceptance.dihedral_group(3)
+        assert F.evaluate_exact(sentence, s3, 5) == (True, False)
+        assert F.evaluate_exact(sentence, s3, 5) == (True, False)
+        assert drawn == {i: 1 for i in range(5)}  # kept for as long as the node lives
+
+        later = F.family("and", "test-counted", {})
+        assert later.gen(5) == member(5) and later.gen(2) == member(2)
+        assert later.gen(5) is later.gen(5)
+        assert drawn == {**{i: 1 for i in range(5)}, 2: 2, 5: 1}
 
     def test_variable_named_twice_in_one_block(self):
         x = F.lin({"x": 1})
