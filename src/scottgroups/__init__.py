@@ -10,6 +10,7 @@ attribute ``scottgroups.words``.  Only sentence code imports ``formula``.
 formulas can be rebuilt from their JSON form with no further setup.
 """
 
+import functools
 import importlib
 
 __all__ = ["formula", "words", "dihedral", "fgab", "rank1", "limitsim",
@@ -35,6 +36,17 @@ def json_int(v) -> int:
     if not is_json_int(v):
         raise ValueError(f"expected an integer, got {v!r}")
     return v
+
+
+@functools.cache
+def formula_module():
+    """The ``formula`` module, imported on the first call.  The sentence and
+    family code of ``dihedral``, ``fgab`` and ``rank1`` reaches ``formula``
+    through it, so a call that builds no sentence loads no ``formula``, and
+    a later call costs one cache lookup where a function-level
+    ``from . import formula`` runs importlib's ``_handle_fromlist`` each time."""
+    from . import formula
+    return formula
 
 
 class FrozenInstanceError(AttributeError):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import count
 from typing import TYPE_CHECKING
 
-from . import record
+from . import formula_module, record
 from .numtheory import Enumeration, diagonal_pair
 
 if TYPE_CHECKING:
@@ -246,7 +246,7 @@ def _word_letters(w: DihedralWord, names: tuple[str, str]) -> list[tuple[str, in
 
 
 def _name_pair(params: dict, key: str) -> tuple[str, str]:
-    from . import formula as F
+    F = formula_module()
     names = F.family_param(params, key, "names")
     if len(names) != 2:
         raise ValueError(f"family parameter {key!r} must name two variables, got {list(names)}")
@@ -254,7 +254,7 @@ def _name_pair(params: dict, key: str) -> tuple[str, str]:
 
 
 def _build_triple_family(params: dict):
-    from . import formula as F
+    F = formula_module()
     names = _name_pair(params, "pair")
     targets = F.family_param(params, "targets", "names")
 
@@ -272,7 +272,7 @@ _TRIPLES = Enumeration((a, b, s - a - b) for s in count()
 
 
 def _build_relations_family(params: dict):
-    from . import formula as F
+    F = formula_module()
     names = _name_pair(params, "pair")
 
     def gen(i: int) -> F.Formula:
@@ -286,7 +286,7 @@ def _build_relations_family(params: dict):
 
 
 def _build_imprimitive_family(params: dict):
-    from . import formula as F
+    F = formula_module()
     pair = _name_pair(params, "pair")
     others = _name_pair(params, "others")
 
@@ -307,7 +307,7 @@ FAMILIES = {
 
 def triple_generation_sentence() -> F.Formula:
     """Pi(2): every triple is generated by a pair of involutions."""
-    from . import formula as F
+    F = formula_module()
     members = F.family("or", "dinf-generating-triples",
                        {"pair": ["x1", "x2"], "targets": ["u", "v", "w"]})
     body = F.conj(F.Atomic(F.gword([("x1", 1)] * 2), F.IDENT),
@@ -317,7 +317,7 @@ def triple_generation_sentence() -> F.Formula:
 
 def orbit_witness_sentence() -> F.Formula:
     """Sigma(2): a pair with the right relations avoiding imprimitive images."""
-    from . import formula as F
+    F = formula_module()
     relations = F.family("and", "dinf-relations", {"pair": ["x1", "x2"]})
     avoid = F.family("and", "dinf-imprimitive-pairs",
                      {"pair": ["x1", "x2"], "others": ["y1", "y2"]})
@@ -330,7 +330,7 @@ def orbit_witness_sentence() -> F.Formula:
 
 def scott_sentence_dinf() -> F.FiniteAnd:
     """d-Sigma(2) Scott sentence: axioms ∧ triple generation ∧ orbit witness."""
-    from . import formula as F
+    F = formula_module()
     return F.conj(F.group_axioms(F.MUL),
                   triple_generation_sentence(),
                   orbit_witness_sentence())

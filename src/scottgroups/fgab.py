@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 from itertools import count, product
 from typing import TYPE_CHECKING
 
-from . import record
+from . import formula_module, record
 from .numtheory import Enumeration, _int_tuples, factorize, int_tuple  # tuples re-exported
 
 if TYPE_CHECKING:
@@ -87,7 +87,7 @@ def cyclic_table(n: int) -> F.FiniteStructure:
 
 def table_from_invariant_factors(factors: tuple[int, ...] | list[int]) -> F.FiniteStructure:
     """Table of ⊕ Z/d over the given factors (the trivial group if empty)."""
-    from . import formula as F
+    F = formula_module()
     sizes = tuple(factors)
     total = math.prod(sizes)
 
@@ -210,7 +210,7 @@ def _span_coefficients(n: int) -> Enumeration:
 
 
 def _build_multiple_neq(params: dict):
-    from . import formula as F
+    F = formula_module()
     var = F.family_param(params, "var", "name")
 
     def gen(i: int) -> F.Formula:
@@ -220,7 +220,7 @@ def _build_multiple_neq(params: dict):
 
 
 def _build_pure_span(params: dict):
-    from . import formula as F
+    F = formula_module()
     targets = F.family_param(params, "targets", "names")
     witness = F.family_param(params, "witness", "name")
 
@@ -232,7 +232,7 @@ def _build_pure_span(params: dict):
 
 
 def _build_nonzero_combo(params: dict, equal: bool):
-    from . import formula as F
+    F = formula_module()
     names = F.family_param(params, "vars", "names")
     atom = F.Atomic if equal else F.NegAtomic
 
@@ -243,7 +243,7 @@ def _build_nonzero_combo(params: dict, equal: bool):
 
 
 def _build_all_combo_eq(params: dict):
-    from . import formula as F
+    F = formula_module()
     target = F.family_param(params, "target", "name")
     names = F.family_param(params, "vars", "names")
 
@@ -255,7 +255,7 @@ def _build_all_combo_eq(params: dict):
 
 
 def _build_fg_relations(params: dict):
-    from . import formula as F
+    F = formula_module()
     rank = F.family_param(params, "rank", "int")
     torsion = F.family_param(params, "torsion", "ints")
     if rank < 0 or any(d < 2 for d in torsion):
@@ -295,7 +295,7 @@ def _gen_names(n: int, prefix: str = "x") -> tuple[str, ...]:
 
 def torsion_free_sentence(var: str = "x") -> F.Formula:
     """Pi(1): every nonzero element has all nonzero multiples nonzero."""
-    from . import formula as F
+    F = formula_module()
     return F.Forall((var,), F.disj(F.Atomic(F.lin({var: 1}), F.ZERO),
                                    F.family("and", "multiple-neq", {"var": var})))
 
@@ -307,7 +307,7 @@ def independent_tuple_sentence(n: int) -> F.Formula:
     {0..k-1}^n, so a multiple k·y lies in the span only with every
     coefficient divisible by k.
     """
-    from . import formula as F
+    F = formula_module()
     gens = _gen_names(n)
     pure = F.Forall(("y",), F.family("and", "pure-span",
                                      {"targets": list(gens), "witness": "y"}))
@@ -317,14 +317,14 @@ def independent_tuple_sentence(n: int) -> F.Formula:
 
 def dependence_sentence(n: int) -> F.Formula:
     """Pi(2): any n+1 elements satisfy a nontrivial integer relation."""
-    from . import formula as F
+    F = formula_module()
     names = _gen_names(n + 1)
     return F.Forall(names, F.family("or", "nonzero-combo-eq", {"vars": list(names)}))
 
 
 def scott_sentence_zn(n: int) -> F.FiniteAnd:
     """d-Sigma(2) Scott sentence for Z^n."""
-    from . import formula as F
+    F = formula_module()
     if n < 1:
         raise ValueError("rank must be >= 1; use scott_sentence_finite for the trivial group")
     return F.conj(F.abelian_axioms(),
@@ -339,33 +339,37 @@ def delta_formula(t: F.FiniteStructure, names: tuple[str, ...]) -> F.FiniteAnd:
     An abelian table is written additively.  A non-abelian one is written in
     words, since a linear term does not keep the order of a product.
     """
-    from . import formula as F
+    F = formula_module()
     k = t.size
     if len(names) != k:
         raise ValueError("one variable per element required")
+    if len(set(names)) != k:
+        raise ValueError(f"variable names must be distinct, got {list(names)}")
     abelian = t.is_abelian()
-
-    def var(i: int) -> F.Term:
-        return F.lin({names[i]: 1}) if abelian else F.gword([(names[i], 1)])
+    # each term built as lin() or gword() would build it, a sum's variables in order
+    var = [F.LinTerm(((n, 1),)) if abelian else F.WordTerm(((n, 1),)) for n in names]
 
     def product(i: int, j: int) -> F.Term:
+        a, b = names[i], names[j]
         if not abelian:
-            return F.gword([(names[i], 1), (names[j], 1)])
-        return F.lin({names[i]: 1, names[j]: 1}) if i != j else F.lin({names[i]: 2})
+            return F.WordTerm(((a, 1), (b, 1)))
+        if i == j:
+            return F.LinTerm(((a, 2),))
+        return F.LinTerm(((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1)))
 
-    facts: list[F.Formula] = [F.Atomic(var(t.identity), F.ZERO if abelian else F.IDENT)]
+    facts: list[F.Formula] = [F.Atomic(var[t.identity], F.ZERO if abelian else F.IDENT)]
     for i in range(k):
         for j in range(k):
-            facts.append(F.Atomic(product(i, j), var(t.apply(i, j))))
+            facts.append(F.Atomic(product(i, j), var[t.apply(i, j)]))
     for i in range(k):
         for j in range(i + 1, k):
-            facts.append(F.NegAtomic(var(i), var(j)))
+            facts.append(F.NegAtomic(var[i], var[j]))
     return F.FiniteAnd(tuple(facts))
 
 
 def _distinctness_sentence(count: int) -> F.Formula:
     """Pi(1): among ``count`` elements some two coincide."""
-    from . import formula as F
+    F = formula_module()
     names = _gen_names(count, "y")
     pairs = [F.Atomic(F.lin({a: 1}), F.lin({b: 1}))
              for idx, a in enumerate(names) for b in names[idx + 1:]]
@@ -374,7 +378,7 @@ def _distinctness_sentence(count: int) -> F.Formula:
 
 def scott_sentence_finite(t: F.FiniteStructure) -> F.FiniteAnd:
     """Existential diagram sentence plus a cardinality cap; pins t exactly."""
-    from . import formula as F
+    F = formula_module()
     k = t.size
     names = _gen_names(k, "t")
     return F.conj(F.Exists(names, delta_formula(t, names)),
@@ -387,7 +391,7 @@ def scott_sentence_fg_abelian(desc: FgAbelianDesc) -> F.FiniteAnd:
     The first conjunct reads: there are elements forming a copy of T such
     that every element either is one of them or has infinite order.
     """
-    from . import formula as F
+    F = formula_module()
     if desc.rank < 1:
         raise ValueError("rank must be >= 1; use scott_sentence_finite for finite groups")
     t = table_from_invariant_factors(desc.invariant_factors)
@@ -409,7 +413,7 @@ def scott_sentence_sigma3_fg(desc: FgAbelianDesc) -> F.FiniteAnd:
     Asserts a tuple realizing exactly the relations of the standard
     generators and generating everything; always available, if suboptimal.
     """
-    from . import formula as F
+    F = formula_module()
     names = _gen_names(desc.rank + len(desc.invariant_factors), "g")
     relations = F.family("and", "fg-abelian-relations",
                          {"rank": desc.rank, "torsion": list(desc.invariant_factors),

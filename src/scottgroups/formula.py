@@ -15,9 +15,10 @@ blocks.  Negation occurs only on atoms.  The module provides
   and no compiled closure is kept across evaluations; a node built by
   ``family`` draws each member once and keeps it while the node lives,
 * deterministic text / LaTeX rendering,
-* a JSON codec; family generators are never serialized, they are rebuilt
-  from enumeration id + parameters by the ``FAMILIES`` table of the module
-  that owns the id (``dihedral``, ``fgab`` or ``rank1``).
+* a JSON codec: ``dumps`` writes the canonical text directly (sorted keys,
+  default separators, ASCII escapes; no keyword arguments), ``to_json_dict``
+  parses it, and a family is rebuilt from its enumeration id + parameters by
+  the ``FAMILIES`` table of its owner (``dihedral``, ``fgab`` or ``rank1``).
 
 Only finite classification levels are supported.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import is_json_int, json_int, record  # both JSON checks are re-exported
@@ -765,94 +767,91 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _render_term(t: Term, fmt: str) -> str:
-    if isinstance(t, LinTerm):
-        if not t.coeffs:
-            return "0"
-        parts = []
-        for var, k in t.coeffs:
-            v = _render_var(var, fmt)
-            if k == 1:
-                chunk = v
-            elif k == -1:
-                chunk = f"-{v}"
-            else:
-                chunk = f"{k}{v}" if fmt == "latex" else f"{k}·{v}"
-            parts.append(chunk)
-        out = parts[0]
-        for chunk in parts[1:]:
-            out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return out
-    if isinstance(t, WordTerm):
-        if not t.letters:
-            return "e"
-        sep = " " if fmt == "latex" else "·"
-        bits = []
-        for var, e in t.letters:
-            v = _render_var(var, fmt)
-            bits.append(v if e == 1 else (f"{v}^{{-1}}" if fmt == "latex" else f"{v}^-1"))
-        return sep.join(bits)
-    if isinstance(t, OpTerm):
-        sym = "+" if t.kind == ADD else (r"\cdot" if fmt == "latex" else "·")
-        return f"({_render_term(t.left, fmt)} {sym} {_render_term(t.right, fmt)})"
-    if isinstance(t, InvTerm):
-        inner = _render_term(t.arg, fmt)
-        if t.kind == ADD:
-            return f"-({inner})"
-        return f"({inner})^{{-1}}" if fmt == "latex" else f"({inner})^-1"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _render_var(var: str, fmt: str) -> str:
-    if fmt == "latex" and var and var[-1].isdigit():
-        head = var.rstrip("0123456789")
-        return f"{head}_{{{var[len(head):]}}}"
-    return var
-
-
 _SYM = {
-    "text": {"and": " ∧ ", "or": " ∨ ", "Exists": "∃", "Forall": "∀",
-             "fam-and": "⋀", "fam-or": "⋁", "eq": " = ", "neq": " ≠ ",
-             "dots": "…"},
-    "latex": {"and": r" \wedge ", "or": r" \vee ", "Exists": r"\exists",
-              "Forall": r"\forall", "fam-and": r"\bigwedge", "fam-or": r"\bigvee",
-              "eq": " = ", "neq": r" \ne ", "dots": r"\dots"},
+    "text": {"and": " ∧ ", "or": " ∨ ", "top": "⊤", "bot": "⊥", "eq": " = ", "neq": " ≠ ",
+             "Exists": "∃", "Forall": "∀", "bind": " ", "fam-and": "⋀", "fam-or": "⋁",
+             "family": "%s[%s](%s)", "dots": "…", "page": "%s",
+             "times": "·", "juxt": "·", "scale": "·", "inverse": "^-1"},
+    "latex": {"and": r" \wedge ", "or": r" \vee ", "top": r"\top", "bot": r"\bot",
+              "eq": " = ", "neq": r" \ne ", "Exists": r"\exists ", "Forall": r"\forall ",
+              "bind": r"\, ", "fam-and": r"\bigwedge", "fam-or": r"\bigvee",
+              "family": r"%s_{\text{%s}} (%s)", "dots": r"\dots", "page": r"\[ %s \]",
+              "times": r"\cdot", "juxt": " ", "scale": "", "inverse": "^{-1}"},
 }
 
 
-def _render(f: Formula, fmt: str, bound: int) -> str:
-    sym = _SYM[fmt]
-    if isinstance(f, Atomic):
-        return _render_term(f.lhs, fmt) + sym["eq"] + _render_term(f.rhs, fmt)
-    if isinstance(f, NegAtomic):
-        return _render_term(f.lhs, fmt) + sym["neq"] + _render_term(f.rhs, fmt)
-    if isinstance(f, FiniteAnd):
+class _Names(dict):
+    """Variable -> its name as shown, worked out once per ``render`` call: in
+    LaTeX a trailing number becomes a subscript."""
+
+    def __init__(self, latex: bool):
+        self.latex = latex
+
+    def __missing__(self, var: str) -> str:
+        name = var
+        if self.latex and var and var[-1].isdigit():
+            head = var.rstrip("0123456789")
+            name = f"{head}_{{{var[len(head):]}}}"
+        self[var] = name
+        return name
+
+
+# no comprehensions below: one would make the arguments closure cells on every call
+def _render_term(t: Term, sym: dict, names: _Names) -> str:
+    cls = t.__class__
+    if cls is LinTerm:
+        if not t.coeffs:
+            return "0"
+        out = None
+        for var, k in t.coeffs:
+            v = names[var]
+            chunk = v if k == 1 else f"-{v}" if k == -1 else f"{k}{sym['scale']}{v}"
+            if out is None:
+                out = chunk
+            else:
+                out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
+        return out
+    if cls is WordTerm:
+        if not t.letters:
+            return "e"
+        bits = []
+        for var, e in t.letters:
+            bits.append(names[var] if e == 1 else names[var] + sym["inverse"])
+        return sym["juxt"].join(bits)
+    if cls is OpTerm:
+        op = "+" if t.kind == ADD else sym["times"]
+        return f"({_render_term(t.left, sym, names)} {op} {_render_term(t.right, sym, names)})"
+    if cls is InvTerm:
+        inner = _render_term(t.arg, sym, names)
+        return f"-({inner})" if t.kind == ADD else f"({inner}){sym['inverse']}"
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _render(f: Formula, sym: dict, bound: int, names: _Names) -> str:
+    cls = f.__class__
+    if cls is Atomic or cls is NegAtomic:
+        rel = sym["eq"] if cls is Atomic else sym["neq"]
+        return _render_term(f.lhs, sym, names) + rel + _render_term(f.rhs, sym, names)
+    if cls is FiniteAnd or cls is FiniteOr:
         if not f.items:
-            return r"\top" if fmt == "latex" else "⊤"
-        return "(" + sym["and"].join(_render(c, fmt, bound) for c in f.items) + ")"
-    if isinstance(f, FiniteOr):
-        if not f.items:
-            return r"\bot" if fmt == "latex" else "⊥"
-        return "(" + sym["or"].join(_render(c, fmt, bound) for c in f.items) + ")"
-    if isinstance(f, (FamilyAnd, FamilyOr)):
-        head = sym["fam-and"] if isinstance(f, FamilyAnd) else sym["fam-or"]
-        note = f.note.enum_id
-        if f.note.params not in ("{}", ""):
-            note += "; " + f.note.params
-        members = [_render(m, fmt, bound) for m in family_members(f, bound)]
-        open_ended = f.note.size is None or f.note.size > bound
-        if open_ended:
+            return sym["top"] if cls is FiniteAnd else sym["bot"]
+        parts = []
+        for c in f.items:
+            parts.append(_render(c, sym, bound, names))
+        return "(" + (sym["and"] if cls is FiniteAnd else sym["or"]).join(parts) + ")"
+    if cls is FamilyAnd or cls is FamilyOr:
+        note = f.note.enum_id + ("" if f.note.params in ("{}", "") else "; " + f.note.params)
+        members = []
+        for m in family_members(f, bound):
+            members.append(_render(m, sym, bound, names))
+        if f.note.size is None or f.note.size > bound:
             members.append(sym["dots"])
-        body = sym["and"].join(members) if isinstance(f, FamilyAnd) else sym["or"].join(members)
-        if fmt == "latex":
-            return head + r"_{\text{" + note + "}} (" + body + ")"
-        return head + "[" + note + "](" + body + ")"
-    if isinstance(f, (Exists, Forall)):
-        q = sym["Exists"] if isinstance(f, Exists) else sym["Forall"]
-        vs = ", ".join(_render_var(v, fmt) for v in f.vars)
-        if fmt == "latex":
-            return f"{q} {vs}\\, " + _render(f.body, fmt, bound)
-        return f"{q}{vs} " + _render(f.body, fmt, bound)
+        head, joint = ("fam-and", "and") if cls is FamilyAnd else ("fam-or", "or")
+        return sym["family"] % (sym[head], note, sym[joint].join(members))
+    if cls is Exists or cls is Forall:
+        q = sym["Exists"] if cls is Exists else sym["Forall"]
+        vs = ", ".join(map(names.__getitem__, f.vars))
+        return q + vs + sym["bind"] + _render(f.body, sym, bound, names)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -865,26 +864,43 @@ def render(f: Formula, fmt: str = "text", family_bound: int = 3) -> str:
         raise ValueError("format must be 'text' or 'latex'")
     if family_bound < 0:
         raise ValueError(f"family_bound must be >= 0, got {family_bound}")
-    out = _render(f, fmt, family_bound)
-    if fmt == "latex":
-        return r"\[ " + out + r" \]"
-    return out
+    return _SYM[fmt]["page"] % _render(f, _SYM[fmt], family_bound, _Names(fmt == "latex"))
 
 
 # ---------------------------------------------------------------------------
 # JSON codec
 # ---------------------------------------------------------------------------
 
-def _term_to_json(t: Term) -> Any:
-    if isinstance(t, LinTerm):
-        return {"lin": [[v, k] for v, k in t.coeffs]}
-    if isinstance(t, WordTerm):
-        return {"word": [[v, e] for v, e in t.letters]}
-    if isinstance(t, OpTerm):
-        return {"op": t.kind, "left": _term_to_json(t.left), "right": _term_to_json(t.right)}
-    if isinstance(t, InvTerm):
-        return {"inv": t.kind, "arg": _term_to_json(t.arg)}
+def _term_json(t: Term) -> str:
+    cls = t.__class__
+    if cls is LinTerm or cls is WordTerm:
+        key, pairs = ('{"lin": [', t.coeffs) if cls is LinTerm else ('{"word": [', t.letters)
+        return key + ", ".join([f"[{_quote(v)}, {k}]" for v, k in pairs]) + "]}"
+    if cls is OpTerm or cls is InvTerm:  # a decoded kind may be any JSON value
+        kind = _quote(t.kind) if t.kind.__class__ is str else json.dumps(t.kind, sort_keys=True)
+        if cls is InvTerm:
+            return f'{{"arg": {_term_json(t.arg)}, "inv": {kind}}}'
+        return f'{{"left": {_term_json(t.left)}, "op": {kind}, "right": {_term_json(t.right)}}}'
     raise TypeError(f"not a term: {t!r}")
+
+
+def _json(f: Formula) -> str:
+    cls = f.__class__
+    if cls is Atomic or cls is NegAtomic:
+        tag = '"atom"' if cls is Atomic else '"natom"'
+        return f'{{"lhs": {_term_json(f.lhs)}, "rhs": {_term_json(f.rhs)}, "t": {tag}}}'
+    if cls is FiniteAnd or cls is FiniteOr:
+        tag = '"and"' if cls is FiniteAnd else '"or"'
+        return f'{{"items": [{", ".join(map(_json, f.items))}], "t": {tag}}}'
+    if cls is FamilyAnd or cls is FamilyOr:
+        tag = '"fam-and"' if cls is FamilyAnd else '"fam-or"'
+        # ``family`` stored the params as their canonical text
+        return f'{{"enum": {_quote(f.note.enum_id)}, "params": {f.note.params}, "t": {tag}}}'
+    if cls is Exists or cls is Forall:
+        tag = '"ex"' if cls is Exists else '"all"'
+        names = ", ".join(map(_quote, f.vars))
+        return f'{{"body": {_json(f.body)}, "t": {tag}, "vars": [{names}]}}'
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _expect(value: Any, kind: type, what: str) -> Any:
@@ -903,10 +919,12 @@ def _json_names(names: Any) -> tuple[str, ...]:
 
 def _json_pairs(pairs: Any) -> tuple[tuple[str, int], ...]:
     """A list of [variable, integer] pairs, as in ``lin`` and ``word`` terms."""
-    if isinstance(pairs, list) and all(
-            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
-            and is_json_int(pair[1]) for pair in pairs):
-        return tuple((v, k) for v, k in pairs)
+    if isinstance(pairs, list):
+        out = [(pair[0], pair[1]) for pair in pairs
+               if isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+               and is_json_int(pair[1])]
+        if len(out) == len(pairs):
+            return tuple(out)
     raise ValueError(f"expected a list of [variable, integer] pairs, got {pairs!r}")
 
 
@@ -924,52 +942,34 @@ def _term_from_json(d: Any) -> Term:
     raise ValueError(f"unknown term shape: {d!r}")
 
 
-def to_json_dict(f: Formula) -> dict:
-    if isinstance(f, Atomic):
-        return {"t": "atom", "lhs": _term_to_json(f.lhs), "rhs": _term_to_json(f.rhs)}
-    if isinstance(f, NegAtomic):
-        return {"t": "natom", "lhs": _term_to_json(f.lhs), "rhs": _term_to_json(f.rhs)}
-    if isinstance(f, FiniteAnd):
-        return {"t": "and", "items": [to_json_dict(c) for c in f.items]}
-    if isinstance(f, FiniteOr):
-        return {"t": "or", "items": [to_json_dict(c) for c in f.items]}
-    if isinstance(f, FamilyAnd):
-        return {"t": "fam-and", "enum": f.note.enum_id, "params": json.loads(f.note.params)}
-    if isinstance(f, FamilyOr):
-        return {"t": "fam-or", "enum": f.note.enum_id, "params": json.loads(f.note.params)}
-    if isinstance(f, Exists):
-        return {"t": "ex", "vars": list(f.vars), "body": to_json_dict(f.body)}
-    if isinstance(f, Forall):
-        return {"t": "all", "vars": list(f.vars), "body": to_json_dict(f.body)}
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def from_json_dict(d: Any) -> Formula:
     if not isinstance(d, dict):
         raise ValueError(f"a formula must be an object, got {d!r}")
     tag = d.get("t")
-    if tag == "atom":
-        return Atomic(_term_from_json(d["lhs"]), _term_from_json(d["rhs"]))
-    if tag == "natom":
-        return NegAtomic(_term_from_json(d["lhs"]), _term_from_json(d["rhs"]))
-    if tag == "and":
-        return FiniteAnd(tuple(from_json_dict(c) for c in _expect(d["items"], list, "items")))
-    if tag == "or":
-        return FiniteOr(tuple(from_json_dict(c) for c in _expect(d["items"], list, "items")))
+    if tag == "atom" or tag == "natom":
+        atom = Atomic if tag == "atom" else NegAtomic
+        return atom(_term_from_json(d["lhs"]), _term_from_json(d["rhs"]))
+    if tag == "and" or tag == "or":
+        items = tuple(map(from_json_dict, _expect(d["items"], list, "items")))
+        return FiniteAnd(items) if tag == "and" else FiniteOr(items)
     if tag in ("fam-and", "fam-or"):
         if not isinstance(d["enum"], str):
             raise ValueError(f"a family enumeration is named by a string, got {d['enum']!r}")
         params = _expect(d["params"], dict, "family params")
         return family(tag.removeprefix("fam-"), d["enum"], params)
-    if tag == "ex":
-        return Exists(_json_names(d["vars"]), from_json_dict(d["body"]))
-    if tag == "all":
-        return Forall(_json_names(d["vars"]), from_json_dict(d["body"]))
+    if tag == "ex" or tag == "all":
+        block = Exists if tag == "ex" else Forall
+        return block(_json_names(d["vars"]), from_json_dict(d["body"]))
     raise ValueError(f"unknown formula tag: {tag!r}")
 
 
-def dumps(f: Formula, **kwargs) -> str:
-    return json.dumps(to_json_dict(f), sort_keys=True, **kwargs)
+def dumps(f: Formula) -> str:
+    """``f`` as ``json.dumps(to_json_dict(f), sort_keys=True)`` would write it."""
+    return _json(f)
+
+
+def to_json_dict(f: Formula) -> dict:
+    return json.loads(_json(f))  # the parse of dumps(f)
 
 
 def loads(text: str) -> Formula:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from . import json_int, record
+from . import formula_module, json_int, record
 # re-exported: rank1 code calls these through its own names, so that a
 # wrapper installed on rank1.prime_index sees every call made here
 from .numtheory import Enumeration, diagonal_pair, factorize, is_prime, nth_prime, \
@@ -396,7 +396,7 @@ def lambda_member(c: Rank1Char, i: int) -> Fraction:
 
 def _build_lambda(params: dict, onto: bool):
     """q·var = target (``onto``) or ∃y q·var = y, one member per rational q of the group."""
-    from . import formula as F
+    F = formula_module()
     c = char_from_json(F.family_param(params, "char", "object"))
     var = F.family_param(params, "var", "name")
     target = F.family_param(params, "target", "name") if onto else "y"
@@ -410,7 +410,7 @@ def _build_lambda(params: dict, onto: bool):
 
 
 def _build_pinf_divisible(params: dict):
-    from . import formula as F
+    F = formula_module()
     c = char_from_json(F.family_param(params, "char", "object"))
     target = F.family_param(params, "target", "name")
     rule_inf = _rule_class_flags(c)[2]
@@ -431,7 +431,7 @@ def _build_pinf_divisible(params: dict):
 
 
 def _build_non_pinf_indivisible(params: dict):
-    from . import formula as F
+    F = formula_module()
     c = char_from_json(F.family_param(params, "char", "object"))
     var = F.family_param(params, "var", "name")
     all_inf = all(_class_rule(c.default, r) == INF_RULE for r in range(_rule_modulus(c.default)))
@@ -445,7 +445,7 @@ def _build_non_pinf_indivisible(params: dict):
 
 
 def _build_all_primes_divisible(params: dict):
-    from . import formula as F
+    F = formula_module()
     target = F.family_param(params, "target", "name")
 
     def gen(i: int) -> F.Formula:
@@ -495,7 +495,7 @@ def scott_sentence_dsigma2(c: Rank1Char) -> F.FiniteAnd:
     which: every element is infinitely divisible at the infinite-exponent
     primes, and some element is indivisible at every other prime.
     """
-    from . import formula as F
+    F = formula_module()
     base = remove_finite_part(c)
     cj = char_to_json(base)
     divisible = F.Forall(("y",), F.family("and", "rank1-pinf-divisible",
@@ -507,7 +507,7 @@ def scott_sentence_dsigma2(c: Rank1Char) -> F.FiniteAnd:
 
 def scott_sentence_rationals() -> F.FiniteAnd:
     """Pi(2) Scott sentence for the full rational group."""
-    from . import formula as F
+    F = formula_module()
     divisible = F.Forall(("y",), F.family("and", "primes-divisible", {"target": "y"}))
     return F.conj(rank1_axioms(), divisible)
 

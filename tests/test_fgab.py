@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from scottgroups import fgab
+from scottgroups import acceptance, fgab
 from scottgroups import formula as F
 
 
@@ -128,6 +128,30 @@ class TestInfiniteScott:
         table = fgab.table_from_invariant_factors((2,))
         expected_delta = fgab.delta_formula(table, ("t1", "t2"))
         assert inner.body.items[0] == expected_delta
+
+    def test_delta_terms_are_the_ones_lin_and_gword_build(self):
+        # the diagram builds its terms directly; twelve names put t10 before t2
+        def reference(t, names):
+            k, abelian = t.size, t.is_abelian()
+
+            def var(i):
+                return F.lin({names[i]: 1}) if abelian else F.gword([(names[i], 1)])
+
+            def prod(i, j):
+                if not abelian:
+                    return F.gword([(names[i], 1), (names[j], 1)])
+                return F.lin({names[i]: 1, names[j]: 1}) if i != j else F.lin({names[i]: 2})
+            facts = [F.Atomic(var(t.identity), F.ZERO if abelian else F.IDENT)]
+            facts += [F.Atomic(prod(i, j), var(t.apply(i, j))) for i in range(k) for j in range(k)]
+            facts += [F.NegAtomic(var(i), var(j)) for i in range(k) for j in range(i + 1, k)]
+            return F.FiniteAnd(tuple(facts))
+
+        for table in (fgab.table_from_invariant_factors((2, 6)), acceptance.dihedral_group(6),
+                      fgab.cyclic_table(3)):
+            names = tuple(f"t{i}" for i in range(1, table.size + 1))
+            assert fgab.delta_formula(table, names) == reference(table, names)
+        with pytest.raises(ValueError, match="distinct"):
+            fgab.delta_formula(fgab.cyclic_table(2), ("t1", "t1"))
 
     def test_independence_sentence_shared_with_zn(self):
         d = fgab.FgAbelianDesc(2, (2,))

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import random
 
 import pytest
@@ -449,7 +450,81 @@ class TestRender:
         assert F.render(s, "text", 3) == F.render(s, "text", 3)
 
 
+def reference_term_json(t):
+    """Independent JSON oracle for terms: the nested data the text writer
+    must write, built as dicts and lists."""
+    if isinstance(t, F.LinTerm):
+        return {"lin": [[v, k] for v, k in t.coeffs]}
+    if isinstance(t, F.WordTerm):
+        return {"word": [[v, e] for v, e in t.letters]}
+    if isinstance(t, F.OpTerm):
+        return {"op": t.kind, "left": reference_term_json(t.left),
+                "right": reference_term_json(t.right)}
+    if isinstance(t, F.InvTerm):
+        return {"inv": t.kind, "arg": reference_term_json(t.arg)}
+    raise TypeError(t)
+
+
+def reference_json(f):
+    """Independent JSON oracle for formulas; family params come from parsing
+    the note, not from splicing its text."""
+    if isinstance(f, (F.Atomic, F.NegAtomic)):
+        return {"t": "atom" if isinstance(f, F.Atomic) else "natom",
+                "lhs": reference_term_json(f.lhs), "rhs": reference_term_json(f.rhs)}
+    if isinstance(f, (F.FiniteAnd, F.FiniteOr)):
+        return {"t": "and" if isinstance(f, F.FiniteAnd) else "or",
+                "items": [reference_json(c) for c in f.items]}
+    if isinstance(f, (F.FamilyAnd, F.FamilyOr)):
+        return {"t": "fam-and" if isinstance(f, F.FamilyAnd) else "fam-or",
+                "enum": f.note.enum_id, "params": json.loads(f.note.params)}
+    if isinstance(f, (F.Exists, F.Forall)):
+        return {"t": "ex" if isinstance(f, F.Exists) else "all", "vars": list(f.vars),
+                "body": reference_json(f.body)}
+    raise TypeError(f)
+
+
+ODD_NAMES = ('x"y', "α1", "t\n", "x10", "back\\slash", "")
+
+
+def hand_built_formulas():
+    """Nodes no emitter builds: names that need escaping, explicit
+    operations and inverses, empty connectives and terms."""
+    lin = F.LinTerm(tuple((v, (-1) ** i * (i + 1)) for i, v in enumerate(ODD_NAMES)))
+    word = F.WordTerm(tuple((v, (-1) ** i) for i, v in enumerate(ODD_NAMES)))
+    mul = F.OpTerm(F.MUL, word, F.InvTerm(F.MUL, F.OpTerm(F.MUL, word, F.IDENT)))
+    add = F.OpTerm(F.ADD, lin, F.InvTerm(F.ADD, F.ZERO))
+    body = F.conj(F.Atomic(mul, F.IDENT), F.NegAtomic(add, lin), F.conj(), F.disj(),
+                  F.disj(F.Atomic(F.ZERO, F.IDENT)))
+    # a decoded operation kind may be any JSON value, an object among them
+    odd_kind = F.loads('{"t": "atom", "lhs": {"op": 5, "left": {"lin": []}, "right": '
+                       '{"word": []}}, "rhs": {"inv": {"b": [1], "a": null}, "arg": {"lin": []}}}')
+    return [body, F.Exists(ODD_NAMES[:-1], body), F.Forall(("α1",), F.disj(body, F.conj())),
+            F.family("and", "multiple-neq", {"var": 'x"y'}),
+            F.family("or", "nonzero-combo-eq", {"vars": list(ODD_NAMES[:4])}),
+            F.conj(), F.disj(), F.Atomic(F.ZERO, F.IDENT), odd_kind]
+
+
 class TestJson:
+    def test_text_writer_matches_the_dict_oracle(self):
+        sentences = emitted_sentences() + [
+            fgab.scott_sentence_finite(t) for t in (fgab.cyclic_table(4),
+                                                    acceptance.dihedral_group(3))]
+        for f in sentences + hand_built_formulas():
+            want = reference_json(f)
+            assert F.dumps(f) == json.dumps(want, sort_keys=True)
+            assert F.to_json_dict(f) == want
+
+    def test_hand_built_formulas_round_trip(self):
+        for f in hand_built_formulas():
+            text = F.dumps(f)
+            assert F.dumps(F.loads(text)) == text
+
+    def test_writer_rejects_what_is_not_a_node(self):
+        with pytest.raises(TypeError):
+            F.dumps(F.Atomic("x", F.ZERO))
+        with pytest.raises(TypeError):
+            F.dumps(F.conj(F.ZERO))
+
     def test_round_trip_plain(self):
         s = fgab.scott_sentence_finite(fgab.cyclic_table(3))
         assert F.from_json_dict(F.to_json_dict(s)) == s
