@@ -250,7 +250,7 @@ def _emit_stage_reports(reports, mapper) -> None:
     for r in reports:
         print(json.dumps({
             "stage": r.stage, "target": r.target_tag,
-            "map": {str(c): mapper(v) for c, v in sorted(r.partial_map.items())},
+            "map": {str(c): mapper(v) for c, v in r.partial_map.items()},
             "delta": [list(f) for f in r.diagram_delta],
             "facts": r.fact_count,
             "resumed_from": r.resumed_from,

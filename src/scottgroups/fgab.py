@@ -16,7 +16,7 @@ from itertools import count, product
 from typing import TYPE_CHECKING
 
 from . import formula_module, record
-from .numtheory import Enumeration, _int_tuples, factorize, int_tuple  # tuples re-exported
+from .numtheory import Enumeration, factorize, int_tuple
 
 if TYPE_CHECKING:
     from . import formula as F

@@ -430,28 +430,20 @@ def classify(f: Formula) -> Complexity:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _combine_all(results: Iterator[tuple[bool, bool]], complete: bool) -> tuple[bool, bool]:
-    truth, exact = True, True
+def _combine(results: Iterator[tuple[bool, bool]], complete: bool,
+             goal: bool) -> tuple[bool, bool]:
+    """Combine members' (truth, exact) results: a member whose truth is
+    ``goal`` (True for a disjunction, False for a conjunction) decides."""
+    hit, exact = False, True
     for t, e in results:
-        if not t and e:
-            return (False, True)
-        truth = truth and t
+        if t == goal:
+            if e:
+                return (goal, True)
+            hit = True
         exact = exact and e
-    if truth:
-        return (True, exact and complete)
-    return (False, False)
-
-
-def _combine_any(results: Iterator[tuple[bool, bool]], complete: bool) -> tuple[bool, bool]:
-    truth, exact = False, True
-    for t, e in results:
-        if t and e:
-            return (True, True)
-        truth = truth or t
-        exact = exact and e
-    if not truth:
-        return (False, exact and complete)
-    return (True, False)
+    if hit:
+        return (goal, False)
+    return (not goal, exact and complete)
 
 
 def _bare_var(t: Term) -> str | None:
@@ -655,15 +647,13 @@ class _Evaluation:
                 return every
             return True, test
         runs = [_pair(*part) for part in parts]
-        combine = _combine_all if every else _combine_any
-        return False, lambda: combine((run() for run in runs), True)
+        return False, lambda: _combine((run() for run in runs), True, not every)
 
     def _family(self, f: FamilyAnd | FamilyOr, scope: frozenset[str]) -> Callable:
         size = f.note.size
         complete = size is not None and size <= self.bound
         count = size if complete else self.bound
         goal = isinstance(f, FamilyOr)  # a member with this value decides the family
-        combine = _combine_any if goal else _combine_all
         drawn: list[tuple[Formula, bool, Callable]] = []
         tests: list[Callable[[], bool]] = []  # set once all members are drawn and quantifier-free
 
@@ -680,7 +670,7 @@ class _Evaluation:
 
         def evaluate() -> tuple[bool, bool]:
             if not tests:
-                return combine(results(), complete)
+                return _combine(results(), complete, goal)
             for test in tests:
                 if test() == goal:
                     return (goal, True)

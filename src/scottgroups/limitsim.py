@@ -26,7 +26,8 @@ share trace prefixes); a simulator adds only its value algebra plus ``seed``,
 ``DihedralElement`` in the reports) and reduced ``(num, den)`` pairs
 (rank-1, shown as ``Fraction``).  Each reports
 ``diagram-monotone``, ``stage-soundness`` (every fact recorded by stage s
-holds in stage s's map) and ``final-replay``, then its own: ``final-rank``
+holds in stage s's map; for the inequations this rests on the key index,
+see ``_Run``) and ``final-replay``, then its own: ``final-rank``
 (abelian); ``involutions-consistent``, ``frozen-adds-nothing`` and
 ``tower-depth-replay`` (dihedral); ``members-in-final-group`` (rank1).
 ``run_cofinality`` is not stage-based and reports ``rule-conformance`` and,
@@ -104,16 +105,17 @@ def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 class _Run:
-    """Constants with their values in the current target, the recorded facts
-    and one report per stage.  A subclass supplies ``record(c, key, delta)``,
-    which appends to the stage's delta the facts a fresh constant c (whose
-    index key is ``key``) takes part in, ``holds_relation(fact)``,
-    ``seed(delta)`` for stage 0, ``step(s1, s2, delta) -> (target,
-    resumes)`` and ``result()``.  A subclass whose values never change sets
-    ``show`` to convert a stage's new values, a list, once each for the
-    reports.  ``belief`` is the last stage's (s1, s2); the class attribute is
-    the belief before stage 0.  ``facts`` is the concatenation of the stage
-    deltas.
+    """Constants with their values in the current target, the index of the
+    named values and one report per stage.  A subclass supplies
+    ``record(c, key, delta)``, which appends to the stage's delta the facts
+    a fresh constant c (whose index key is ``key``) takes part in,
+    ``holds_relation(fact)``, ``seed(delta)`` for stage 0, ``step(s1, s2,
+    delta) -> (target, resumes)`` and ``result()``.  A subclass whose values
+    never change sets ``show`` to convert a stage's new values, a list, once
+    each for the reports.  ``belief`` is the last stage's (s1, s2); the
+    class attribute is the belief before stage 0.  ``values[c]`` is constant
+    c's value.  The reports' deltas are the one copy of the recorded facts;
+    ``fact_count`` counts them.
 
     ``used``, the one index of the named values, maps ``key(value)`` to the
     constant, in constant order.  The key is the value itself (rank-1) or
@@ -121,34 +123,37 @@ class _Run:
     sums or products, that turns the group operation into integer addition
     or subtraction: ``record`` finds a candidate's constant with one integer
     operation and one lookup.  ``key`` widens the scale it packs with, and
-    re-keys ``used``, when a value about to be named needs it.
+    re-keys ``used`` by ``reindex``, when a value about to be named needs it.
 
-    Facts come in two kinds.  An inequation ``("neq", other, c)`` names the
-    newest constant c, so it cannot repeat; it is emitted only after the two
-    values compare unequal, and that comparison is its check, so it goes
-    straight into the delta.  A ``sum``, ``mul`` or ``scale`` fact can
+    The index proves the named values pairwise distinct: ``ensure`` names a
+    value only after its key misses ``used``, ``used`` holds the key of
+    every named value, and ``reindex``, the one rebuild of ``used``, fails
+    ``stage-soundness`` when two constants share a key.  So the inequation
+    ``("neq", other, c)`` is emitted for every earlier constant without a
+    comparison; it names the newest constant c, so it cannot repeat, and
+    goes straight into the delta.  A ``sum``, ``mul`` or ``scale`` fact can
     repeat, so it goes through ``add``, which keeps it once in ``_seen``
     (which holds only these) and checks it with ``holds_relation`` on the
     values themselves, never on their keys; ``_Rank1Run.record`` does the
     same inline.
 
     ``stage-soundness`` (every fact recorded by stage s holds in stage s's
-    map) is proved without replaying the facts.  Each fact is checked once,
-    as it is recorded.  Values change only through ``_AbelianRun.rewrite``,
-    which maps integer vectors and is checked on the named values: the new
-    value of every constant is the old one's image under the linear map
-    whose columns are f(e_i), f(0) = 0, and the new values are pairwise
-    distinct.  A linear map keeps every sum fact x + y = z true, and a map
-    injective on the named values keeps every ``neq`` fact true, so by
-    induction over the rewrites every recorded fact holds in every stage's
-    map.  A stage composes its moves into one map, so this costs one
-    rewrite per stage, O(values · dim²), instead of O(facts);
-    ``final-replay`` still re-checks every recorded fact once at the end of
-    the run: each relation by ``holds_relation``, and the inequations at
-    once, by one pass that finds the final values pairwise distinct.  Every
-    inequation names two different constants, so distinct values make
-    every one true, and the verdict is the fact-by-fact one; only values
-    that are not distinct fall back to checking each inequation."""
+    map) is proved without replaying the facts.  Values change only through
+    ``_AbelianRun.rewrite``, which maps integer vectors and is checked on
+    the named values: the new value of every constant is the old one's
+    image under the linear map whose columns are f(e_i), f(0) = 0, and the
+    re-index finds the new values distinct.  A linear map keeps every sum
+    fact x + y = z true, and a map injective on the named values keeps
+    every ``neq`` fact true, so by induction over the rewrites every
+    recorded fact holds in every stage's map, at one rewrite per stage,
+    O(values · dim²), instead of O(facts).  ``final-replay`` re-checks the
+    facts at the end of the run without the index: each relation in
+    ``_seen`` by ``holds_relation``, and the inequations at once, by one
+    pass that finds the final values pairwise distinct: an inequation is
+    recorded for every pair of constants, so they all hold exactly when
+    the values are distinct.  ``stage-soundness`` covers the inequations
+    only through the index argument above; an index that misses a named
+    value's key shows up only in ``final-replay``."""
 
     belief = (False, False)
     show: Callable[[list], list] | None = None
@@ -157,9 +162,9 @@ class _Run:
         if growth < 1:
             raise ValueError("growth must be >= 1")
         self.growth = growth
-        self.values: dict[int, Any] = {}
+        self.values: list = []  # values[c], by constant
         self.used: dict[Any, int] = {}  # key(value) -> constant
-        self.facts: list[tuple] = []
+        self.fact_count = 0
         self._seen: set[tuple] = set()
         self._shown: list = []  # the shown values[c], by c, where ``show`` is set
         self.reports: list[StageReport] = []
@@ -179,42 +184,41 @@ class _Run:
         """The index key of a value that is or is about to be named."""
         return value
 
+    def reindex(self, key: Callable[[Any], Any]) -> None:
+        """Rebuild ``used`` under ``key``; stage-soundness fails if two
+        constants share a key, as their values are then not distinct."""
+        self.used = {key(v): c for c, v in enumerate(self.values)}
+        if len(self.used) != len(self.values):
+            self.sound = False
+
     def ensure(self, value, delta: list) -> int:
         """The constant holding ``value``; a new one is recorded first."""
         key = self.key(value)  # may re-key ``used``, so it is read after
         c = self.used.get(key)
         if c is None:
             c = self.used[key] = len(self.values)
-            self.values[c] = value
+            self.values.append(value)
             self.record(c, key, delta)
         return c
 
-    def inequations(self, c: int) -> list[tuple]:
-        """``("neq", other, c)`` for every other constant whose value
-        compares unequal to the newest constant c's."""
-        vc = self.values[c]
-        return [("neq", other, c) for other, vo in self.values.items() if vo != vc]
+    @staticmethod
+    def inequations(c: int) -> list[tuple]:
+        """``("neq", other, c)`` for every earlier constant: the index has
+        just found the newest constant c's key unused."""
+        return [("neq", other, c) for other in range(c)]
 
     def replay(self) -> bool:
         """Whether every recorded fact holds in the current map."""
-        values, holds_relation = self.values, self.holds_relation
-        distinct = len(set(values.values())) == len(values)
-        for fact in self.facts:
-            if fact[0] == "neq":
-                if not distinct and values[fact[1]] == values[fact[2]]:
-                    return False
-            elif not holds_relation(fact):
-                return False
-        return True
+        values = self.values
+        return all(map(self.holds_relation, self._seen)) and len(set(values)) == len(values)
 
-    def partial_map(self) -> dict[int, Any]:
-        """The map a stage report shows: each constant's current value, or
-        its ``show``, converted once, where values never change."""
+    def shown(self) -> list:
+        """Each constant's current value, or its ``show``, converted once,
+        where values never change."""
         if self.show is None:
-            return dict(self.values)
-        shown = self._shown
-        shown += self.show([self.values[c] for c in range(len(shown), len(self.values))])
-        return dict(enumerate(shown))
+            return self.values
+        self._shown += self.show(self.values[len(self._shown):])
+        return self._shown
 
     def advance(self, s1: bool, s2: bool) -> None:
         """Run the next stage on the belief (s1, s2) and report it; a resumed
@@ -224,10 +228,10 @@ class _Run:
         if stage == 0:
             self.seed(delta)
         tag, resumes = self.step(s1, s2, delta)
-        self.facts += delta
+        self.fact_count += len(delta)
         resumed = self.last_stage_for_tag.get(tag) if resumes else None
-        self.reports.append(StageReport(stage, tag, self.partial_map(), tuple(delta),
-                                        len(self.facts), resumed))
+        self.reports.append(StageReport(stage, tag, dict(enumerate(self.shown())), tuple(delta),
+                                        self.fact_count, resumed))
         self.last_stage_for_tag[tag] = stage
         self.belief = (s1, s2)
 
@@ -238,7 +242,7 @@ class _Run:
 
     def fork(self) -> "_Run":
         """A copy that advances independently: dicts, lists and sets are
-        copied, and the values, facts and reports in them are immutable."""
+        copied, and the values and reports in them are immutable."""
         twin = object.__new__(type(self))
         twin.__dict__ = {name: value.copy() if isinstance(value, (dict, list, set)) else value
                          for name, value in self.__dict__.items()}
@@ -331,7 +335,7 @@ class _AbelianRun(_Run):
     def rekey(self) -> None:
         """Choose the least width for ``maxabs`` and re-key."""
         self.width = width = (4 * self.maxabs).bit_length()
-        self.used = {_pack(v, width): c for c, v in self.values.items()}
+        self.reindex(lambda v: _pack(v, width))
 
     def key(self, v: tuple) -> int:
         top = max(map(abs, v))
@@ -359,22 +363,21 @@ class _AbelianRun(_Run):
 
     def rewrite(self, f: Callable[[tuple], tuple]) -> None:
         """Re-express every constant's value through ``f`` and re-key;
-        stage-soundness fails unless f is linear and injective on the named
-        values.  The one scan for the new ``maxabs`` serves the keys and the
-        next collapse."""
-        olds = list(self.values.values())
+        stage-soundness fails unless f is linear and (by ``reindex``)
+        injective on the named values.  The one scan for the new ``maxabs``
+        serves the keys and the next collapse."""
+        olds = self.values
         dim = len(olds[0])
         news = [f(v) for v in olds]
         rows = zip(*(f(_unit_vector(dim, i)) for i in range(dim)))
         # each old value's image under the linear map, computed row by row
         images = zip(*([sum(map(mul, v, row)) for v in olds] for row in rows))
-        linear = not any(f((0,) * dim)) and list(images) == news
-        self.values = dict(enumerate(news))
+        if any(f((0,) * dim)) or list(images) != news:
+            self.sound = False
+        self.values = news
         self.maxabs = max(map(abs, chain.from_iterable(news)))
         self.rekey()
         self.cursor = 0
-        if not linear or len(self.used) != len(news):
-            self.sound = False
 
     def seed(self, delta: list) -> None:
         self.ensure((0,) * self.dim, delta)
@@ -408,7 +411,7 @@ class _AbelianRun(_Run):
                 # the largest entry after the folds so far, exactly: entries
                 # off coordinate 0 are old, and the last fold put m > maxabs
                 # at coordinate 0 of its coordinate's named unit vector
-                maxabs = max(maxabs, max(abs(fold(v)[0]) for v in self.values.values()))
+                maxabs = max(maxabs, max(abs(fold(v)[0]) for v in self.values))
             coord = self.gen_layers.pop(layer)
             folds.append((coord, 1 + 2 * maxabs))
             self.dim -= 1
@@ -442,7 +445,7 @@ class _AbelianRun(_Run):
 
     def result(self) -> tuple[list[StageReport], str, VerificationReport]:
         want_dim = _abelian_dim(self.k, *self.belief)
-        got_rank = _matrix_rank(list(self.values.values()))
+        got_rank = _matrix_rank(self.values)
         verification = self.verify(("final-rank", got_rank == want_dim,
                                     f"rank {got_rank} vs {want_dim}"))
         return self.reports, self.reports[-1].target_tag, verification
@@ -513,7 +516,7 @@ class _DihedralRun(_Run):
         num, den, flip = v
         if self.den_lcm % den:  # v is about to be named
             self.den_lcm = lcm(self.den_lcm, den)
-            self.used = {self.key(w): c for c, w in self.values.items()}
+            self.reindex(self.key)
         return 2 * num * (self.den_lcm // den) + flip
 
     def record(self, c: int, kc: int, delta: list) -> None:
@@ -578,7 +581,7 @@ class _DihedralRun(_Run):
             caveat += f"; reported H at achieved tower depth {self.depth}, not certified infinite"
         verification = self.verify(
             ("involutions-consistent",
-             all(_dmul(v, v) == _E for v in self.values.values() if v[2]), ""),
+             all(_dmul(v, v) == _E for v in self.values if v[2]), ""),
             ("frozen-adds-nothing",
              all(not r.diagram_delta for r in self.reports
                  if r.target_tag == "FiniteFragment" and r.stage > 0), ""),
@@ -660,14 +663,11 @@ class _Rank1Run(_Run):
         # m = num(x)·(den(y)/den(x)) / num(y), an integer m > 1 or no fact.
         # ``add`` and ``holds_relation`` are inlined: the seen-set, and the
         # check m·num(y)·den(x) == num(x)·den(y) on the values
-        vc = nc, dc = self.values[c]
+        nc, dc = self.values[c]
         self.num_gcd, self.den_lcm = gcd(self.num_gcd, nc), lcm(self.den_lcm, dc)
         seen = self._seen
-        for other, vo in self.values.items():
-            if vo == vc:
-                continue
+        for other, (no, do) in zip(range(c), self.values):
             delta.append(("neq", other, c))
-            no, do = vo
             if not do % dc:  # c = m·other
                 m, r = divmod(nc * (do // dc), no)
                 if m > 1 and not r and (fact := ("scale", m, other, c)) not in seen:
@@ -734,9 +734,9 @@ class _Rank1Run(_Run):
         from . import rank1 as R
         target = self.reports[-1].target_tag
         final_char = self.chars[target]
-        shown = self.partial_map()
+        shown = self.shown()
         unit_val = shown[self.units[target]]
-        member = all(R.contains(final_char, v / unit_val) for v in shown.values())
+        member = all(R.contains(final_char, v / unit_val) for v in shown)
         verification = self.verify(("members-in-final-group", member,
                                     f"designated unit {unit_val}"))
         return self.reports, final_char, verification

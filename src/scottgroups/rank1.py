@@ -196,8 +196,6 @@ def is_isomorphic(c1: Rank1Char, c2: Rank1Char) -> bool:
     m = math.lcm(_rule_modulus(c1.default), _rule_modulus(c2.default))
     for r in range(m):
         s1, s2 = _class_rule(c1.default, r), _class_rule(c2.default, r)
-        if (s1 == INF_RULE) != (s2 == INF_RULE):
-            return False
         if s1 != s2:
             return False
     for p in sorted({p for p, _ in c1.exceptions} | {p for p, _ in c2.exceptions}):
@@ -253,13 +251,9 @@ def classify(c: Rank1Char) -> Classification:
     """
     flags = _rule_class_flags(c)
     canonical = char(dict(c.exceptions), c.default)
-    if not canonical.exceptions and flags == (True, False, False) and \
-            all(_class_rule(c.default, r) == ("linear", 0, 0)
-                for r in range(_rule_modulus(c.default))):
+    if not canonical.exceptions and flags == (True, False, False):
         row: int | str = "All0"
-    elif not canonical.exceptions and flags == (False, False, True) and \
-            all(_class_rule(c.default, r) == INF_RULE
-                for r in range(_rule_modulus(c.default))):
+    elif not canonical.exceptions and flags == (False, False, True):
         row = "AllInf"
     else:
         row = _ROW_BY_FLAGS[flags]
@@ -469,7 +463,8 @@ FAMILIES = {
 
 def rank1_axioms() -> F.FiniteAnd:
     """Pi(2) axioms: nontrivial torsion-free abelian of rank at most 1."""
-    from . import fgab, formula as F
+    from . import fgab
+    F = formula_module()
     return F.conj(F.abelian_axioms(),
                   fgab.torsion_free_sentence(),
                   fgab.dependence_sentence(1),
@@ -478,7 +473,8 @@ def rank1_axioms() -> F.FiniteAnd:
 
 def scott_sentence_sigma3(c: Rank1Char) -> F.FiniteAnd:
     """Sigma(3): a generator whose rational multiples are exactly the group."""
-    from . import fgab, formula as F
+    from . import fgab
+    F = formula_module()
     cj = char_to_json(c)
     realized = F.family("and", "rank1-lambda-exists", {"char": cj, "var": "x1"})
     onto = F.Forall(("y",), F.family("or", "rank1-lambda-onto",

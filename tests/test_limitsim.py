@@ -172,14 +172,21 @@ class TestIntegerArithmetic:
             # and x, recorded next, constant 1
             want = [("scale", int(ratio), i, j) for ratio, i, j in ((x / y, 0, 1), (y / x, 1, 0))
                     if ratio.denominator == 1 and ratio > 1]
-            run.values = {0: (y.numerator, y.denominator), 1: (x.numerator, x.denominator)}
+            run.values = [(y.numerator, y.denominator), (x.numerator, x.denominator)]
             run._seen, run.sound, delta = set(), True, []
             run.record(1, (x.numerator, x.denominator), delta)
-            assert delta == ([("neq", 0, 1)] + want if x != y else []), (x, y)
+            # record trusts the index, so a value equal to y still gets its
+            # inequation; ``ensure`` never names such a value
+            assert delta == [("neq", 0, 1)] + want, (x, y)
             assert run._seen == set(want) and run.sound
             ratio = x / y
             for m in (-2, 1, 2, 3, int(ratio) if ratio.denominator == 1 else 0):
                 assert run.holds_relation(("scale", m, 0, 1)) == (m * y == x)
+
+
+def facts(run) -> list[tuple]:
+    """The recorded facts: the concatenation of the stage deltas."""
+    return [f for r in run.reports for f in r.diagram_delta]
 
 
 class TestFactBookkeeping:
@@ -200,12 +207,12 @@ class TestFactBookkeeping:
         run = make()
         _, _, ver = run.simulate(self.TRACE)
         assert ver.ok
-        assert len(run.facts) == count
-        assert run.facts == [f for r in run.reports for f in r.diagram_delta]
+        recorded = facts(run)
+        assert len(recorded) == run.fact_count == run.reports[-1].fact_count == count
         assert not any(f[0] == "neq" for f in run._seen)
-        assert run._seen == {f for f in run.facts if f[0] != "neq"}
+        assert run._seen == {f for f in recorded if f[0] != "neq"}
         # every inequation names the newest of its two constants last
-        assert all(f[1] < f[2] for f in run.facts if f[0] == "neq")
+        assert all(f[1] < f[2] for f in recorded if f[0] == "neq")
 
     @pytest.mark.parametrize("name", ["abelian", "rank1"])
     def test_final_replay_checks_inequations(self, name):
@@ -215,7 +222,7 @@ class TestFactBookkeeping:
         assert run.replay()
         # with every sum and scale fact passing, only an inequation can fail
         run.holds_relation = lambda fact: True
-        _, i, j = next(f for f in run.facts if f[0] == "neq")
+        _, i, j = next(f for f in facts(run) if f[0] == "neq")
         run.values[j] = run.values[i]
         assert run.replay() is False
         checks = {check: ok for check, ok, _ in run.result()[2].checks}
@@ -227,8 +234,50 @@ class TestFactBookkeeping:
         reports, _, _ = run.simulate(self.TRACE)
         for report in reports:
             assert all(type(v) is Fraction for v in report.partial_map.values())
-        assert reports[-1].partial_map == {c: Fraction(n, d) for c, (n, d) in run.values.items()}
-        assert all(d > 0 and gcd(n, d) == 1 for n, d in run.values.values())
+        assert reports[-1].partial_map == {c: Fraction(n, d) for c, (n, d) in enumerate(run.values)}
+        assert all(d > 0 and gcd(n, d) == 1 for n, d in run.values)
+
+
+class TestDistinctnessByIndex:
+    """The key index is the one proof that the named values are distinct.
+    With one constant's entry deleted from ``used``, the next stage names
+    that constant's value again, and ``final-replay`` finds the inequation
+    between the two constants false.  ``stage-soundness`` rests on that
+    same index for the inequations, so it still reads true: the broken
+    index shows up only in ``final-replay``."""
+
+    # (run, the two stages' beliefs, the constant whose entry is deleted)
+    CASES = {
+        "abelian": (lambda: L._AbelianRun(3, growth=1), ((1, 0), (1, 0)), 2),
+        "dihedral": (lambda: L._DihedralRun(growth=1), ((0, 0), (0, 1)), 1),
+        "rank1": (lambda: L._Rank1Run(R.char({2: R.INF}), 3, 2, growth=1), ((0, 0), (0, 0)), 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_final_replay_catches_a_value_named_twice(self, name):
+        make, (first, second), c = self.CASES[name]
+        run = make()
+        run.advance(*first)
+        del run.used[run.key(run.values[c])]
+        run.advance(*second)
+        twice = run.values.index(run.values[c], c + 1)
+        assert ("neq", c, twice) in facts(run)
+        _, _, ver = run.result()
+        checks = {check: ok for check, ok, _ in ver.checks}
+        assert checks["stage-soundness"] is True
+        assert checks["final-replay"] is False and not ver.ok
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_reindex_fails_stage_soundness_on_a_shared_key(self, name):
+        make, (first, _), _ = self.CASES[name]
+        run = make()
+        run.advance(*first)
+        run.reindex(run.key)
+        assert run.sound
+        run.reindex(lambda v: 0)
+        assert run.sound is False
+        checks = {check: ok for check, ok, _ in run.result()[2].checks}
+        assert checks["stage-soundness"] is False
 
 
 class TestFactOracle:
@@ -556,7 +605,8 @@ class TestFork:
                 twin.advance(*belief)
             got = self.summary(twin.result())
             assert got == self.summary(make().simulate(T(steps))), (name, steps, split)
-            kept = (list(twin.reports), dict(twin.values), list(twin.facts), dict(twin.used))
+            kept = (list(twin.reports), list(twin.values), twin.fact_count, dict(twin.used))
             for belief in self.random_steps(rng, rng.randint(1, 4)):
                 run.advance(*belief)
-            assert (twin.reports, twin.values, twin.facts, twin.used) == kept, (name, steps, split)
+            assert (twin.reports, twin.values, twin.fact_count, twin.used) == kept, \
+                (name, steps, split)
