@@ -16,22 +16,18 @@ sentence stays true.  The four constructions:
                 characteristic is controlled by an enumerated index set
 
 The three stage-based simulators share one core, ``_Run``, which names
-constants, indexes them by one key per value, records facts, checks each
-fact as it is recorded, checks the one rewrite of the map a stage may make
-on the named values, and drives the stages
+and indexes constants, records and checks facts and drives the stages
 (``advance``, ``simulate``, and ``fork``, which the acceptance sweep uses to
-share trace prefixes); a simulator adds only its value algebra plus ``seed``,
-``step`` and ``result``.  The algebras compute on integers: integer vectors
-(abelian), ``(num, den, flip)`` triples (dihedral, shown as
-``DihedralElement`` in the reports) and reduced ``(num, den)`` pairs
-(rank-1, shown as ``Fraction``).  Each reports
-``diagram-monotone``, ``stage-soundness`` (every fact recorded by stage s
-holds in stage s's map; for the inequations this rests on the key index,
-see ``_Run``) and ``final-replay``, then its own: ``final-rank``
-(abelian); ``involutions-consistent``, ``frozen-adds-nothing`` and
-``tower-depth-replay`` (dihedral); ``members-in-final-group`` (rank1).
-``run_cofinality`` is not stage-based and reports ``rule-conformance`` and,
-on an "isomorphic" verdict, ``multiplier-restores-window``.
+share trace prefixes); a simulator adds only ``seed``, ``step``, ``result``
+and its value algebra, on integers: integer vectors (abelian),
+``(num, den, flip)`` triples (dihedral, shown as ``DihedralElement``) and
+reduced ``(num, den)`` pairs (rank-1, shown as ``Fraction``).  Each reports
+``diagram-monotone``, ``stage-soundness`` and ``final-replay`` (see
+``_Run``), then its own: ``final-rank`` (abelian); ``involutions-consistent``,
+``frozen-adds-nothing`` and ``tower-depth-replay`` (dihedral);
+``members-in-final-group`` (rank1).  ``run_cofinality`` is not stage-based
+and reports ``rule-conformance`` and, on an "isomorphic" verdict,
+``multiplier-restores-window``.
 
 Traces are finite, so "limit" verdicts are relative to the final stage's
 belief; every report says so.
@@ -39,10 +35,10 @@ belief; every report says so.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add, mul
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from operator import add, itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from . import is_json_int, record
 from .numtheory import int_tuple, primes_upto, valuation
@@ -53,6 +49,7 @@ if TYPE_CHECKING:
 
 PREFIX_CAVEAT = ("verdicts describe the final stage's belief; a genuine limit "
                  "is not observable on a finite trace prefix")
+NAMED_BUDGET = 600  # the most values a trace may name; the costliest runs take 3-5 s
 
 
 @record
@@ -100,63 +97,53 @@ def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
     checks.append((name, bool(ok), detail))
 
 
+def _ratio(num: int, den: int) -> tuple:
+    """num/den, den > 0, as a reduced ``(num, den)`` pair."""
+    g = gcd(num, den)
+    return (num // g, den // g)
+
+
 # ---------------------------------------------------------------------------
 # The stage-based core
 # ---------------------------------------------------------------------------
 
 class _Run:
     """Constants with their values in the current target, the index of the
-    named values and one report per stage.  A subclass supplies
-    ``record(c, key, delta)``, which appends to the stage's delta the facts
-    a fresh constant c (whose index key is ``key``) takes part in,
-    ``holds_relation(fact)``, ``seed(delta)`` for stage 0, ``step(s1, s2,
-    delta) -> (target, resumes)`` and ``result()``.  A subclass whose values
-    never change sets ``show`` to convert a stage's new values, a list, once
-    each for the reports.  ``belief`` is the last stage's (s1, s2); the
-    class attribute is the belief before stage 0.  ``values[c]`` is constant
-    c's value.  The reports' deltas are the one copy of the recorded facts;
-    ``fact_count`` counts them.
+    named values and one report per stage.  A subclass supplies ``record(c,
+    key, delta)``, which appends to the stage's delta the facts a fresh
+    constant c (index key ``key``) takes part in, ``holds_relation(fact)``,
+    ``seed(delta)`` (naming ``seeds`` values), ``step(s1, s2, delta) ->
+    (target, resumes)`` and ``result()``; ``show``, where set, converts new
+    values once for the reports.  ``belief`` is the last stage's (s1, s2),
+    the class attribute the one before stage 0.  The reports' deltas are the
+    one copy of the recorded facts.
 
     ``used``, the one index of the named values, maps ``key(value)`` to the
-    constant, in constant order.  The key is the value itself (rank-1) or
-    an integer (abelian, dihedral), injective on the named values and their
-    sums or products, that turns the group operation into integer addition
-    or subtraction: ``record`` finds a candidate's constant with one integer
-    operation and one lookup.  ``key`` widens the scale it packs with, and
-    re-keys ``used`` by ``reindex``, when a value about to be named needs it.
+    constant.  The key is the value itself (rank-1) or an integer (abelian,
+    dihedral), injective on the named values and their sums or products,
+    that turns the group operation into integer addition or subtraction, so
+    ``record`` finds a candidate's constant with one integer operation and
+    one lookup.  When a value about to be named needs wider keys, ``key``
+    re-keys by ``reindex``, the one rebuild of ``used``, which takes the
+    keys in constant order and fails ``stage-soundness`` on a shared one.
+    ``ensure`` names a value only after its key misses ``used``, so the
+    index proves the named values distinct, and ``("neq", other, c)`` goes
+    into the delta for every earlier constant without a comparison.
+    A ``sum``, ``mul`` or ``scale`` fact can repeat, so ``add`` keeps it
+    once in ``_seen`` and checks it with ``holds_relation`` on the values.
 
-    The index proves the named values pairwise distinct: ``ensure`` names a
-    value only after its key misses ``used``, ``used`` holds the key of
-    every named value, and ``reindex``, the one rebuild of ``used``, fails
-    ``stage-soundness`` when two constants share a key.  So the inequation
-    ``("neq", other, c)`` is emitted for every earlier constant without a
-    comparison; it names the newest constant c, so it cannot repeat, and
-    goes straight into the delta.  A ``sum``, ``mul`` or ``scale`` fact can
-    repeat, so it goes through ``add``, which keeps it once in ``_seen``
-    (which holds only these) and checks it with ``holds_relation`` on the
-    values themselves, never on their keys; ``_Rank1Run.record`` does the
-    same inline.
-
-    ``stage-soundness`` (every fact recorded by stage s holds in stage s's
-    map) is proved without replaying the facts.  Values change only through
-    ``_AbelianRun.rewrite``, which maps integer vectors and is checked on
-    the named values: the new value of every constant is the old one's
-    image under the linear map whose columns are f(e_i), f(0) = 0, and the
-    re-index finds the new values distinct.  A linear map keeps every sum
-    fact x + y = z true, and a map injective on the named values keeps
-    every ``neq`` fact true, so by induction over the rewrites every
-    recorded fact holds in every stage's map, at one rewrite per stage,
-    O(values · dim²), instead of O(facts).  ``final-replay`` re-checks the
-    facts at the end of the run without the index: each relation in
-    ``_seen`` by ``holds_relation``, and the inequations at once, by one
-    pass that finds the final values pairwise distinct: an inequation is
-    recorded for every pair of constants, so they all hold exactly when
-    the values are distinct.  ``stage-soundness`` covers the inequations
-    only through the index argument above; an index that misses a named
-    value's key shows up only in ``final-replay``."""
+    ``stage-soundness`` is proved without replaying facts: values change
+    only by ``_AbelianRun.rewrite``, checked linear (and, by the re-index,
+    injective) on the named values, so it keeps every sum and ``neq`` fact
+    true, at O(values · dim) a rewrite; for the inequations it rests on the
+    index alone.  ``final-replay`` re-checks without the index: the relations
+    in ``_seen`` (``relations_hold``) and, for all inequations at once, that
+    the final values are pairwise distinct.  ``simulate`` refuses a trace
+    that could name more than ``NAMED_BUDGET`` values."""
 
     belief = (False, False)
     show: Callable[[list], list] | None = None
+    seeds = 1  # the values ``seed`` names
 
     def __init__(self, growth: int):
         if growth < 1:
@@ -184,10 +171,11 @@ class _Run:
         """The index key of a value that is or is about to be named."""
         return value
 
-    def reindex(self, key: Callable[[Any], Any]) -> None:
-        """Rebuild ``used`` under ``key``; stage-soundness fails if two
-        constants share a key, as their values are then not distinct."""
-        self.used = {key(v): c for c, v in enumerate(self.values)}
+    def reindex(self, keys: Iterable) -> None:
+        """Rebuild ``used`` from the named values' keys, in constant order;
+        stage-soundness fails if two constants share a key, as their values
+        are then not distinct."""
+        self.used = {k: c for c, k in enumerate(keys)}
         if len(self.used) != len(self.values):
             self.sound = False
 
@@ -207,10 +195,14 @@ class _Run:
         just found the newest constant c's key unused."""
         return [("neq", other, c) for other in range(c)]
 
+    def relations_hold(self) -> bool:
+        """Whether every fact in ``_seen`` holds in the current map."""
+        return all(map(self.holds_relation, self._seen))
+
     def replay(self) -> bool:
         """Whether every recorded fact holds in the current map."""
         values = self.values
-        return all(map(self.holds_relation, self._seen)) and len(set(values)) == len(values)
+        return self.relations_hold() and len(set(values)) == len(values)
 
     def shown(self) -> list:
         """Each constant's current value, or its ``show``, converted once,
@@ -236,6 +228,12 @@ class _Run:
         self.belief = (s1, s2)
 
     def simulate(self, trace: ConstructionTrace):
+        """Run the trace, once the values it can name, ``seeds`` plus at
+        most 2·growth + 2 a stage, are found within ``NAMED_BUDGET``."""
+        reach = self.seeds + len(trace.steps) * (2 * self.growth + 2)
+        if reach > NAMED_BUDGET:
+            raise ValueError(f"budget exhausted: the trace can name {reach} values "
+                             f"(seeds + stages·(2·growth + 2)), above {NAMED_BUDGET}")
         for s1, s2 in trace.steps:
             self.advance(s1, s2)
         return self.result()
@@ -277,7 +275,7 @@ def _squash(v: tuple, coord: int, m: int) -> tuple:
 
 
 def _unit_vector(dim: int, i: int) -> tuple:
-    return tuple(1 if j == i else 0 for j in range(dim))
+    return (0,) * i + (1,) + (0,) * (dim - i - 1)
 
 
 def _matrix_rank(rows: list[tuple]) -> int:
@@ -297,7 +295,8 @@ def _matrix_rank(rows: list[tuple]) -> int:
         p = top[col]
         for r in range(rank + 1, len(m)):
             a = m[r][col]
-            m[r] = [(p * x - a * y) // prev for x, y in zip(m[r], top)]
+            if a or p != prev:  # else the update leaves the row as it is
+                m[r] = [(p * x - a * y) // prev for x, y in zip(m[r], top)]
         prev = p
         rank += 1
     return rank
@@ -322,20 +321,29 @@ class _AbelianRun(_Run):
     ``cursor`` is the index in ``int_tuple`` order of the first vector that
     ``grow`` has not seen named.  Between rewrites the named set only grows,
     so no vector before it becomes unnamed and ``grow`` resumes there;
-    ``rewrite`` changes the vectors and resets it to 0."""
+    ``rewrite`` changes the vectors and resets it to 0.
+
+    ``rewrite``, ``rekey`` and ``relations_hold`` (``final-replay``) work a
+    coordinate at a time, on the columns of the named values."""
 
     def __init__(self, k: int, growth: int):
         if k < 2:
             raise ValueError("k must be >= 2")
         super().__init__(growth)
-        self.k, self.dim = k, k - 1
+        self.k, self.dim, self.seeds = k, k - 1, k
         self.gen_layers: dict[str, int] = {}  # "s1"/"s2" -> coordinate index
         self.maxabs = self.width = self.cursor = 0
 
     def rekey(self) -> None:
-        """Choose the least width for ``maxabs`` and re-key."""
-        self.width = width = (4 * self.maxabs).bit_length()
-        self.reindex(lambda v: _pack(v, width))
+        """Choose the least width for ``maxabs`` and re-key: ``_pack`` of the
+        columns, joined pairwise into ever longer runs of coordinates."""
+        self.width = shift = (4 * self.maxabs).bit_length()
+        runs = list(zip(*self.values))
+        while len(runs) > 1:
+            pairs = [[lo + (hi << shift) for lo, hi in zip(a, b)]
+                     for a, b in zip(runs[::2], runs[1::2])]
+            runs, shift = pairs + runs[2 * len(pairs):], 2 * shift
+        self.reindex(runs[0])
 
     def key(self, v: tuple) -> int:
         top = max(map(abs, v))
@@ -361,18 +369,32 @@ class _AbelianRun(_Run):
         _, i, j, k = fact
         return tuple(map(add, self.values[i], self.values[j])) == self.values[k]
 
+    def relations_hold(self) -> bool:
+        """values[I[n]] + values[J[n]] = values[K[n]], the facts unzipped into
+        I, J, K; as the seed's 3 facts are there, each getter gives a tuple."""
+        _, i, j, k = zip(*self._seen)
+        get_i, get_j, get_k = itemgetter(*i), itemgetter(*j), itemgetter(*k)
+        return all(tuple(map(add, get_i(col), get_j(col))) == get_k(col)
+                   for col in zip(*self.values))
+
     def rewrite(self, f: Callable[[tuple], tuple]) -> None:
         """Re-express every constant's value through ``f`` and re-key;
         stage-soundness fails unless f is linear and (by ``reindex``)
-        injective on the named values.  The one scan for the new ``maxabs``
-        serves the keys and the next collapse."""
+        injective on the named values: column j of their image under the
+        linear map with columns f(e_i) sums the old columns i by f(e_i)[j].
+        The one scan for the new ``maxabs`` serves the keys and collapses."""
         olds = self.values
         dim = len(olds[0])
         news = [f(v) for v in olds]
-        rows = zip(*(f(_unit_vector(dim, i)) for i in range(dim)))
-        # each old value's image under the linear map, computed row by row
-        images = zip(*([sum(map(mul, v, row)) for v in olds] for row in rows))
-        if any(f((0,) * dim)) or list(images) != news:
+        cols = list(zip(*olds))
+        image: list[Iterable[int]] = []
+        for weights in zip(*(f(_unit_vector(dim, i)) for i in range(dim))):
+            col = None
+            for w, old in compress(zip(weights, cols), weights):
+                term = old if w == 1 else [w * x for x in old]
+                col = term if col is None else list(map(add, col, term))
+            image.append(repeat(0, len(olds)) if col is None else col)
+        if any(f((0,) * dim)) or list(zip(*image)) != news:
             self.sound = False
         self.values = news
         self.maxabs = max(map(abs, chain.from_iterable(news)))
@@ -473,11 +495,19 @@ def _dmul(x: tuple, y: tuple) -> tuple:
     if f1:
         n2 = -n2
     if d1 == d2:
-        n, d = n1 + n2, d1
-    else:
-        n, d = n1 * d2 + n2 * d1, d1 * d2
-    g = gcd(n, d)
-    return (n // g, d // g, f1 != f2)
+        return (*_ratio(n1 + n2, d1), f1 != f2)
+    return (*_ratio(n1 * d2 + n2 * d1, d1 * d2), f1 != f2)
+
+
+def _normal_form(i: int, num: int, den: int) -> tuple:
+    """The value of ``dihedral.nth_normal_form(i)`` for a = the reflection
+    at α = num/den and b = the reflection at 1, in closed form: ab and ba
+    translate by α − 1 and 1 − α, so (ab)^k = k(α − 1), (ab)^k·a =
+    k(α − 1) + α, (ba)^k = k(1 − α) and (ba)^k·b = k(1 − α) + 1.  Form i
+    has (i + 1) // 2 letters and starts with a when i is odd."""
+    k, odd = divmod((i + 1) // 2, 2)
+    n = k * (num - den) + odd * num if i % 2 else k * (den - num) + odd * den
+    return (*_ratio(n, den), bool(odd))
 
 
 def _elements(xs: list[tuple]) -> list[D.DihedralElement]:
@@ -486,24 +516,26 @@ def _elements(xs: list[tuple]) -> list[D.DihedralElement]:
     return [D.DihedralElement(fractions.Fraction(n, d), flip) for n, d, flip in xs]
 
 
-def _reflection(num: int, den: int) -> tuple:
-    """The reflection at position num/den."""
-    g = gcd(num, den)
-    return (num // g, den // g, True)
-
-
 _E = (0, 1, False)  # the identity
 _B = (1, 1, True)  # b, the reflection at 1
 
 
 class _DihedralRun(_Run):
+    """Values are ``(num, den, flip)`` triples, keyed by ``key``.
+    ``holds_relation`` checks x·y = z with no gcd and no new triple:
+    n1/d1 ± n2/d2 = n3/d3 cross-multiplied, exact as every den is positive.
+    ``grow`` names the normal forms in a and b, each in closed form
+    (``_normal_form``), in order from ``enum_cursor``; ``deepen`` moves a
+    to the reflection midway between a and b, one tower level deeper."""
+
     belief = (True, False)  # conventional starting belief
     show = staticmethod(_elements)
+    seeds = 3
 
     def __init__(self, growth: int):
         super().__init__(growth)
         self.depth = 0
-        self.a = _reflection(0, 1)  # the current a
+        self.a = (0, 1, True)  # the current a, the reflection at 0
         self.enum_cursor = 0
         self.den_lcm = 1  # L, the lcm of the named denominators
 
@@ -516,7 +548,7 @@ class _DihedralRun(_Run):
         num, den, flip = v
         if self.den_lcm % den:  # v is about to be named
             self.den_lcm = lcm(self.den_lcm, den)
-            self.reindex(self.key)
+            self.reindex(map(self.key, self.values))
         return 2 * num * (self.den_lcm // den) + flip
 
     def record(self, c: int, kc: int, delta: list) -> None:
@@ -533,7 +565,8 @@ class _DihedralRun(_Run):
 
     def holds_relation(self, fact: tuple) -> bool:
         _, i, j, k = fact
-        return _dmul(self.values[i], self.values[j]) == self.values[k]
+        (n1, d1, f1), (n2, d2, f2), (n3, d3, f3) = self.values[i], self.values[j], self.values[k]
+        return f3 == (f1 != f2) and (n1 * d2 + (-n2 if f1 else n2) * d1) * d3 == n3 * d1 * d2
 
     def seed(self, delta: list) -> None:
         self.ensure(_E, delta)
@@ -544,7 +577,7 @@ class _DihedralRun(_Run):
         """Express the current a as a'·b·a' for a fresh deeper reflection a'."""
         old_a = self.used[self.key(self.a)]
         num, den, _ = self.a
-        self.a = _reflection(num + den, 2 * den)  # midpoint of the old reflection and b
+        self.a = (*_ratio(num + den, 2 * den), True)  # midway between the old a and b
         self.depth += 1
         a_new = self.ensure(self.a, delta)
         aux = self.ensure(_dmul(self.a, _B), delta)
@@ -555,14 +588,11 @@ class _DihedralRun(_Run):
 
     def grow(self, delta: list) -> None:
         """Name the next ``growth`` normal forms, in a and b, not yet named."""
-        from . import dihedral as D
+        num, den, _ = self.a
         size = len(self.values) + self.growth
         while len(self.values) < size:
-            value = _E
-            for ch in D.nth_normal_form(self.enum_cursor).letters:
-                value = _dmul(value, self.a if ch == "a" else _B)
+            self.ensure(_normal_form(self.enum_cursor, num, den), delta)
             self.enum_cursor += 1
-            self.ensure(value, delta)
 
     def step(self, s1: bool, s2: bool, delta: list) -> tuple[str, bool]:
         if self.belief[0] and not s1:
@@ -600,39 +630,27 @@ def run_dihedral(trace: ConstructionTrace, growth: int = 1,
 
 
 def dihedral_tower_depth(reports: list[StageReport]) -> int:
-    """Count deepening steps by walking the recorded defining relations.
-
-    A deepening leaves the pair of facts x·b = aux and aux·x = current top,
-    where x is the fresh deeper reflection; the chain is followed from the
-    original generator down.
-    """
+    """Count deepening steps by walking the recorded defining relations: a
+    deepening leaves the facts x·b = aux and aux·x = the current top, x the
+    fresh deeper reflection, followed from the original generator down by
+    an index of the facts aux·x = z by z, built once."""
     facts = {f for r in reports for f in r.diagram_delta if f[0] == "mul"}
+    by_product: dict[int, list[tuple]] = {}
+    for f in facts:
+        by_product.setdefault(f[3], []).append(f)
     values = reports[-1].partial_map
-    b_const = 2  # seeded third, after the identity and the first reflection
-    current = 1
-    depth = 0
+    current, depth = 1, 0  # a is seeded second, after the identity, and b third
     while True:
-        step = None
-        for (_, x, y, aux) in facts:
-            if y == b_const and x != current and ("mul", aux, x, current) in facts \
-                    and values[x].flip:
-                step = x
-                break
-        if step is None:
+        current = next((x for _, aux, x, _ in by_product.get(current, ())
+                        if x != current and ("mul", x, 2, aux) in facts and values[x].flip), None)
+        if current is None:
             return depth
-        current = step
         depth += 1
 
 
 # ---------------------------------------------------------------------------
 # Rank-1 construction: H / G / K
 # ---------------------------------------------------------------------------
-
-def _ratio(num: int, den: int) -> tuple:
-    """num/den, den > 0, as a reduced ``(num, den)`` pair."""
-    g = gcd(num, den)
-    return (num // g, den // g)
-
 
 def _fractions(xs: list[tuple]) -> list[Fraction]:
     import fractions
@@ -779,6 +797,8 @@ def run_cofinality(c: R.Rank1Char, m: int, w_enum: set[int] | Sequence[int],
     cofiniteness, which the report's caveat records.
     """
     from . import rank1 as R
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if not R._rule_class_flags(c)[1]:
         raise ValueError("Pfin must be infinite under the representation")
     w = set(int(x) for x in w_enum)

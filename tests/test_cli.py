@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,24 @@ class TestSimCommands:
         code, _, err = run(capsys, "sim", "dihedral", "--trace", "102")
         assert code == 1 and "error" in err
 
+    def test_cof_window_must_hold_a_prime(self, capsys):
+        char = json.dumps({"exceptions": {}, "default": {"linear": [1, 1]}})
+        code, out, err = run(capsys, "sim", "cof", "--char", char, "--m", "-3")
+        assert code == 1 and out == "" and err.strip() == "error: m must be >= 1"
+
+    @pytest.mark.parametrize("argv", [
+        ["abelian", "--k", "2", "--growth", "100000"],
+        ["abelian", "--k", "20000"],
+        ["rank1", "--char", '{"exceptions":{"2":"inf"},"default":"zero"}', "--p", "3",
+         "--q", "2", "--growth", "5000"],
+        ["dihedral", "--growth", "3000"],
+    ])
+    def test_runs_past_the_budget_are_refused_at_once(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "sim", *argv, "--trace", "10")
+        assert code == 1 and out == "" and err.startswith("error: budget exhausted")
+        assert time.perf_counter() - t0 < 1
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
@@ -253,6 +272,9 @@ class TestExitCodes:
         # more digits than int() converts
         *(["q", "member", '{"exceptions":{"2":"inf"},"default":"zero"}', r]
           for r in ("9" * 5000, "1/" + "9" * 5000)),
+        # a window of no primes: m is at least 1
+        ["sim", "cof", "--char", '{"exceptions":{},"default":{"linear":[1,1]}}', "--m", "-3"],
+        ["sim", "cof", "--char", '{"exceptions":{},"default":{"linear":[1,1]}}', "--m", "0"],
     ])
     def test_malformed_inputs_are_domain_errors(self, capsys, argv):
         code = cli.main(argv)

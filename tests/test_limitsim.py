@@ -138,6 +138,9 @@ class TestMatrixRank:
         assert L._matrix_rank([(0, 0), (0, 0)]) == 0
         assert L._matrix_rank([(2, 4), (1, 2), (3, 6)]) == 1
         assert L._matrix_rank([(0, 1, 0), (0, 0, 1), (0, 1, 1)]) == 2
+        # a row with a zero in the pivot column is still scaled when the
+        # pivot differs from the previous one, or a later division is inexact
+        assert L._matrix_rank([(0, 2, 0), (0, -1, -1), (3, -1, 3)]) == 3
 
 
 class TestIntegerArithmetic:
@@ -153,6 +156,31 @@ class TestIntegerArithmetic:
             got = L._dmul(triple(x), triple(y))
             assert got == triple(x * y)
             assert L._elements([got]) == [x * y]
+
+    def test_dihedral_check_matches_the_product(self):
+        # holds_relation cross-multiplies; it agrees with forming x·y and
+        # comparing, on true facts and on false ones perturbed from them
+        rng = random.Random(37)
+
+        def element():
+            den = rng.choice((rng.randint(1, 60), 2 ** rng.randint(0, 12)))
+            return (*L._ratio(rng.randint(-400, 400), den), rng.random() < 0.5)
+
+        run, agree = L._DihedralRun(growth=1), set()
+        for n in range(4000):
+            x, y = element(), element()
+            z = L._dmul(x, y)
+            if n % 4 == 1:
+                z = (z[0], z[1], not z[2])
+            elif n % 4 == 2:
+                z = (*L._ratio(z[0] * 3 + rng.choice((-1, 1)) * z[1], 3 * z[1]), z[2])
+            elif n % 4 == 3:
+                z = element()
+            run.values = [x, y, z]
+            want = L._dmul(x, y) == z
+            assert run.holds_relation(("mul", 0, 1, 2)) == want, (x, y, z)
+            agree.add(want)
+        assert agree == {True, False}
 
     def test_rank1_scale_matches_fraction_ratio(self):
         rng = random.Random(29)
@@ -272,9 +300,9 @@ class TestDistinctnessByIndex:
         make, (first, _), _ = self.CASES[name]
         run = make()
         run.advance(*first)
-        run.reindex(run.key)
+        run.reindex(map(run.key, run.values))
         assert run.sound
-        run.reindex(lambda v: 0)
+        run.reindex([0] * len(run.values))
         assert run.sound is False
         checks = {check: ok for check, ok, _ in run.result()[2].checks}
         assert checks["stage-soundness"] is False
@@ -441,6 +469,123 @@ class TestDihedral:
                      for _ in range(rng.randint(1, 10))]
             _, _, ver = L.run_dihedral(T(steps), growth=rng.randint(1, 2))
             assert ver.ok, (steps, ver)
+
+
+def full_scan_tower_depth(reports) -> int:
+    """The tower depth by a scan of every ``mul`` fact at every level, the
+    walk ``dihedral_tower_depth`` makes through its index of the facts."""
+    facts = {f for r in reports for f in r.diagram_delta if f[0] == "mul"}
+    values = reports[-1].partial_map
+    current, depth = 1, 0
+    while True:
+        step = None
+        for (_, x, y, aux) in facts:
+            if y == 2 and x != current and ("mul", aux, x, current) in facts and values[x].flip:
+                step = x
+                break
+        if step is None:
+            return depth
+        current = step
+        depth += 1
+
+
+class TestDihedralKernels:
+    def test_normal_forms_in_closed_form(self):
+        # at tower depth d, a is the reflection at 1 - 2^-d; the closed form
+        # of each normal form is the product of its letters
+        for depth in range(12):
+            a = (2 ** depth - 1, 2 ** depth, True)
+            for i in range(400):
+                want = L._E
+                for ch in D.nth_normal_form(i).letters:
+                    want = L._dmul(want, a if ch == "a" else L._B)
+                assert L._normal_form(i, a[0], a[1]) == want, (depth, i)
+
+    def test_grow_names_the_normal_forms_in_order(self):
+        run = L._DihedralRun(growth=50)
+        run.grow([])
+        assert L._elements(run.values) == [D.to_element(D.nth_normal_form(i)) for i in range(50)]
+
+    def test_tower_depth_matches_a_full_scan(self):
+        rng = random.Random(43)
+        for _ in range(80):
+            steps = [[rng.randint(0, 1), rng.randint(0, 1)] for _ in range(rng.randint(1, 40))]
+            reports, _, ver = L.run_dihedral(T(steps), growth=rng.randint(1, 2))
+            assert ver.ok
+            assert L.dihedral_tower_depth(reports) == full_scan_tower_depth(reports), steps
+        reports, _, _ = L.run_dihedral(T([[1, 0], [0, 0]] * 65), growth=1)
+        assert L.dihedral_tower_depth(reports) == full_scan_tower_depth(reports) == 65
+
+
+class TestAbelianReplay:
+    """``final-replay`` checks the abelian sum facts a coordinate at a time."""
+
+    @staticmethod
+    def finished_run():
+        run = L._AbelianRun(3, growth=2)
+        _, _, ver = run.simulate(TestFactBookkeeping.TRACE)
+        assert ver.ok and run.replay()
+        return run
+
+    @staticmethod
+    def checks(run) -> dict:
+        return {check: ok for check, ok, _ in run.result()[2].checks}
+
+    def test_a_false_sum_fact_fails_final_replay(self):
+        run = self.finished_run()
+        assert run.values[3] != tuple(map(operator.add, run.values[1], run.values[2]))
+        run._seen.add(("sum", 1, 2, 3))
+        assert run.relations_hold() is False
+        checks = self.checks(run)
+        assert checks["final-replay"] is False and checks["stage-soundness"] is True
+
+    def test_a_changed_coordinate_fails_final_replay(self):
+        run = self.finished_run()
+        _, i, j, k = next(f for f in sorted(run._seen) if 0 not in f[1:])
+        for coord in range(len(run.values[k])):
+            twin = run.fork()
+            value = list(twin.values[k])
+            value[coord] += 10 ** 30  # far from every named value: still distinct
+            twin.values[k] = tuple(value)
+            assert len(set(twin.values)) == len(twin.values)
+            assert twin.relations_hold() is False, (i, j, k, coord)
+            assert self.checks(twin)["final-replay"] is False
+
+
+class TestBudget:
+    """``simulate`` refuses a trace that could name more than
+    ``NAMED_BUDGET`` values: the seeds plus 2·growth + 2 a stage."""
+
+    RUNS = {  # (run, its seeds)
+        "abelian": (lambda growth: L._AbelianRun(4, growth), 4),
+        "dihedral": (lambda growth: L._DihedralRun(growth), 3),
+        "rank1": (lambda growth: L._Rank1Run(R.char({2: R.INF}), 3, 2, growth), 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_reach_bounds_the_named_values(self, name):
+        make, seeds = self.RUNS[name]
+        rng = random.Random(f"reach {name}")
+        for _ in range(30):
+            growth = rng.randint(1, 4)
+            run = make(growth)
+            for stage in range(rng.randint(1, 30)):
+                run.advance(rng.random() < 0.5, rng.random() < 0.5)
+                assert len(run.values) <= seeds + (stage + 1) * (2 * growth + 2)
+
+    @pytest.mark.parametrize("growth", [1, 3])
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_the_last_admitted_stage_count(self, name, growth):
+        make, seeds = self.RUNS[name]
+        stages = (L.NAMED_BUDGET - seeds) // (2 * growth + 2)
+        _, _, ver = make(growth).simulate(T([[0, 0]] * stages))
+        assert ver.ok
+        with pytest.raises(ValueError, match=f"^budget exhausted: .* above {L.NAMED_BUDGET}$"):
+            make(growth).simulate(T([[0, 0]] * (stages + 1)))
+
+    def test_rank_above_the_budget(self):
+        with pytest.raises(ValueError, match="budget exhausted"):
+            L.run_abelian(L.NAMED_BUDGET, T([[0, 0]]))
 
 
 class TestRank1:
