@@ -5,9 +5,10 @@ generated abelian groups, and rank-1 torsion-free abelian groups.
 Importing the package loads none of its modules: each one listed in
 ``__all__`` loads on first use, as ``scottgroups.words`` or as the
 attribute ``scottgroups.words``.  Only sentence code imports ``formula``.
-``fgab``, ``dihedral`` and ``rank1`` declare their family enumerations in
-``FAMILIES`` tables; ``formula.family`` imports all three on a miss, so
-formulas can be rebuilt from their JSON form with no further setup.
+``fgab``, ``dihedral`` and ``rank1`` declare their families in ``FAMILIES``
+tables (builder, parameter kinds, member level, bound variables);
+``formula.family`` decodes the parameters and imports all three on a miss,
+so formulas can be rebuilt from their JSON form with no further setup.
 """
 
 import functools

@@ -245,22 +245,12 @@ def _word_letters(w: DihedralWord, names: tuple[str, str]) -> list[tuple[str, in
     return [(names[0] if ch == "a" else names[1], 1) for ch in w.letters]
 
 
-def _name_pair(params: dict, key: str) -> tuple[str, str]:
+def _build_triple_family(pair: tuple[str, str], targets: tuple[str, str, str]):
     F = formula_module()
-    names = F.family_param(params, key, "names")
-    if len(names) != 2:
-        raise ValueError(f"family parameter {key!r} must name two variables, got {list(names)}")
-    return names
-
-
-def _build_triple_family(params: dict):
-    F = formula_module()
-    names = _name_pair(params, "pair")
-    targets = F.family_param(params, "targets", "names")
 
     def gen(i: int) -> F.Formula:
         triple = map(nth_normal_form, _TRIPLES[i])
-        return F.conj(*(F.Atomic(F.gword([(t, 1)]), F.gword(_word_letters(w, names)))
+        return F.conj(*(F.Atomic(F.gword([(t, 1)]), F.gword(_word_letters(w, pair)))
                         for t, w in zip(targets, triple)))
 
     return gen, None
@@ -271,13 +261,12 @@ _TRIPLES = Enumeration((a, b, s - a - b) for s in count()
                        for a in range(s + 1) for b in range(s + 1 - a))
 
 
-def _build_relations_family(params: dict):
+def _build_relations_family(pair: tuple[str, str]):
     F = formula_module()
-    names = _name_pair(params, "pair")
 
     def gen(i: int) -> F.Formula:
         letters = _FREE_WORDS[i]
-        mapped = F.gword([(names[0] if var == "x1" else names[1], e)
+        mapped = F.gword([(pair[0] if var == "x1" else pair[1], e)
                           for var, e in letters]) if letters else F.IDENT
         holds = _eval_free_word_in_dinf(letters) == E_ELEM
         return F.Atomic(mapped, F.IDENT) if holds else F.NegAtomic(mapped, F.IDENT)
@@ -285,10 +274,8 @@ def _build_relations_family(params: dict):
     return gen, None
 
 
-def _build_imprimitive_family(params: dict):
+def _build_imprimitive_family(pair: tuple[str, str], others: tuple[str, str]):
     F = formula_module()
-    pair = _name_pair(params, "pair")
-    others = _name_pair(params, "others")
 
     def gen(i: int) -> F.Formula:
         u, v = nth_imprimitive_pair(i)
@@ -298,10 +285,13 @@ def _build_imprimitive_family(params: dict):
     return gen, None
 
 
+# enum_id -> (builder, param kinds, member level, bound variables): see formula.family
 FAMILIES = {
-    "dinf-generating-triples": _build_triple_family,
-    "dinf-relations": _build_relations_family,
-    "dinf-imprimitive-pairs": _build_imprimitive_family,
+    "dinf-generating-triples": (_build_triple_family, {"pair": "pair", "targets": "triple"},
+                                (0, 0), ()),
+    "dinf-relations": (_build_relations_family, {"pair": "pair"}, (0, 0), ()),
+    "dinf-imprimitive-pairs": (_build_imprimitive_family, {"pair": "pair", "others": "pair"},
+                               (0, 0), ()),
 }
 
 

@@ -209,9 +209,8 @@ def _span_coefficients(n: int) -> Enumeration:
     return Enumeration((k, m) for k in count(2) for m in product(range(k), repeat=n) if any(m))
 
 
-def _build_multiple_neq(params: dict):
+def _build_multiple_neq(var: str):
     F = formula_module()
-    var = F.family_param(params, "var", "name")
 
     def gen(i: int) -> F.Formula:
         return F.NegAtomic(F.lin({var: i + 1}), F.ZERO)
@@ -219,10 +218,8 @@ def _build_multiple_neq(params: dict):
     return gen, None
 
 
-def _build_pure_span(params: dict):
+def _build_pure_span(targets: tuple[str, ...], witness: str):
     F = formula_module()
-    targets = F.family_param(params, "targets", "names")
-    witness = F.family_param(params, "witness", "name")
 
     def gen(i: int) -> F.Formula:
         k, m = _span_coefficients(len(targets))[i]
@@ -231,57 +228,56 @@ def _build_pure_span(params: dict):
     return gen, None if targets else 0  # no targets: no nonzero m̄, no member
 
 
-def _build_nonzero_combo(params: dict, equal: bool):
+def _build_nonzero_combo(vars: tuple[str, ...], equal: bool):
     F = formula_module()
-    names = F.family_param(params, "vars", "names")
     atom = F.Atomic if equal else F.NegAtomic
 
     def gen(i: int) -> F.Formula:
-        return atom(F.lin(dict(zip(names, int_tuple(len(names), i)))), F.ZERO)
+        return atom(F.lin(dict(zip(vars, int_tuple(len(vars), i)))), F.ZERO)
 
-    return gen, None if names else 0  # no variables: no nonzero combination
+    return gen, None if vars else 0  # no variables: no nonzero combination
 
 
-def _build_all_combo_eq(params: dict):
+def _build_all_combo_eq(target: str, vars: tuple[str, ...]):
     F = formula_module()
-    target = F.family_param(params, "target", "name")
-    names = F.family_param(params, "vars", "names")
 
     def gen(i: int) -> F.Formula:
-        combo = int_tuple(len(names), i, include_zero=True)
-        return F.Atomic(F.lin({target: 1}), F.lin(dict(zip(names, combo))))
+        combo = int_tuple(len(vars), i, include_zero=True)
+        return F.Atomic(F.lin({target: 1}), F.lin(dict(zip(vars, combo))))
 
-    return gen, None if names else 1  # no variables: the empty combination only
+    return gen, None if vars else 1  # no variables: the empty combination only
 
 
-def _build_fg_relations(params: dict):
+def _build_fg_relations(rank: int, torsion: tuple[int, ...], vars: tuple[str, ...]):
     F = formula_module()
-    rank = F.family_param(params, "rank", "int")
-    torsion = F.family_param(params, "torsion", "ints")
-    if rank < 0 or any(d < 2 for d in torsion):
-        raise ValueError(f"fg-abelian-relations needs rank >= 0 and torsion orders >= 2, "
-                         f"got {rank} and {list(torsion)}")
-    names = F.family_param(params, "vars", "names")
+    if rank < 0 or any(d < 2 for d in torsion) or len(vars) != rank + len(torsion):
+        raise ValueError(f"fg-abelian-relations needs rank >= 0, torsion orders >= 2 and "
+                         f"one variable per generator, got rank {rank}, torsion "
+                         f"{list(torsion)} and vars {list(vars)}")
 
     def gen(i: int) -> F.Formula:
-        combo = int_tuple(len(names), i, include_zero=True)
-        term = F.lin(dict(zip(names, combo)))
+        combo = int_tuple(len(vars), i, include_zero=True)
+        term = F.lin(dict(zip(vars, combo)))
         free_zero = all(k == 0 for k in combo[:rank])
         torsion_zero = all(k % d == 0 for k, d in zip(combo[rank:], torsion))
         if free_zero and torsion_zero:
             return F.Atomic(term, F.ZERO)
         return F.NegAtomic(term, F.ZERO)
 
-    return gen, None if names else 1
+    return gen, None if vars else 1
 
 
+# enum_id -> (builder, param kinds, member level, bound variables): see formula.family
 FAMILIES = {
-    "multiple-neq": _build_multiple_neq,
-    "pure-span": _build_pure_span,
-    "nonzero-combo-neq": partial(_build_nonzero_combo, equal=False),
-    "nonzero-combo-eq": partial(_build_nonzero_combo, equal=True),
-    "all-combo-eq": _build_all_combo_eq,
-    "fg-abelian-relations": _build_fg_relations,
+    "multiple-neq": (_build_multiple_neq, {"var": "name"}, (0, 0), ()),
+    "pure-span": (_build_pure_span, {"targets": "names", "witness": "name"}, (0, 0), ()),
+    "nonzero-combo-neq": (partial(_build_nonzero_combo, equal=False), {"vars": "names"},
+                          (0, 0), ()),
+    "nonzero-combo-eq": (partial(_build_nonzero_combo, equal=True), {"vars": "names"},
+                         (0, 0), ()),
+    "all-combo-eq": (_build_all_combo_eq, {"target": "name", "vars": "names"}, (0, 0), ()),
+    "fg-abelian-relations": (_build_fg_relations,
+                             {"rank": "int", "torsion": "ints", "vars": "names"}, (0, 0), ()),
 }
 
 

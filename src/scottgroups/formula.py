@@ -7,7 +7,8 @@ blocks.  Negation occurs only on atoms.  The module provides
 
 * complexity classification into Sigma(n) / Pi(n) / DSigma(n) /
   QuantifierFree by counting alternations of {or, exists} against
-  {and, forall} blocks, reporting the least class,
+  {and, forall} blocks, reporting the least class; a family counts at the
+  level its declaration gives its members, so no member is drawn,
 * exact evaluation over finite group tables, with families truncated at a
   caller-supplied bound and an honesty flag saying whether the truncated
   answer is already decided; one backtracking search serves both
@@ -18,7 +19,8 @@ blocks.  Negation occurs only on atoms.  The module provides
 * a JSON codec: ``dumps`` writes the canonical text directly (sorted keys,
   default separators, ASCII escapes; no keyword arguments), ``to_json_dict``
   parses it, and a family is rebuilt from its enumeration id + parameters by
-  the ``FAMILIES`` table of its owner (``dihedral``, ``fgab`` or ``rank1``).
+  the ``FAMILIES`` table of its owner (``dihedral``, ``fgab`` or ``rank1``),
+  whose declared parameter kinds ``family`` alone decodes.
 
 Only finite classification levels are supported.
 """
@@ -155,17 +157,20 @@ class FiniteOr(Formula):
 
 @record
 class FamilyNote:
-    """Identity of an enumerated family: id, parameters, declared size.
+    """Identity of an enumerated family: id, parameters, declared size and
+    the members' level.
 
     Parameters are kept as a canonical JSON string so notes hash, compare,
     and round-trip exactly.  ``size`` is None for genuinely infinite
     enumerations; a non-None size lets the evaluator report exactness once
-    every member has been seen.
+    every member has been seen.  ``level`` is every member's least (Sigma,
+    Pi) pair, as declared; ``classify`` reads it and draws no member.
     """
 
     enum_id: str
     params: str
     size: int | None
+    level: tuple[int, int]
 
 
 @record(hidden=("gen",))
@@ -215,58 +220,73 @@ def family_members(f: FamilyAnd | FamilyOr, count: int) -> list[Formula]:
 
 
 # ---------------------------------------------------------------------------
-# Family tables: enumeration id + params -> (generator, size)
+# Family tables: enumeration id -> (builder, param kinds, member level, bound variables)
 # ---------------------------------------------------------------------------
 
-FamilyBuilder = Callable[[dict], tuple[Callable[[int], Formula], int | None]]
 _FAMILY_OWNERS = tuple(f"{__package__}.{name}" for name in ("dihedral", "fgab", "rank1"))
 
+
+def _is_names(v: Any) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+# kind -> (what a value must be, its test)
 _PARAM_KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "name": ("a string", lambda v: isinstance(v, str)),
-    "names": ("a list of strings",
-              lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "names": ("a list of strings", _is_names),
+    "pair": ("a list of two strings", lambda v: _is_names(v) and len(v) == 2),
+    "triple": ("a list of three strings", lambda v: _is_names(v) and len(v) == 3),
     "int": ("an integer", is_json_int),
     "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(is_json_int, v))),
     "object": ("an object", lambda v: isinstance(v, dict)),
 }
-
-
-def family_param(params: Mapping[str, Any], key: str, kind: str) -> Any:
-    """Family parameter ``key`` decoded as ``kind``: "name", "names", "int",
-    "ints" or "object"; a list comes back as a tuple.  A missing or
-    ill-typed parameter raises ValueError."""
-    what, fits = _PARAM_KINDS[kind]
-    if key not in params:
-        raise ValueError(f"family parameter {key!r} is missing")
-    value = params[key]
-    if not fits(value):
-        raise ValueError(f"family parameter {key!r} must be {what}, got {value!r}")
-    return tuple(value) if isinstance(value, list) else value
+_NAME_KINDS = ("name", "names", "pair", "triple")  # the kinds that name variables
 
 
 def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | FamilyOr:
-    """Build a family node from its builder (the only supported path).
+    """Build a family node from its declaration (the only supported path).
 
     ``dihedral``, ``fgab`` and ``rank1`` declare their families in a table
-    ``FAMILIES = {enum_id: builder}``.  The tables of those already loaded
-    are read first; only an id none of them has imports all three.
+    ``FAMILIES = {enum_id: (builder, {param: kind}, level, bound)}``: the
+    kind of each parameter (a key of ``_PARAM_KINDS``), the members' (Sigma,
+    Pi) level, and the variables the members bind.  The tables of those
+    already loaded are read first; only an id none of them has imports all
+    three.  Each declared parameter is decoded here and passed to
+    ``builder`` by keyword; parameters not declared are ignored, and kept in
+    the note.  A missing or ill-typed parameter raises ValueError, and so
+    does a variable named twice, or named where the members bind it.
 
     The node draws each member from the builder once and keeps it for as
-    long as the node lives, so rendering, ``classify``, ``family_members``
-    and every ``evaluate_exact`` on the node share one copy of member i.
+    long as the node lives, so rendering, ``family_members`` and every
+    ``evaluate_exact`` on the node share one copy of member i.
     """
     for name in _FAMILY_OWNERS:
         owner = sys.modules.get(name)
         if owner and enum_id in owner.FAMILIES:
-            builder = owner.FAMILIES[enum_id]
+            entry = owner.FAMILIES[enum_id]
             break
     else:
         from . import dihedral, fgab, rank1
-        builder = {**dihedral.FAMILIES, **fgab.FAMILIES, **rank1.FAMILIES}.get(enum_id)
-    if builder is None:
+        entry = {**dihedral.FAMILIES, **fgab.FAMILIES, **rank1.FAMILIES}.get(enum_id)
+    if entry is None:
         raise KeyError(f"unknown family enumeration {enum_id!r}")
-    build, size = builder(dict(params))
-    note = FamilyNote(enum_id, json.dumps(dict(params), sort_keys=True), size)
+    builder, kinds, level, bound = entry
+    args, names = {}, [*bound]
+    for key, param_kind in kinds.items():
+        what, fits = _PARAM_KINDS[param_kind]
+        if key not in params:
+            raise ValueError(f"family parameter {key!r} is missing")
+        if not fits(value := params[key]):
+            raise ValueError(f"family parameter {key!r} must be {what}, got {value!r}")
+        args[key] = value = tuple(value) if isinstance(value, list) else value
+        if param_kind in _NAME_KINDS:
+            names.extend((value,) if param_kind == "name" else value)
+    for i, var in enumerate(names):
+        if var in names[:i]:
+            why = ", a variable its members bind" if var in bound else " twice"
+            raise ValueError(f"family {enum_id!r} names {var!r}{why}")
+    build, size = builder(**args)
+    note = FamilyNote(enum_id, json.dumps(dict(params), sort_keys=True), size, level)
     if kind == "and":
         return FamilyAnd(note, _drawn_once(build))
     if kind == "or":
@@ -373,9 +393,6 @@ class Complexity:
         return f"{self.kind}({self.level})"
 
 
-_CLASSIFY_PROBE = 3  # family members inspected; emitted families are shape-uniform
-
-
 def _levels(f: Formula) -> tuple[int, int]:
     """Least n with f in Sigma_n, least n with f in Pi_n; (0, 0) exactly when
     f is quantifier-free, and both at least 1 otherwise."""
@@ -386,23 +403,19 @@ def _levels(f: Formula) -> tuple[int, int]:
         child = [_levels(c) for c in f.items]
         return (max((s for s, _ in child), default=0), max((p for _, p in child), default=0))
     if isinstance(f, (FamilyAnd, FamilyOr)):
-        size = f.note.size
-        if size == 0:
+        if f.note.size == 0:
             return (0, 0)  # empty family is a finitary truth value
-        probe = _CLASSIFY_PROBE if size is None else min(size, _CLASSIFY_PROBE)
-        child = [_levels(f.gen(i)) for i in range(probe)]
-        if isinstance(f, FamilyAnd):
-            p = max(1, max(pp for _, pp in child))
-            return (p + 1, p)
-        s = max(1, max(ss for ss, _ in child))
+        inner = f.note.level  # every member's, as the family declares it
+    elif isinstance(f, (Exists, Forall)):
+        inner = _levels(f.body)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    # an infinite disjunction raises the level as an Exists block does, a conjunction as Forall
+    if isinstance(f, (FamilyOr, Exists)):
+        s = max(1, inner[0])
         return (s, s + 1)
-    if isinstance(f, Exists):
-        s = max(1, _levels(f.body)[0])
-        return (s, s + 1)
-    if isinstance(f, Forall):
-        p = max(1, _levels(f.body)[1])
-        return (p + 1, p)
-    raise TypeError(f"not a formula: {f!r}")
+    p = max(1, inner[1])
+    return (p + 1, p)
 
 
 def classify(f: Formula) -> Complexity:
@@ -410,6 +423,7 @@ def classify(f: Formula) -> Complexity:
 
     A top-level finite conjunction that splits into a Sigma(n) part and a
     Pi(n) part, while not itself being Sigma(n) or Pi(n), reports DSigma(n).
+    A family counts at its note's declared member level: no member is drawn.
     """
     # a conjunction's levels are its conjuncts' maxima, so each conjunct is
     # walked once; any other formula is its own one conjunct
@@ -744,9 +758,8 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
     at most once, when the evaluation first reaches it, however many
     assignments read it.  The compiled closures and the power tables belong
     to this call alone.  The members of a node built by ``family`` live as
-    long as that node, so a later call, ``render`` or ``classify`` on the
-    node reuses them; a family node built directly draws its members anew
-    in each call.
+    long as that node, so a later call or ``render`` on the node reuses
+    them; a family node built directly draws its members anew in each call.
     """
     if family_bound < 1:
         raise ValueError("family_bound must be >= 1")

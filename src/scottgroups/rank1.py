@@ -388,12 +388,10 @@ def lambda_member(c: Rank1Char, i: int) -> Fraction:
 # Scott sentence families
 # ---------------------------------------------------------------------------
 
-def _build_lambda(params: dict, onto: bool):
+def _build_lambda(char: dict, var: str, onto: bool, target: str = "y"):
     """q·var = target (``onto``) or ∃y q·var = y, one member per rational q of the group."""
     F = formula_module()
-    c = char_from_json(F.family_param(params, "char", "object"))
-    var = F.family_param(params, "var", "name")
-    target = F.family_param(params, "target", "name") if onto else "y"
+    c = char_from_json(char)
 
     def gen(i: int) -> F.Formula:
         q = lambda_member(c, i)
@@ -403,10 +401,9 @@ def _build_lambda(params: dict, onto: bool):
     return gen, None
 
 
-def _build_pinf_divisible(params: dict):
+def _build_pinf_divisible(char: dict, target: str):
     F = formula_module()
-    c = char_from_json(F.family_param(params, "char", "object"))
-    target = F.family_param(params, "target", "name")
+    c = char_from_json(char)
     rule_inf = _rule_class_flags(c)[2]
     finite_pinf = sorted(p for p, v in c.exceptions if v == INF) if not rule_inf else []
     size = None if rule_inf or finite_pinf else 0
@@ -424,10 +421,9 @@ def _build_pinf_divisible(params: dict):
     return gen, size
 
 
-def _build_non_pinf_indivisible(params: dict):
+def _build_non_pinf_indivisible(char: dict, var: str):
     F = formula_module()
-    c = char_from_json(F.family_param(params, "char", "object"))
-    var = F.family_param(params, "var", "name")
+    c = char_from_json(char)
     all_inf = all(_class_rule(c.default, r) == INF_RULE for r in range(_rule_modulus(c.default)))
     size = sum(1 for _, v in c.exceptions if v != INF) if all_inf else None
 
@@ -438,9 +434,8 @@ def _build_non_pinf_indivisible(params: dict):
     return gen, size
 
 
-def _build_all_primes_divisible(params: dict):
+def _build_all_primes_divisible(target: str):
     F = formula_module()
-    target = F.family_param(params, "target", "name")
 
     def gen(i: int) -> F.Formula:
         return F.Exists(("z",), F.Atomic(F.lin({"z": nth_prime(i), target: -1}), F.ZERO))
@@ -448,12 +443,17 @@ def _build_all_primes_divisible(params: dict):
     return gen, None
 
 
+# enum_id -> (builder, param kinds, member level, bound variables): see formula.family
 FAMILIES = {
-    "rank1-lambda-exists": partial(_build_lambda, onto=False),
-    "rank1-lambda-onto": partial(_build_lambda, onto=True),
-    "rank1-pinf-divisible": _build_pinf_divisible,
-    "rank1-non-pinf-indivisible": _build_non_pinf_indivisible,
-    "primes-divisible": _build_all_primes_divisible,
+    "rank1-lambda-exists": (partial(_build_lambda, onto=False),
+                            {"char": "object", "var": "name"}, (1, 2), ("y",)),
+    "rank1-lambda-onto": (partial(_build_lambda, onto=True),
+                          {"char": "object", "var": "name", "target": "name"}, (0, 0), ()),
+    "rank1-pinf-divisible": (_build_pinf_divisible, {"char": "object", "target": "name"},
+                             (1, 2), ("z",)),
+    "rank1-non-pinf-indivisible": (_build_non_pinf_indivisible,
+                                   {"char": "object", "var": "name"}, (2, 1), ("z",)),
+    "primes-divisible": (_build_all_primes_divisible, {"target": "name"}, (1, 2), ("z",)),
 }
 
 

@@ -275,6 +275,29 @@ class TestExitCodes:
         # a window of no primes: m is at least 1
         ["sim", "cof", "--char", '{"exceptions":{},"default":{"linear":[1,1]}}', "--m", "-3"],
         ["sim", "cof", "--char", '{"exceptions":{},"default":{"linear":[1,1]}}', "--m", "0"],
+        # a family naming a variable its members bind, which they would capture
+        ["formula", "eval", "--table", '{"table":[[0,1],[1,0]]}',
+         '{"t":"all","vars":["z"],"body":{"t":"fam-and","enum":"rank1-pinf-divisible",'
+         '"params":{"char":{"exceptions":{"2":"inf"},"default":"zero"},"target":"z"}}}'],
+        ["formula", "eval", "--table", '{"table":[[0,1],[1,0]]}',
+         '{"t":"all","vars":["z"],"body":{"t":"fam-and","enum":"primes-divisible",'
+         '"params":{"target":"z"}}}'],
+        ["formula", "eval", "--table", '{"table":[[0,1],[1,0]]}',
+         '{"t":"all","vars":["y"],"body":{"t":"fam-and","enum":"rank1-lambda-exists",'
+         '"params":{"char":{"exceptions":{"2":"inf"},"default":"zero"},"var":"y"}}}'],
+        # a family naming one variable twice, or too few
+        ["formula", "render",
+         '{"t":"fam-and","enum":"nonzero-combo-neq","params":{"vars":["x","x"]}}'],
+        ["formula", "render",
+         '{"t":"fam-and","enum":"pure-span","params":{"targets":["x1","y"],"witness":"y"}}'],
+        ["formula", "render", '{"t":"fam-and","enum":"dinf-imprimitive-pairs",'
+                              '"params":{"pair":["x1","x2"],"others":["x1","x2"]}}'],
+        ["formula", "render", '{"t":"fam-or","enum":"dinf-generating-triples",'
+                              '"params":{"pair":["x1","x2"],"targets":["u"]}}'],
+        ["formula", "render", '{"t":"fam-and","enum":"fg-abelian-relations",'
+                              '"params":{"rank":3,"torsion":[2],"vars":["a"]}}'],
+        ["formula", "render", '{"t":"fam-and","enum":"fg-abelian-relations",'
+                              '"params":{"rank":3,"torsion":[2],"vars":[]}}'],
     ])
     def test_malformed_inputs_are_domain_errors(self, capsys, argv):
         code = cli.main(argv)

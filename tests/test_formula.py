@@ -82,12 +82,13 @@ class TestClassify:
             assert classify_pair(f) == reference_classify(f)
 
     def test_families_are_shape_uniform(self):
-        # classify reads only the first few members of a family
+        # classify reads a family's declared member level, not its members
         seen = set()
         for f in emitted_sentences():
             for fam in family_nodes(f):
                 seen.add(fam.note.enum_id)
-                assert len({F._levels(m) for m in F.family_members(fam, 40)}) <= 1, fam.note
+                want = set() if fam.note.size == 0 else {fam.note.level}
+                assert {F._levels(m) for m in F.family_members(fam, 40)} == want, fam.note
         tables = [D.FAMILIES, fgab.FAMILIES, R.FAMILIES]
         assert seen == set().union(*tables)
         assert len(seen) == sum(map(len, tables))  # no id is owned twice
@@ -112,7 +113,7 @@ def reference_levels(f):
     if isinstance(f, (F.FamilyAnd, F.FamilyOr)):
         if f.note.size == 0:
             return (0, 0)
-        child = [reference_levels(m) for m in F.family_members(f, F._CLASSIFY_PROBE)]
+        child = [reference_levels(m) for m in F.family_members(f, 8)]
         if isinstance(f, F.FamilyAnd):
             p = max(1, max(pp for _, pp in child))
             return (p + 1, p)
@@ -208,8 +209,11 @@ def random_term(rng, scope, depth=2):
 
 
 def finite_family(kind, members):
-    """A family node of exactly ``members``, built without the registry."""
-    note = F.FamilyNote("test-members", "{}", len(members))
+    """A family node of exactly ``members``, built without the registry; its
+    declared level is the greatest of the members' levels."""
+    levels = [F._levels(m) for m in members]
+    level = (max((s for s, _ in levels), default=0), max((p for _, p in levels), default=0))
+    note = F.FamilyNote("test-members", "{}", len(members), level)
     return (F.FamilyAnd if kind == "and" else F.FamilyOr)(note, members.__getitem__)
 
 
@@ -311,7 +315,7 @@ class TestEvaluate:
             drawn[i] += 1
             return F.Atomic(F.gword([("x", 1)] * i + [("x", -1)] * i), F.IDENT)
 
-        family = F.FamilyAnd(F.FamilyNote("counted", "{}", None), gen)
+        family = F.FamilyAnd(F.FamilyNote("counted", "{}", None, (0, 0)), gen)
         sentence = F.Forall(("x",), family)
         s3 = acceptance.dihedral_group(3)
         assert F.evaluate_exact(sentence, s3, 5) == (True, False)
@@ -355,18 +359,19 @@ class TestEvaluate:
         def member(i):
             return F.Atomic(F.gword([("x", 1)] * i + [("x", -1)] * i), F.IDENT)
 
-        def counted(params):
+        def counted():
             def gen(i):
                 drawn[i] += 1
                 return member(i)
             return gen, None
 
-        monkeypatch.setitem(fgab.FAMILIES, "test-counted", counted)
+        monkeypatch.setitem(fgab.FAMILIES, "test-counted", (counted, {}, (0, 0), ()))
         family = F.family("and", "test-counted", {})
         sentence = F.Forall(("x",), family)
+        assert classify_pair(sentence) == ("Pi", 1)
+        assert not drawn  # classify reads the declared level and draws no member
         F.render(sentence, "text", 5)
         F.render(sentence, "latex", 5)
-        assert classify_pair(sentence) == ("Pi", 1)
         s3 = acceptance.dihedral_group(3)
         assert F.evaluate_exact(sentence, s3, 5) == (True, False)
         assert F.evaluate_exact(sentence, s3, 5) == (True, False)

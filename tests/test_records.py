@@ -60,8 +60,8 @@ def test_free_word_validates_in_post_init():
 def test_family_and_leaves_gen_out_of_eq_hash_and_repr():
     twin = twin_of(F.FamilyAnd, [("note", F.FamilyNote),
                                  ("gen", Callable, dataclasses.field(compare=False, repr=False))])
-    note = F.FamilyNote("multiple-neq", '{"var": "x"}', None)
-    other = F.FamilyNote("multiple-neq", '{"var": "y"}', 4)
+    note = F.FamilyNote("multiple-neq", '{"var": "x"}', None, (0, 0))
+    other = F.FamilyNote("multiple-neq", '{"var": "y"}', 4, (0, 0))
 
     def gen(i):
         return F.Atomic(F.ZERO, F.ZERO)
