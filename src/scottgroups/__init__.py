@@ -62,13 +62,14 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
+def record(cls=None, /, *, compare: tuple[str, ...] | None = None):
     """Make ``cls`` an immutable record of its annotated fields, as
     ``dataclasses.dataclass(frozen=True)`` does, and with methods of the same
     shape: ``__init__`` over the fields in order (a class attribute is the
     field's default), then ``__post_init__`` when the class has one;
-    ``__eq__``, ``__hash__`` and ``__repr__`` over the fields not in
-    ``hidden``; ``__setattr__`` and ``__delattr__`` raise
+    ``__eq__``, ``__hash__`` and ``__repr__`` over the attributes named in
+    ``compare``, in order, which may leave fields out or name properties,
+    and by default over the fields; ``__setattr__`` and ``__delattr__`` raise
     ``FrozenInstanceError``.
 
     The ``dataclasses`` module is not used because importing it loads
@@ -76,10 +77,10 @@ def record(cls=None, /, *, hidden: tuple[str, ...] = ()):
     and it takes about three times as long to decorate a class.
     """
     if cls is None:
-        return lambda c: record(c, hidden=hidden)
+        return lambda c: record(c, compare=compare)
     names = list(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-    shown = [n for n in names if n not in hidden]
+    shown = names if compare is None else compare
     own = "".join("self.%s," % n for n in shown)
     source = _RECORD_METHODS.format(
         params="".join(", %s=__default_%s" % (n, n) if n in defaults else ", " + n

@@ -247,11 +247,22 @@ def _cmd_formula_render(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _emit_stage_reports(reports, mapper) -> None:
+    """One JSON line a stage, with each value shown and mapped once: while
+    the reports hold the same list of values, a stage's map is the one
+    before plus the constants it named; a new list (an abelian rewrite) is
+    mapped afresh.  JSON writes the expanded facts, tuples, as lists."""
+    from .limitsim import expand
+    values, shown = None, {}
     for r in reports:
+        if r.values is not values:
+            values, shown = r.values, {}
+        new = values[len(shown):r.named]
+        shown.update(zip(map(str, range(len(shown), r.named)),
+                         map(mapper, new if r.show is None else r.show(new))))
         print(json.dumps({
             "stage": r.stage, "target": r.target_tag,
-            "map": {str(c): mapper(v) for c, v in r.partial_map.items()},
-            "delta": [list(f) for f in r.diagram_delta],
+            "map": shown,
+            "delta": expand(r.delta),
             "facts": r.fact_count,
             "resumed_from": r.resumed_from,
         }, sort_keys=True))

@@ -173,13 +173,13 @@ class FamilyNote:
     level: tuple[int, int]
 
 
-@record(hidden=("gen",))
+@record(compare=("note",))
 class FamilyAnd(Formula):
     note: FamilyNote
     gen: Callable[[int], Formula]
 
 
-@record(hidden=("gen",))
+@record(compare=("note",))
 class FamilyOr(Formula):
     note: FamilyNote
     gen: Callable[[int], Formula]

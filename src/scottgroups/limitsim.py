@@ -29,6 +29,15 @@ reduced ``(num, den)`` pairs (rank-1, shown as ``Fraction``).  Each reports
 and reports ``rule-conformance`` and, on an "isomorphic" verdict,
 ``multiplier-restores-window``.
 
+A ``StageReport`` is stored compact, and nothing in a run expands it.
+Its map is the run's list of values with the number the stage had named,
+an O(1) prefix view that stays exact: a run only appends to its list, an
+abelian rewrite assigns a new list, and ``fork`` gives the twin a copy.
+Its delta holds each new constant c's inequations with the c earlier
+constants as one ``Inequations`` marker, not c facts.  ``partial_map`` and
+``diagram_delta`` expand both on each read, to the same values and facts
+in the same order as a full copy would hold.
+
 Traces are finite, so "limit" verdicts are relative to the final stage's
 belief; every report says so.
 """
@@ -76,14 +85,80 @@ def trace_from_json(data) -> ConstructionTrace:
     return ConstructionTrace.from_bits(steps)
 
 
-@record
+class Inequations:
+    """The compact form of a constant c's inequation block in a stage delta:
+    ``("neq", o, c)`` for every earlier constant o, each followed by the
+    facts in ``facts`` (rank-1 scale facts) that o and c take part in, in
+    the order given.  ``facts`` are relation facts of the delta as well."""
+
+    __slots__ = ("c", "facts")
+
+    def __init__(self, c: int, facts: tuple[tuple, ...] = ()):
+        self.c, self.facts = c, facts
+
+    def expand(self) -> list[tuple]:
+        c = self.c
+        if not self.facts:
+            return [("neq", o, c) for o in range(c)]
+        out: list[tuple] = []
+        pending = iter(self.facts)
+        fact = next(pending, None)
+        for o in range(c):
+            out.append(("neq", o, c))
+            # the constant of a fact other than c is its two indices' sum less c
+            while fact is not None and fact[2] + fact[3] - c == o:
+                out.append(fact)
+                fact = next(pending, None)
+        return out
+
+
+def expand(delta: Iterable) -> list[tuple]:
+    """The facts of a compact delta, each ``Inequations`` expanded in place."""
+    out: list[tuple] = []
+    for item in delta:
+        if type(item) is Inequations:
+            out += item.expand()
+        else:
+            out.append(item)
+    return out
+
+
+@record(compare=("stage", "target_tag", "partial_map", "diagram_delta", "fact_count",
+                 "resumed_from"))
 class StageReport:
+    """One stage, stored compact and expanded on each read of a view.
+    ``values`` is the run's list of values as the stage ended, of which the
+    first ``named`` are the stage's: a run only appends to its list, a
+    rewrite assigns a new one and ``fork`` gives the twin a copy, so that
+    prefix never changes.  ``show``, where set, converts the values for
+    ``partial_map``.  ``delta`` holds each new constant's inequation block as
+    one ``Inequations``.  Equality, hash and repr are over the views."""
+
     stage: int
     target_tag: str
-    partial_map: dict[int, Any]
-    diagram_delta: tuple[tuple, ...]
+    values: list
+    named: int
+    show: Callable[[list], list] | None
+    delta: tuple
     fact_count: int
     resumed_from: int | None = None
+
+    @property
+    def partial_map(self) -> dict[int, Any]:
+        values = self.values[:self.named]
+        return dict(enumerate(values if self.show is None else self.show(values)))
+
+    @property
+    def diagram_delta(self) -> tuple[tuple, ...]:
+        return tuple(expand(self.delta))
+
+    def relations(self) -> Iterable[tuple]:
+        """The delta's relation facts, in order, with no inequation."""
+        for item in self.delta:
+            if type(item) is Inequations:
+                yield from item.facts
+            else:
+                yield item
 
 
 @record
@@ -113,10 +188,11 @@ class _Run:
     key, delta)``, which appends to the stage's delta the facts a fresh
     constant c (index key ``key``) takes part in, ``holds_relation(fact)``,
     ``seed(delta)`` (naming ``seeds`` values), ``step(s1, s2, delta) ->
-    (target, resumes)`` and ``result()``; ``show``, where set, converts new
-    values once for the reports.  ``belief`` is the last stage's (s1, s2),
-    the class attribute the one before stage 0.  The reports' deltas are the
-    one copy of the recorded facts.
+    (target, resumes)`` and ``result()``; ``show``, where set, converts
+    values for the reports' ``partial_map``.  ``belief`` is the last stage's
+    (s1, s2), the class attribute the one before stage 0.  The reports'
+    compact deltas are the one copy of the recorded facts; ``fact_count``
+    counts them expanded, as ``add`` and ``inequations`` record them.
 
     ``used``, the one index of the named values, maps ``key(value)`` to the
     constant.  The key is the value itself (rank-1) or an integer (abelian,
@@ -127,8 +203,8 @@ class _Run:
     re-keys by ``reindex``, the one rebuild of ``used``, which takes the
     keys in constant order and fails ``stage-soundness`` on a shared one.
     ``ensure`` names a value only after its key misses ``used``, so the
-    index proves the named values distinct, and ``("neq", other, c)`` goes
-    into the delta for every earlier constant without a comparison.
+    index proves the named values distinct, and c's inequations with every
+    earlier constant go into the delta, as one marker, without a comparison.
     A ``sum``, ``mul`` or ``scale`` fact can repeat, so ``add`` keeps it
     once in ``_seen`` and checks it with ``holds_relation`` on the values.
 
@@ -153,7 +229,6 @@ class _Run:
         self.used: dict[Any, int] = {}  # key(value) -> constant
         self.fact_count = 0
         self._seen: set[tuple] = set()
-        self._shown: list = []  # the shown values[c], by c, where ``show`` is set
         self.reports: list[StageReport] = []
         self.last_stage_for_tag: dict[str, int] = {}
         self.sound = True
@@ -164,6 +239,7 @@ class _Run:
             return
         self._seen.add(fact)
         delta.append(fact)
+        self.fact_count += 1
         if not self.holds_relation(fact):
             self.sound = False
 
@@ -189,11 +265,15 @@ class _Run:
             self.record(c, key, delta)
         return c
 
-    @staticmethod
-    def inequations(c: int) -> list[tuple]:
-        """``("neq", other, c)`` for every earlier constant: the index has
-        just found the newest constant c's key unused."""
-        return [("neq", other, c) for other in range(c)]
+    def inequations(self, c: int, delta: list, facts: tuple[tuple, ...] = ()) -> None:
+        """Record ``("neq", other, c)`` for every earlier constant, with the
+        relation facts ``facts`` interleaved, as one ``Inequations``: the
+        index has just found the newest constant c's key unused.  Constant 0
+        has no inequation, so a delta is empty exactly when it expands to
+        nothing."""
+        if c:
+            delta.append(Inequations(c, facts))
+        self.fact_count += c + len(facts)
 
     def relations_hold(self) -> bool:
         """Whether every fact in ``_seen`` holds in the current map."""
@@ -204,14 +284,6 @@ class _Run:
         values = self.values
         return self.relations_hold() and len(set(values)) == len(values)
 
-    def shown(self) -> list:
-        """Each constant's current value, or its ``show``, converted once,
-        where values never change."""
-        if self.show is None:
-            return self.values
-        self._shown += self.show(self.values[len(self._shown):])
-        return self._shown
-
     def advance(self, s1: bool, s2: bool) -> None:
         """Run the next stage on the belief (s1, s2) and report it; a resumed
         target's report names that target's latest stage."""
@@ -220,10 +292,10 @@ class _Run:
         if stage == 0:
             self.seed(delta)
         tag, resumes = self.step(s1, s2, delta)
-        self.fact_count += len(delta)
         resumed = self.last_stage_for_tag.get(tag) if resumes else None
-        self.reports.append(StageReport(stage, tag, dict(enumerate(self.shown())), tuple(delta),
-                                        self.fact_count, resumed))
+        values = self.values
+        self.reports.append(StageReport(stage, tag, values, len(values), self.show,
+                                        tuple(delta), self.fact_count, resumed))
         self.last_stage_for_tag[tag] = stage
         self.belief = (s1, s2)
 
@@ -240,7 +312,8 @@ class _Run:
 
     def fork(self) -> "_Run":
         """A copy that advances independently: dicts, lists and sets are
-        copied, and the values and reports in them are immutable."""
+        copied, and the values and reports in them are immutable; the
+        reports so far keep the list of values they were made with."""
         twin = object.__new__(type(self))
         twin.__dict__ = {name: value.copy() if isinstance(value, (dict, list, set)) else value
                          for name, value in self.__dict__.items()}
@@ -354,7 +427,7 @@ class _AbelianRun(_Run):
         return _pack(v, self.width)
 
     def record(self, c: int, kc: int, delta: list) -> None:
-        delta += self.inequations(c)
+        self.inequations(c, delta)
         used, add_fact = self.used, self.add
         for ko, other in used.items():
             s = used.get(kc + ko)
@@ -552,7 +625,7 @@ class _DihedralRun(_Run):
         return 2 * num * (self.den_lcm // den) + flip
 
     def record(self, c: int, kc: int, delta: list) -> None:
-        delta += self.inequations(c)
+        self.inequations(c, delta)
         used, add_fact = self.used, self.add
         sign = -1 if kc & 1 else 1
         for ko, other in used.items():
@@ -613,7 +686,7 @@ class _DihedralRun(_Run):
             ("involutions-consistent",
              all(_dmul(v, v) == _E for v in self.values if v[2]), ""),
             ("frozen-adds-nothing",
-             all(not r.diagram_delta for r in self.reports
+             all(not r.delta for r in self.reports
                  if r.target_tag == "FiniteFragment" and r.stage > 0), ""),
             ("tower-depth-replay", dihedral_tower_depth(self.reports) == self.depth,
              f"depth {self.depth}"),
@@ -633,16 +706,17 @@ def dihedral_tower_depth(reports: list[StageReport]) -> int:
     """Count deepening steps by walking the recorded defining relations: a
     deepening leaves the facts x·b = aux and aux·x = the current top, x the
     fresh deeper reflection, followed from the original generator down by
-    an index of the facts aux·x = z by z, built once."""
-    facts = {f for r in reports for f in r.diagram_delta if f[0] == "mul"}
+    an index of the facts aux·x = z by z, built once.  It reads the relation
+    facts and the raw ``(num, den, flip)`` values, not the views."""
+    facts = {f for r in reports for f in r.relations() if f[0] == "mul"}
     by_product: dict[int, list[tuple]] = {}
     for f in facts:
         by_product.setdefault(f[3], []).append(f)
-    values = reports[-1].partial_map
+    values = reports[-1].values
     current, depth = 1, 0  # a is seeded second, after the identity, and b third
     while True:
         current = next((x for _, aux, x, _ in by_product.get(current, ())
-                        if x != current and ("mul", x, 2, aux) in facts and values[x].flip), None)
+                        if x != current and ("mul", x, 2, aux) in facts and values[x][2]), None)
         if current is None:
             return depth
         depth += 1
@@ -676,30 +750,30 @@ class _Rank1Run(_Run):
         self.num_gcd, self.den_lcm = 0, 1
 
     def record(self, c: int, _key: tuple, delta: list) -> None:
-        # each inequation is followed by the scale facts of the same pair;
-        # x = m·y needs den(x) | den(y), as both pairs are reduced, and then
-        # m = num(x)·(den(y)/den(x)) / num(y), an integer m > 1 or no fact.
-        # ``add`` and ``holds_relation`` are inlined: the seen-set, and the
-        # check m·num(y)·den(x) == num(x)·den(y) on the values
+        # the scale facts of each pair follow its inequation, so they ride in
+        # c's ``Inequations``; x = m·y needs den(x) | den(y), as both pairs
+        # are reduced, and then m = num(x)·(den(y)/den(x)) / num(y), an
+        # integer m > 1 or no fact.  ``add`` and ``holds_relation`` are
+        # inlined: the seen-set, and the check m·num(y)·den(x) == num(x)·den(y)
         nc, dc = self.values[c]
         self.num_gcd, self.den_lcm = gcd(self.num_gcd, nc), lcm(self.den_lcm, dc)
-        seen = self._seen
+        seen, scales = self._seen, []
         for other, (no, do) in zip(range(c), self.values):
-            delta.append(("neq", other, c))
             if not do % dc:  # c = m·other
                 m, r = divmod(nc * (do // dc), no)
                 if m > 1 and not r and (fact := ("scale", m, other, c)) not in seen:
                     seen.add(fact)
-                    delta.append(fact)
+                    scales.append(fact)
                     if m * no * dc != nc * do:
                         self.sound = False
             if not dc % do:  # other = m·c
                 m, r = divmod(no * (dc // do), nc)
                 if m > 1 and not r and (fact := ("scale", m, c, other)) not in seen:
                     seen.add(fact)
-                    delta.append(fact)
+                    scales.append(fact)
                     if m * nc * do != no * dc:
                         self.sound = False
+        self.inequations(c, delta, tuple(scales))
 
     def holds_relation(self, fact: tuple) -> bool:
         _, m, i, j = fact
@@ -752,7 +826,7 @@ class _Rank1Run(_Run):
         from . import rank1 as R
         target = self.reports[-1].target_tag
         final_char = self.chars[target]
-        shown = self.shown()
+        shown = _fractions(self.values)
         unit_val = shown[self.units[target]]
         member = all(R.contains(final_char, v / unit_val) for v in shown)
         verification = self.verify(("members-in-final-group", member,

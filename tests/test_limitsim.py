@@ -204,8 +204,9 @@ class TestIntegerArithmetic:
             run._seen, run.sound, delta = set(), True, []
             run.record(1, (x.numerator, x.denominator), delta)
             # record trusts the index, so a value equal to y still gets its
-            # inequation; ``ensure`` never names such a value
-            assert delta == [("neq", 0, 1)] + want, (x, y)
+            # inequation; ``ensure`` never names such a value.  The scale
+            # facts ride in the one inequation block
+            assert len(delta) == 1 and L.expand(delta) == [("neq", 0, 1)] + want, (x, y)
             assert run._seen == set(want) and run.sound
             ratio = x / y
             for m in (-2, 1, 2, 3, int(ratio) if ratio.denominator == 1 else 0):
@@ -755,3 +756,55 @@ class TestFork:
                 run.advance(*belief)
             assert (twin.reports, twin.values, twin.fact_count, twin.used) == kept, \
                 (name, steps, split)
+
+
+class TestCompactReports:
+    """A report holds a prefix of the run's list of values and one marker per
+    inequation block.  Read after the run and its forks have moved on, its
+    views still equal the full copies taken as its stage ended."""
+
+    RUNS = {
+        "abelian": lambda rng: L._AbelianRun(rng.randint(2, 4), rng.randint(1, 2)),
+        "dihedral": lambda rng: L._DihedralRun(rng.randint(1, 2)),
+        "rank1": lambda rng: L._Rank1Run(R.char({2: R.INF}), 3, 2, rng.randint(1, 2)),
+    }
+
+    @staticmethod
+    def advance(run, steps, snapshots: list) -> None:
+        """Advance ``run`` through ``steps``, snapshotting each report eagerly:
+        a full copy of the shown map, the expanded delta and the count."""
+        for belief in steps:
+            run.advance(*belief)
+            shown = run.values if run.show is None else run.show(run.values)
+            report = run.reports[-1]
+            snapshots.append((report, dict(enumerate(shown)), report.diagram_delta,
+                              report.fact_count))
+
+    @pytest.mark.parametrize("sim", sorted(RUNS))
+    def test_views_keep_their_stage(self, sim):
+        rng = random.Random(f"compact {sim}")
+
+        def steps(length):
+            return [(rng.random() < 0.5, rng.random() < 0.5) for _ in range(length)]
+
+        for length in (1, 2, *(rng.randint(3, 40) for _ in range(8)), 40):
+            trace, split = steps(length), rng.randint(0, length)
+            run, snapshots = self.RUNS[sim](rng), []
+            self.advance(run, trace[:split], snapshots)
+            twin = run.fork()
+            # the sibling moves on before, while and after the twin runs
+            self.advance(run, steps(rng.randint(0, 6)), snapshots)
+            self.advance(twin, trace[split:], snapshots)
+            self.advance(run, steps(rng.randint(1, 6)), snapshots)
+            for report, partial_map, delta, count in snapshots:
+                assert report.partial_map == partial_map, (sim, trace, split, report.stage)
+                assert report.diagram_delta == delta, (sim, trace, split, report.stage)
+                assert report.fact_count == count
+            for reports in (run.reports, twin.reports):
+                total = 0
+                for report in reports:
+                    expanded = report.diagram_delta
+                    total += len(expanded)
+                    assert report.fact_count == total, (sim, trace, split, report.stage)
+                    assert bool(report.delta) == bool(expanded)
+                    assert list(report.relations()) == [f for f in expanded if f[0] != "neq"]

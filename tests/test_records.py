@@ -2,6 +2,7 @@
 twins of them do: the same equality, hash and repr, and no assignment."""
 
 import dataclasses
+from fractions import Fraction
 from typing import Callable
 
 import pytest
@@ -27,8 +28,13 @@ def hash_or_error(x):
 def assert_alike(ours, twin, args_list):
     """Instances built from each argument tuple agree with the twin's on
     equality (pairwise), hash, repr and assignment."""
-    mine = [ours(*args) for args in args_list]
-    theirs = [twin(*args) for args in args_list]
+    assert_instances_alike([ours(*args) for args in args_list],
+                           [twin(*args) for args in args_list])
+
+
+def assert_instances_alike(mine, theirs):
+    """Each of ``mine`` agrees with the dataclass instance beside it in
+    ``theirs`` on equality (pairwise), hash, repr and assignment."""
     for a, ta in zip(mine, theirs):
         assert repr(a) == repr(ta)
         assert hash_or_error(a) == hash_or_error(ta)
@@ -36,7 +42,7 @@ def assert_alike(ours, twin, args_list):
         for b, tb in zip(mine, theirs):
             assert (a == b) is (ta == tb)
             assert (a != b) is (ta != tb)
-        for name in [f.name for f in dataclasses.fields(twin)] + ["extra"]:
+        for name in [f.name for f in dataclasses.fields(ta)] + ["extra"]:
             with pytest.raises(AttributeError):
                 setattr(ta, name, None)
             with pytest.raises(FrozenInstanceError):
@@ -71,13 +77,30 @@ def test_family_and_leaves_gen_out_of_eq_hash_and_repr():
 
 
 def test_stage_report_default():
+    """A report stores a prefix of a list of values and a compact delta; it
+    compares, hashes and prints as the record of its two views does."""
     twin = twin_of(L.StageReport, [("stage", int), ("target_tag", str), ("partial_map", dict),
                                    ("diagram_delta", tuple), ("fact_count", int),
                                    ("resumed_from", int, dataclasses.field(default=None))])
-    assert_alike(L.StageReport, twin, [(0, "Z1", {0: (0, 0)}, (("neq", 0, 1),), 1),
-                                       (0, "Z1", {0: (0, 0)}, (("neq", 0, 1),), 1, None),
-                                       (1, "Z2", {}, (), 3, 0)])
-    assert L.StageReport(0, "t", {}, (), 0).resumed_from is None
+    values, neq = [(0, 0), (1, 0), (0, 1)], L.Inequations(1)
+    mine = [L.StageReport(*args) for args in [
+        (0, "Z1", values, 2, None, (neq,), 1),
+        (0, "Z1", values[:2], 2, None, (neq,), 1, None),  # another list, the same prefix
+        (0, "Z1", values, 2, None, (("neq", 0, 1),), 1),  # the block stored expanded
+        (0, "Z1", values, 3, None, (neq,), 1),
+        (1, "Z2", values, 0, None, (), 3, 0),
+        (2, "G", [(1, 2), (3, 2), (1, 6)], 2, L._fractions,
+         (L.Inequations(1, (("scale", 3, 0, 1),)),), 2)]]
+    theirs = [twin(r.stage, r.target_tag, r.partial_map, r.diagram_delta, r.fact_count,
+                   r.resumed_from) for r in mine]
+    assert_instances_alike(mine, theirs)
+    assert mine[0] == mine[1] == mine[2] != mine[3]
+    assert mine[-1].partial_map == {0: Fraction(1, 2), 1: Fraction(3, 2)}
+    assert mine[-1].diagram_delta == (("neq", 0, 1), ("scale", 3, 0, 1))
+    for name in ("values", "named", "show", "delta"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(mine[0], name, None)
+    assert L.StageReport(0, "t", [], 0, None, (), 0).resumed_from is None
 
 
 def test_verification_report_default():
