@@ -18,8 +18,9 @@ sentence stays true.  The four constructions:
 The three stage-based simulators share one core, ``_Run``, which names
 and indexes constants, records and checks facts and drives the stages
 (``advance``, ``simulate``, and ``fork``, which the acceptance sweep uses to
-share trace prefixes); a simulator adds only ``seed``, ``step``, ``result``
-and its value algebra, on integers: integer vectors (abelian),
+share trace prefixes); a simulator adds only ``seed``, ``step``, ``result``,
+``record`` and ``facts_hold`` (its fact checks, one loop or kernel for a
+list of facts) and its value algebra, on integers: integer vectors (abelian),
 ``(num, den, flip)`` triples (dihedral, shown as ``DihedralElement``) and
 reduced ``(num, den)`` pairs (rank-1, shown as ``Fraction``).  Each reports
 ``diagram-monotone``, ``stage-soundness`` and ``final-replay`` (see
@@ -186,13 +187,13 @@ class _Run:
     """Constants with their values in the current target, the index of the
     named values and one report per stage.  A subclass supplies ``record(c,
     key, delta)``, which appends to the stage's delta the facts a fresh
-    constant c (index key ``key``) takes part in, ``holds_relation(fact)``,
+    constant c (index key ``key``) takes part in, ``facts_hold(facts)``,
     ``seed(delta)`` (naming ``seeds`` values), ``step(s1, s2, delta) ->
     (target, resumes)`` and ``result()``; ``show``, where set, converts
     values for the reports' ``partial_map``.  ``belief`` is the last stage's
     (s1, s2), the class attribute the one before stage 0.  The reports'
     compact deltas are the one copy of the recorded facts; ``fact_count``
-    counts them expanded, as ``add`` and ``inequations`` record them.
+    counts them expanded, as ``keep`` and ``inequations`` record them.
 
     ``used``, the one index of the named values, maps ``key(value)`` to the
     constant.  The key is the value itself (rank-1) or an integer (abelian,
@@ -205,15 +206,15 @@ class _Run:
     ``ensure`` names a value only after its key misses ``used``, so the
     index proves the named values distinct, and c's inequations with every
     earlier constant go into the delta, as one marker, without a comparison.
-    A ``sum``, ``mul`` or ``scale`` fact can repeat, so ``add`` keeps it
-    once in ``_seen`` and checks it with ``holds_relation`` on the values.
+    A ``sum``, ``mul`` or ``scale`` fact can repeat, so ``record`` and ``add``
+    keep it once in ``_seen`` and check it on the values, a batch at a time.
 
     ``stage-soundness`` is proved without replaying facts: values change
     only by ``_AbelianRun.rewrite``, checked linear (and, by the re-index,
     injective) on the named values, so it keeps every sum and ``neq`` fact
     true, at O(values · dim) a rewrite; for the inequations it rests on the
     index alone.  ``final-replay`` re-checks without the index: the relations
-    in ``_seen`` (``relations_hold``) and, for all inequations at once, that
+    in ``_seen`` (``facts_hold``) and, for all inequations at once, that
     the final values are pairwise distinct.  ``simulate`` refuses a trace
     that could name more than ``NAMED_BUDGET`` values."""
 
@@ -233,14 +234,20 @@ class _Run:
         self.last_stage_for_tag: dict[str, int] = {}
         self.sound = True
 
+    def keep(self, facts: list[tuple], delta: list) -> list[tuple]:
+        """The facts new to ``_seen``, once each and in order, now recorded there and in delta."""
+        seen, kept = self._seen, []
+        for fact in facts:
+            if fact not in seen:
+                seen.add(fact)
+                kept.append(fact)
+        delta += kept
+        self.fact_count += len(kept)
+        return kept
+
     def add(self, fact: tuple, delta: list) -> None:
         """Record a fact that can repeat, once, and check it."""
-        if fact in self._seen:
-            return
-        self._seen.add(fact)
-        delta.append(fact)
-        self.fact_count += 1
-        if not self.holds_relation(fact):
+        if not self.facts_hold(self.keep([fact], delta)):
             self.sound = False
 
     def key(self, value):
@@ -275,14 +282,10 @@ class _Run:
             delta.append(Inequations(c, facts))
         self.fact_count += c + len(facts)
 
-    def relations_hold(self) -> bool:
-        """Whether every fact in ``_seen`` holds in the current map."""
-        return all(map(self.holds_relation, self._seen))
-
     def replay(self) -> bool:
         """Whether every recorded fact holds in the current map."""
         values = self.values
-        return self.relations_hold() and len(set(values)) == len(values)
+        return self.facts_hold(self._seen) and len(set(values)) == len(values)
 
     def advance(self, s1: bool, s2: bool) -> None:
         """Run the next stage on the belief (s1, s2) and report it; a resumed
@@ -396,8 +399,8 @@ class _AbelianRun(_Run):
     so no vector before it becomes unnamed and ``grow`` resumes there;
     ``rewrite`` changes the vectors and resets it to 0.
 
-    ``rewrite``, ``rekey`` and ``relations_hold`` (``final-replay``) work a
-    coordinate at a time, on the columns of the named values."""
+    ``rewrite``, ``rekey`` and ``facts_hold`` (``final-replay``) work a coordinate
+    at a time, on the columns of the named values; ``record`` checks inline."""
 
     def __init__(self, k: int, growth: int):
         if k < 2:
@@ -428,25 +431,23 @@ class _AbelianRun(_Run):
 
     def record(self, c: int, kc: int, delta: list) -> None:
         self.inequations(c, delta)
-        used, add_fact = self.used, self.add
+        used, values, facts = self.used, self.values, []
         for ko, other in used.items():
             s = used.get(kc + ko)
             if s is not None:
-                add_fact(("sum", c, other, s), delta)
-                add_fact(("sum", other, c, s), delta)
+                facts += (("sum", c, other, s), ("sum", other, c, s))
             diff = used.get(kc - ko)
             if diff is not None:
-                add_fact(("sum", other, diff, c), delta)
+                facts.append(("sum", other, diff, c))
+        for _, i, j, k in self.keep(facts, delta):
+            if tuple(map(add, values[i], values[j])) != values[k]:
+                self.sound = False
 
-    def holds_relation(self, fact: tuple) -> bool:
-        _, i, j, k = fact
-        return tuple(map(add, self.values[i], self.values[j])) == self.values[k]
-
-    def relations_hold(self) -> bool:
+    def facts_hold(self, facts: Iterable[tuple]) -> bool:
         """values[I[n]] + values[J[n]] = values[K[n]], the facts unzipped into
-        I, J, K; as the seed's 3 facts are there, each getter gives a tuple."""
-        _, i, j, k = zip(*self._seen)
-        get_i, get_j, get_k = itemgetter(*i), itemgetter(*j), itemgetter(*k)
+        I, J, K; the first fact is taken twice, so that each getter gives a tuple."""
+        _, i, j, k = zip(*facts)
+        get_i, get_j, get_k = itemgetter(i[0], *i), itemgetter(j[0], *j), itemgetter(k[0], *k)
         return all(tuple(map(add, get_i(col), get_j(col))) == get_k(col)
                    for col in zip(*self.values))
 
@@ -595,7 +596,7 @@ _B = (1, 1, True)  # b, the reflection at 1
 
 class _DihedralRun(_Run):
     """Values are ``(num, den, flip)`` triples, keyed by ``key``.
-    ``holds_relation`` checks x·y = z with no gcd and no new triple:
+    ``facts_hold`` checks each x·y = z with no gcd and no new triple:
     n1/d1 ± n2/d2 = n3/d3 cross-multiplied, exact as every den is positive.
     ``grow`` names the normal forms in a and b, each in closed form
     (``_normal_form``), in order from ``enum_cursor``; ``deepen`` moves a
@@ -626,20 +627,25 @@ class _DihedralRun(_Run):
 
     def record(self, c: int, kc: int, delta: list) -> None:
         self.inequations(c, delta)
-        used, add_fact = self.used, self.add
+        used, facts = self.used, []
         sign = -1 if kc & 1 else 1
         for ko, other in used.items():
             prod = used.get(kc + sign * ko)
             if prod is not None:
-                add_fact(("mul", c, other, prod), delta)
+                facts.append(("mul", c, other, prod))
             prod = used.get(ko - kc if ko & 1 else ko + kc)
             if prod is not None:
-                add_fact(("mul", other, c, prod), delta)
+                facts.append(("mul", other, c, prod))
+        if not self.facts_hold(self.keep(facts, delta)):
+            self.sound = False
 
-    def holds_relation(self, fact: tuple) -> bool:
-        _, i, j, k = fact
-        (n1, d1, f1), (n2, d2, f2), (n3, d3, f3) = self.values[i], self.values[j], self.values[k]
-        return f3 == (f1 != f2) and (n1 * d2 + (-n2 if f1 else n2) * d1) * d3 == n3 * d1 * d2
+    def facts_hold(self, facts: Iterable[tuple]) -> bool:
+        values = self.values
+        for _, i, j, k in facts:
+            (n1, d1, f1), (n2, d2, f2), (n3, d3, f3) = values[i], values[j], values[k]
+            if f3 != (f1 != f2) or (n1 * d2 + (-n2 if f1 else n2) * d1) * d3 != n3 * d1 * d2:
+                return False
+        return True
 
     def seed(self, delta: list) -> None:
         self.ensure(_E, delta)
@@ -708,7 +714,7 @@ def dihedral_tower_depth(reports: list[StageReport]) -> int:
     fresh deeper reflection, followed from the original generator down by
     an index of the facts aux·x = z by z, built once.  It reads the relation
     facts and the raw ``(num, den, flip)`` values, not the views."""
-    facts = {f for r in reports for f in r.relations() if f[0] == "mul"}
+    facts = set(chain.from_iterable(map(StageReport.relations, reports)))  # all "mul"
     by_product: dict[int, list[tuple]] = {}
     for f in facts:
         by_product.setdefault(f[3], []).append(f)
@@ -753,8 +759,8 @@ class _Rank1Run(_Run):
         # the scale facts of each pair follow its inequation, so they ride in
         # c's ``Inequations``; x = m·y needs den(x) | den(y), as both pairs
         # are reduced, and then m = num(x)·(den(y)/den(x)) / num(y), an
-        # integer m > 1 or no fact.  ``add`` and ``holds_relation`` are
-        # inlined: the seen-set, and the check m·num(y)·den(x) == num(x)·den(y)
+        # integer m > 1 or no fact.  ``keep`` and ``facts_hold`` are inlined:
+        # the seen-set, and the check m·num(y)·den(x) == num(x)·den(y)
         nc, dc = self.values[c]
         self.num_gcd, self.den_lcm = gcd(self.num_gcd, nc), lcm(self.den_lcm, dc)
         seen, scales = self._seen, []
@@ -775,10 +781,13 @@ class _Rank1Run(_Run):
                         self.sound = False
         self.inequations(c, delta, tuple(scales))
 
-    def holds_relation(self, fact: tuple) -> bool:
-        _, m, i, j = fact
-        (xn, xd), (yn, yd) = self.values[i], self.values[j]
-        return m * xn * yd == yn * xd
+    def facts_hold(self, facts: Iterable[tuple]) -> bool:
+        values = self.values
+        for _, m, i, j in facts:
+            (xn, xd), (yn, yd) = values[i], values[j]
+            if m * xn * yd != yn * xd:
+                return False
+        return True
 
     def depth(self, unit: tuple, prime: int) -> int:
         """Highest power of ``prime`` dividing the unit in the built group,
@@ -826,11 +835,12 @@ class _Rank1Run(_Run):
         from . import rank1 as R
         target = self.reports[-1].target_tag
         final_char = self.chars[target]
-        shown = _fractions(self.values)
-        unit_val = shown[self.units[target]]
-        member = all(R.contains(final_char, v / unit_val) for v in shown)
+        un, ud = unit = self.values[self.units[target]]
+        # v / unit = (vn·ud) / (vd·un), whose reduced denominator is tested
+        member = all(R.admits_denominator(final_char, abs(vd * un) // gcd(vn * ud, vd * un))
+                     for vn, vd in self.values)
         verification = self.verify(("members-in-final-group", member,
-                                    f"designated unit {unit_val}"))
+                                    f"designated unit {_fractions([unit])[0]}"))
         return self.reports, final_char, verification
 
 

@@ -139,7 +139,12 @@ def exponent(c: Rank1Char, p: int) -> int | float:
 
 def contains(c: Rank1Char, q: Fraction) -> bool:
     """Whether the reduced fraction q lies in the subgroup described by c."""
-    for p, k in factorize(q.denominator):  # smallest prime first
+    return admits_denominator(c, q.denominator)
+
+
+def admits_denominator(c: Rank1Char, den: int) -> bool:
+    """Whether the reduced fractions with denominator den lie in the subgroup c describes."""
+    for p, k in factorize(den):  # smallest prime first
         if k > exponent(c, p):
             return False
     return True

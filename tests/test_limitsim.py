@@ -158,7 +158,7 @@ class TestIntegerArithmetic:
             assert L._elements([got]) == [x * y]
 
     def test_dihedral_check_matches_the_product(self):
-        # holds_relation cross-multiplies; it agrees with forming x·y and
+        # facts_hold cross-multiplies; it agrees with forming x·y and
         # comparing, on true facts and on false ones perturbed from them
         rng = random.Random(37)
 
@@ -178,7 +178,7 @@ class TestIntegerArithmetic:
                 z = element()
             run.values = [x, y, z]
             want = L._dmul(x, y) == z
-            assert run.holds_relation(("mul", 0, 1, 2)) == want, (x, y, z)
+            assert run.facts_hold([("mul", 0, 1, 2)]) == want, (x, y, z)
             agree.add(want)
         assert agree == {True, False}
 
@@ -210,7 +210,7 @@ class TestIntegerArithmetic:
             assert run._seen == set(want) and run.sound
             ratio = x / y
             for m in (-2, 1, 2, 3, int(ratio) if ratio.denominator == 1 else 0):
-                assert run.holds_relation(("scale", m, 0, 1)) == (m * y == x)
+                assert run.facts_hold([("scale", m, 0, 1)]) == (m * y == x)
 
 
 def facts(run) -> list[tuple]:
@@ -250,7 +250,7 @@ class TestFactBookkeeping:
         run.simulate(self.TRACE)
         assert run.replay()
         # with every sum and scale fact passing, only an inequation can fail
-        run.holds_relation = lambda fact: True
+        run.facts_hold = lambda facts: True
         _, i, j = next(f for f in facts(run) if f[0] == "neq")
         run.values[j] = run.values[i]
         assert run.replay() is False
@@ -536,7 +536,7 @@ class TestAbelianReplay:
         run = self.finished_run()
         assert run.values[3] != tuple(map(operator.add, run.values[1], run.values[2]))
         run._seen.add(("sum", 1, 2, 3))
-        assert run.relations_hold() is False
+        assert run.facts_hold(run._seen) is False
         checks = self.checks(run)
         assert checks["final-replay"] is False and checks["stage-soundness"] is True
 
@@ -549,8 +549,137 @@ class TestAbelianReplay:
             value[coord] += 10 ** 30  # far from every named value: still distinct
             twin.values[k] = tuple(value)
             assert len(set(twin.values)) == len(twin.values)
-            assert twin.relations_hold() is False, (i, j, k, coord)
+            assert twin.facts_hold(twin._seen) is False, (i, j, k, coord)
             assert self.checks(twin)["final-replay"] is False
+
+
+class TestReplayFaults:
+    """A false relation fact fails ``final-replay`` when it is only in
+    ``_seen``, and ``stage-soundness`` when ``add`` records it in a run."""
+
+    TRACE = TestFactBookkeeping.TRACE
+    RUNS = {  # (run, a fact that is false on its seed values)
+        "dihedral": (lambda: L._DihedralRun(growth=2), ("mul", 0, 0, 1)),  # e·e = a
+        "rank1": (lambda: L._Rank1Run(R.char({2: R.INF}), 3, 2, growth=2),
+                  ("scale", 2, 0, 0)),  # 2·1 = 1
+    }
+
+    @staticmethod
+    def checks(run) -> dict:
+        return {check: ok for check, ok, _ in run.result()[2].checks}
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_a_false_fact_in_seen_fails_final_replay(self, name):
+        make, false = self.RUNS[name]
+        run = make()
+        _, _, ver = run.simulate(self.TRACE)
+        assert ver.ok and run.replay() and false not in run._seen
+        assert run.facts_hold([false]) is False
+        run._seen.add(false)
+        assert run.facts_hold(run._seen) is False
+        checks = self.checks(run)
+        assert checks["final-replay"] is False and checks["stage-soundness"] is True
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_a_false_fact_added_in_a_run_fails_stage_soundness(self, name):
+        make, false = self.RUNS[name]
+        run = make()
+        half = len(self.TRACE.steps) // 2
+        for s1, s2 in self.TRACE.steps[:half]:
+            run.advance(s1, s2)
+        assert run.sound
+        delta: list = []
+        run.add(false, delta)
+        assert delta == [false] and not run.sound
+        for s1, s2 in self.TRACE.steps[half:]:
+            run.advance(s1, s2)
+        checks = self.checks(run)
+        assert checks["stage-soundness"] is False and not run.result()[2].ok
+
+
+class TestRecordChecks:
+    """``record`` checks the facts it keeps: with two constants' index
+    entries swapped, lookups name false sums or products, and
+    ``stage-soundness`` fails.  The traces only grow, so nothing re-keys."""
+
+    RUNS = {
+        "abelian": (lambda: L._AbelianRun(3, growth=2), [[0, 0]] * 8),
+        "dihedral": (lambda: L._DihedralRun(growth=2), [[1, 0]] * 8),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_a_corrupt_index_fails_stage_soundness(self, name):
+        make, steps = self.RUNS[name]
+        run = make()
+        run.advance(*steps[0])
+        assert run.sound
+        (k1, c1), (k2, c2) = [(k, c) for k, c in run.used.items() if c in (1, 2)]
+        run.used[k1], run.used[k2] = c2, c1
+        for s1, s2 in steps[1:]:
+            run.advance(s1, s2)
+        assert not run.sound
+        assert {check: ok for check, ok, _ in run.result()[2].checks}["stage-soundness"] is False
+
+
+class TestMembersInFinalGroup:
+    """``members-in-final-group`` tests each value over the unit on integer
+    pairs; it agrees with ``rank1.contains`` on the ``Fraction`` quotients."""
+
+    CASES = [(R.char({2: R.INF}), 3, 2), (R.char({5: R.INF}), 2, 5),
+             (R.char({7: 0}, default=R.INF_RULE), 7, 2),
+             (R.char(default=("residue", (R.ZERO_RULE, R.INF_RULE))), 2, 3),
+             (R.char({2: 6, 13: R.INF}), 2, 13)]
+
+    @staticmethod
+    def members_check(run) -> tuple[bool, str]:
+        return next((ok, detail) for check, ok, detail in run.result()[2].checks
+                    if check == "members-in-final-group")
+
+    @staticmethod
+    def oracle(run) -> bool:
+        target = run.reports[-1].target_tag
+        unit = Fraction(*run.values[run.units[target]])
+        return all(R.contains(run.chars[target], Fraction(*v) / unit) for v in run.values)
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_contains_on_fraction_quotients(self, case):
+        c, p, q = self.CASES[case]
+        rng = random.Random(f"members {case}")
+        outcomes = set()
+        for _ in range(25):
+            steps = [[rng.randint(0, 1), rng.randint(0, 1)] for _ in range(rng.randint(1, 30))]
+            run = L._Rank1Run(c, p, q, growth=rng.randint(1, 2))
+            run.simulate(T(steps))
+            unit = run.units[run.reports[-1].target_tag]
+            # the values as run; all negated, so the unit is negative; and
+            # one value other than the unit replaced by a random rational
+            negated, replaced = run.fork(), run.fork()
+            negated.values = [(-n, d) for n, d in run.values]
+            other = rng.choice([i for i in range(len(run.values)) if i != unit] or [unit])
+            den = rng.choice((1, p, q, 2 * 3 * 5 * 7, p ** 9, q ** 3 * 11))
+            replaced.values[other] = L._ratio(rng.choice((-1, 1)) * rng.randint(1, 50), den)
+            for twin in (run, negated, replaced):
+                ok, detail = self.members_check(twin)
+                assert ok == self.oracle(twin), steps
+                assert detail == f"designated unit {Fraction(*twin.values[unit])}"
+                outcomes.add(ok)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_a_value_outside_the_final_group_fails(self, case):
+        c, p, q = self.CASES[case]
+        run = L._Rank1Run(c, p, q, growth=1)
+        _, _, ver = run.simulate(T([[0, 0], [1, 0], [1, 0], [1, 1], [1, 1]]))
+        assert ver.ok and run.reports[-1].target_tag == "K"
+        un, ud = run.values[run.units["K"]]
+        named = len(run.values)
+        run.ensure(L._ratio(un, ud * q), [])  # unit/q, and K has q-exponent 0
+        assert len(run.values) == named + 1
+        assert self.oracle(run) is False
+        ver = run.result()[2]
+        checks = {check: ok for check, ok, _ in ver.checks}
+        assert checks["members-in-final-group"] is False and ver.ok is False
+        assert checks["stage-soundness"] and checks["final-replay"]
 
 
 class TestBudget:
