@@ -230,13 +230,6 @@ def _free_words():
 _FREE_WORDS = Enumeration(_free_words())
 
 
-def _eval_free_word_in_dinf(letters: tuple[tuple[str, int], ...]) -> DihedralElement:
-    acc = E_ELEM
-    for var, _ in letters:  # a and b are involutions: exponent sign is moot
-        acc = acc * (A_ELEM if var == "x1" else B_ELEM)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Scott sentence
 # ---------------------------------------------------------------------------
@@ -268,7 +261,8 @@ def _build_relations_family(pair: tuple[str, str]):
         letters = _FREE_WORDS[i]
         mapped = F.gword([(pair[0] if var == "x1" else pair[1], e)
                           for var, e in letters]) if letters else F.IDENT
-        holds = _eval_free_word_in_dinf(letters) == E_ELEM
+        # a and b are involutions: the exponent signs are moot
+        holds = not normalize("".join("a" if var == "x1" else "b" for var, _ in letters))
         return F.Atomic(mapped, F.IDENT) if holds else F.NegAtomic(mapped, F.IDENT)
 
     return gen, None

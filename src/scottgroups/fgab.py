@@ -86,30 +86,15 @@ def cyclic_table(n: int) -> F.FiniteStructure:
 
 
 def table_from_invariant_factors(factors: tuple[int, ...] | list[int]) -> F.FiniteStructure:
-    """Table of ⊕ Z/d over the given factors (the trivial group if empty)."""
+    """Table of ⊕ Z/d over the given factors (the trivial group if empty), its
+    elements numbered in mixed radix with the first factor most significant."""
     F = formula_module()
     sizes = tuple(factors)
-    total = math.prod(sizes)
-
-    def decode(i: int) -> tuple[int, ...]:
-        out = []
-        for d in reversed(sizes):
-            out.append(i % d)
-            i //= d
-        return tuple(reversed(out))
-
-    def encode(t: tuple[int, ...]) -> int:
-        i = 0
-        for d, x in zip(sizes, t):
-            i = i * d + x
-        return i
-
-    rows = []
-    for i in range(total):
-        ti = decode(i)
-        rows.append([encode(tuple((x + y) % d for x, y, d in zip(ti, decode(j), sizes)))
-                     for j in range(total)])
-    return F.FiniteStructure.from_table(rows)
+    elements = list(product(*map(range, sizes)))
+    index = {t: i for i, t in enumerate(elements)}
+    return F.FiniteStructure.from_table(
+        [[index[tuple((x + y) % d for x, y, d in zip(s, t, sizes))] for t in elements]
+         for s in elements])
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:

@@ -207,7 +207,9 @@ class _Run:
     index proves the named values distinct, and c's inequations with every
     earlier constant go into the delta, as one marker, without a comparison.
     A ``sum``, ``mul`` or ``scale`` fact can repeat, so ``record`` and ``add``
-    keep it once in ``_seen`` and check it on the values, a batch at a time.
+    keep it once in ``_seen`` and check it on the values, a batch at a time,
+    save the scale facts of a rank-1 ``record``: each is found by an exact
+    division, which is its relation, so ``final-replay`` alone checks them.
 
     ``stage-soundness`` is proved without replaying facts: values change
     only by ``_AbelianRun.rewrite``, checked linear (and, by the re-index,
@@ -759,8 +761,8 @@ class _Rank1Run(_Run):
         # the scale facts of each pair follow its inequation, so they ride in
         # c's ``Inequations``; x = m·y needs den(x) | den(y), as both pairs
         # are reduced, and then m = num(x)·(den(y)/den(x)) / num(y), an
-        # integer m > 1 or no fact.  ``keep`` and ``facts_hold`` are inlined:
-        # the seen-set, and the check m·num(y)·den(x) == num(x)·den(y)
+        # integer m > 1 or no fact.  ``keep`` is inlined as the seen-set; remainder
+        # 0 is the fact's relation, so only ``final-replay`` checks it
         nc, dc = self.values[c]
         self.num_gcd, self.den_lcm = gcd(self.num_gcd, nc), lcm(self.den_lcm, dc)
         seen, scales = self._seen, []
@@ -770,15 +772,11 @@ class _Rank1Run(_Run):
                 if m > 1 and not r and (fact := ("scale", m, other, c)) not in seen:
                     seen.add(fact)
                     scales.append(fact)
-                    if m * no * dc != nc * do:
-                        self.sound = False
             if not dc % do:  # other = m·c
                 m, r = divmod(no * (dc // do), nc)
                 if m > 1 and not r and (fact := ("scale", m, c, other)) not in seen:
                     seen.add(fact)
                     scales.append(fact)
-                    if m * nc * do != no * dc:
-                        self.sound = False
         self.inequations(c, delta, tuple(scales))
 
     def facts_hold(self, facts: Iterable[tuple]) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import count
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import formula_module, json_int, record
@@ -235,16 +236,17 @@ _ROW_BY_FLAGS = {
     (True, True, True): 7,
 }
 
-_BOUNDS = {
-    1: ("dSigma02", "dSigma02"),
-    2: ("Sigma03", "Sigma03"),
-    3: ("dSigma02", "dSigma02"),
-    4: ("dSigma02", "Sigma03"),
-    5: ("dSigma02", "Sigma03"),
-    6: ("Sigma03", "Sigma03"),
-    7: ("dSigma02", "Sigma03"),
-    "All0": ("dSigma02", "dSigma02"),
-    "AllInf": ("Pi02", "Pi02"),
+# row -> (lower bound, upper bound, recommended emitter)
+_ROWS = {
+    1: ("dSigma02", "dSigma02", "dSigma2"),
+    2: ("Sigma03", "Sigma03", "Sigma3"),
+    3: ("dSigma02", "dSigma02", "dSigma2"),
+    4: ("dSigma02", "Sigma03", "Sigma3"),
+    5: ("dSigma02", "Sigma03", "Sigma3"),
+    6: ("Sigma03", "Sigma03", "Sigma3"),
+    7: ("dSigma02", "Sigma03", "Sigma3"),
+    "All0": ("dSigma02", "dSigma02", "dSigma2"),
+    "AllInf": ("Pi02", "Pi02", "Pi2"),
 }
 
 
@@ -262,18 +264,11 @@ def classify(c: Rank1Char) -> Classification:
         row = "AllInf"
     else:
         row = _ROW_BY_FLAGS[flags]
-    lower, upper = _BOUNDS[row]
-    if row == "AllInf":
-        rec = "Pi2"
-    elif row in ("All0", 1, 3):
-        rec = "dSigma2"
-    else:
-        rec = "Sigma3"
     tag = CaseTag("infinite" if flags[0] else "finite",
                   "infinite" if flags[1] else "finite",
                   "infinite" if flags[2] else "finite",
                   row)
-    return Classification(tag, lower, upper, rec)
+    return Classification(tag, *_ROWS[row])
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +352,12 @@ def char_from_json(data) -> Rank1Char:
 # ---------------------------------------------------------------------------
 
 def _rationals_diagonal() -> Iterator[Fraction]:
-    shell = 1
-    while True:
-        found = []
+    """Every rational once, by shell max(|num|, den), then num, then den."""
+    for shell in count(1):
         for num in range(-shell, shell + 1):
-            for den in range(1, shell + 1):
-                q = Fraction(num, den)
-                if max(abs(q.numerator), q.denominator) == shell:
-                    found.append(q)
-        for q in sorted(set(found), key=lambda q: (q.numerator, q.denominator)):
-            yield q
-        shell += 1
+            for den in range(1, shell + 1) if abs(num) == shell else (shell,):
+                if math.gcd(num, den) == 1:
+                    yield Fraction(num, den)
 
 
 class _Enumerations(NamedTuple):
@@ -429,7 +419,7 @@ def _build_pinf_divisible(char: dict, target: str):
 def _build_non_pinf_indivisible(char: dict, var: str):
     F = formula_module()
     c = char_from_json(char)
-    all_inf = all(_class_rule(c.default, r) == INF_RULE for r in range(_rule_modulus(c.default)))
+    all_inf = _rule_class_flags(c) == (False, False, True)
     size = sum(1 for _, v in c.exceptions if v != INF) if all_inf else None
 
     def gen(i: int) -> F.Formula:

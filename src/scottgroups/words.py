@@ -240,13 +240,9 @@ def _is_permuted_basis(t: WordTuple) -> bool:
 
 def _canonical_basis_moves(t: WordTuple) -> list[NielsenMove]:
     """Moves turning a permuted/inverted basis into exactly (x0, ..., xn-1)."""
-    moves: list[NielsenMove] = []
-    current = t
-    for i, w in enumerate(current.words):
-        if w.letters[0][1] == -1:
-            moves.append(Invert(i))
-            current = apply_move(current, moves[-1])
-    perm = tuple(w.letters[0][0] for w in current.words)
+    # inverting moves no generator, so the permutation is read off t itself
+    moves: list[NielsenMove] = [Invert(i) for i, w in enumerate(t.words) if w.letters[0][1] == -1]
+    perm = tuple(w.letters[0][0] for w in t.words)
     if perm != tuple(range(t.rank)):
         # component i must receive the word currently holding generator i
         where = {g: i for i, g in enumerate(perm)}

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
@@ -173,6 +173,18 @@ class TestLambdaEnumeration:
         first = [R.lambda_member(CASE2, i) for i in range(12)]
         again = [R.lambda_member(CASE2, i) for i in range(12)]
         assert first == again
+
+    def test_rationals_in_diagonal_order(self):
+        def reference():
+            # each shell filtered from all num/den, deduplicated and sorted
+            for shell in count(1):
+                found = {Fraction(num, den) for num in range(-shell, shell + 1)
+                         for den in range(1, shell + 1)}
+                yield from sorted((q for q in found
+                                   if max(abs(q.numerator), q.denominator) == shell),
+                                  key=lambda q: (q.numerator, q.denominator))
+
+        assert list(islice(R._rationals_diagonal(), 3000)) == list(islice(reference(), 3000))
 
     def test_enumerations_match_filters(self):
         rationals = list(islice(R._rationals_diagonal(), 3000))

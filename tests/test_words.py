@@ -190,6 +190,29 @@ class TestNielsenReduce:
         assert reduced.total_length() == 4
         assert not W.is_primitive(tup(2, "ab", "ba"))
 
+    @pytest.mark.parametrize("texts, moves", [
+        (("a^-1", "b^-1"), [W.Invert(0), W.Invert(1)]),
+        (("b^-1", "a^-1"), [W.Invert(0), W.Invert(1), W.Permute((1, 0))]),
+        (("a", "b^-1"), [W.Invert(1)]),
+        (("b", "a"), [W.Permute((1, 0))]),
+        (("c^-1", "a^-1", "b^-1"), [W.Invert(0), W.Invert(1), W.Invert(2), W.Permute((1, 2, 0))]),
+        (("a^-1", "b^-1", "c^-1"), [W.Invert(0), W.Invert(1), W.Invert(2)]),
+        (("a", "b^-1", "c^-1"), [W.Invert(1), W.Invert(2)]),
+        (("c", "a", "b"), [W.Permute((1, 2, 0))]),
+        (("x3^-1", "x2^-1", "x0^-1", "x1^-1"),
+         [W.Invert(0), W.Invert(1), W.Invert(2), W.Invert(3), W.Permute((2, 3, 1, 0))]),
+        (("x0^-1", "x1^-1", "x2^-1", "x3^-1"), [W.Invert(0), W.Invert(1), W.Invert(2), W.Invert(3)]),
+        (("x0^-1", "x1", "x2^-1", "x3"), [W.Invert(0), W.Invert(2)]),
+        (("x1", "x3", "x0", "x2"), [W.Permute((2, 0, 3, 1))]),
+    ])
+    def test_permuted_inverted_basis_moves(self, texts, moves):
+        t = tup(len(texts), *texts)
+        reduced, got = W.nielsen_reduce(t)
+        assert got == moves and W.is_basis(reduced)
+        for m in moves:
+            t = W.apply_move(t, m)
+        assert t == reduced
+
     def test_move_log_replays(self):
         t = tup(2, "ab^-1a", "ba")
         reduced, moves = W.nielsen_reduce(t)
