@@ -13,7 +13,9 @@ blocks.  Negation occurs only on atoms.  The module provides
   caller-supplied bound and an honesty flag saying whether the truncated
   answer is already decided; one backtracking search serves both
   quantifier blocks, each node is compiled once per evaluation and scope,
-  and no compiled closure is kept across evaluations; a node built by
+  and each quantifier-free part the search runs is one generated
+  expression of table lookups, whose code is compiled once per text into a
+  bounded cache, the one thing kept across evaluations; a node built by
   ``family`` draws each member once and keeps it while the node lives,
 * deterministic text / LaTeX rendering,
 * a JSON codec: ``dumps`` writes the canonical text directly (sorted keys,
@@ -30,7 +32,9 @@ from __future__ import annotations
 import itertools
 import json
 import sys
+import threading
 from json.encoder import encode_basestring_ascii as _quote
+from types import CodeType, FunctionType
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import is_json_int, json_int, record  # both JSON checks are re-exported
@@ -241,6 +245,8 @@ _PARAM_KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "object": ("an object", lambda v: isinstance(v, dict)),
 }
 _NAME_KINDS = ("name", "names", "pair", "triple")  # the kinds that name variables
+# writes what ``json.dumps(value, sort_keys=True)`` writes, without a new encoder per call
+_CANONICAL = json.JSONEncoder(sort_keys=True)
 
 
 def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | FamilyOr:
@@ -286,7 +292,8 @@ def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | Fa
             why = ", a variable its members bind" if var in bound else " twice"
             raise ValueError(f"family {enum_id!r} names {var!r}{why}")
     build, size = builder(**args)
-    note = FamilyNote(enum_id, json.dumps(dict(params), sort_keys=True), size, level)
+    text = _CANONICAL.encode(params if isinstance(params, dict) else dict(params))
+    note = FamilyNote(enum_id, text, size, level)
     if kind == "and":
         return FamilyAnd(note, _drawn_once(build))
     if kind == "or":
@@ -502,13 +509,12 @@ def _atom_steps(f: Atomic | NegAtomic, scope: frozenset[str]) -> list[tuple[str,
 
 def _block_plan(f: Exists | Forall, scope: frozenset[str]) -> tuple[list[list], list[Formula]]:
     """The body's conjuncts (Exists) or disjuncts (Forall), split into the
-    atoms each depth of the search completes, each with its steps, and the
-    items left for a full assignment.  Every atom is checked against
-    ``scope``, the variables the body sees, even one at a depth the search
-    never reaches."""
+    plans of the atoms each depth of the search completes and the items left
+    for a full assignment.  Every atom is checked against ``scope``, the
+    variables the body sees, even one at a depth the search never reaches."""
     split = FiniteAnd if isinstance(f, Exists) else FiniteOr
     position = {v: i for i, v in enumerate(f.vars)}
-    ready: list[list[tuple[Formula, list[tuple[str, int]]]]] = [[] for _ in f.vars]
+    ready: list[list[tuple]] = [[] for _ in f.vars]
     others: list[Formula] = []
     todo = [f.body]
     while todo:
@@ -520,7 +526,7 @@ def _block_plan(f: Exists | Forall, scope: frozenset[str]) -> tuple[list[list], 
             steps = _atom_steps(c, scope)
             depths = [position[v] for v, _ in steps if v in position]
             if depths:
-                ready[max(depths)].append((c, steps))
+                ready[max(depths)].append(("atom", isinstance(c, Atomic), steps))
             else:
                 others.append(c)
         else:
@@ -540,6 +546,119 @@ def _reduced(steps: list[tuple[str, int]]) -> list[tuple[str, int]]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Generated code of quantifier-free parts
+# ---------------------------------------------------------------------------
+
+# source text -> the code of its function; the oldest entry goes first once
+# full.  Evaluations in several threads share it: the lock keeps its bound.
+_CODE: dict[str, CodeType] = {}
+_CODE_LIMIT = 512
+_CODE_LOCK = threading.Lock()
+# the brackets one generated expression may nest before a connective becomes
+# a function of its own: CPython's parser stops at 200
+_NESTING = 40
+_NO_BUILTINS: dict[str, Any] = {"__builtins__": {}}
+
+
+def _code(source: str) -> CodeType:
+    code = _CODE.get(source)
+    if code is None:
+        code = eval(source, _NO_BUILTINS).__code__  # the text holds no formula data
+        with _CODE_LOCK:
+            while len(_CODE) >= _CODE_LIMIT:
+                del _CODE[next(iter(_CODE))]
+            _CODE[source] = code
+    return code
+
+
+def _fold(op: tuple[tuple[int, ...], ...], acc: int, *values: int) -> int:
+    """The product of ``acc`` and ``values``, in order, under the table ``op``."""
+    for x in values:
+        acc = op[acc][x]
+    return acc
+
+
+class _Source:
+    """One generated function under construction: the text of its
+    expression, and the value of each generated name the text uses.  ``env``,
+    ``op``, ``e`` and ``fold`` name the evaluation's environment, operation
+    table, identity and ``_fold``; ``V<i>`` a variable, ``T<i>`` the table
+    of x^k for one exponent k other than 1, and ``F<i>`` a connective
+    generated as a function of its own.  Names are numbered in order of
+    first use, so parts of one shape share one text whatever their
+    variables and exponents, and a variable reaches the text only by its
+    generated name.  Every name is a parameter whose default is its value,
+    so the function reads it as a local."""
+
+    def __init__(self, ev: _Evaluation):
+        self.ev = ev
+        self.vars: dict[Any, str] = {}  # variable -> V<i>
+        self.tables: dict[int, str] = {}  # exponent -> T<i>
+        self.names: list[str] = []
+        self.values: list[Any] = []
+
+    def _bind(self, prefix: str, value: Any) -> str:
+        name = f"{prefix}{len(self.names)}"
+        self.names.append(name)
+        self.values.append(value)
+        return name
+
+    def _power(self, v: Any, k: int) -> str:
+        """The text of ``v``'s value to the ``k``th power."""
+        var = self.vars.get(v)
+        if var is None:
+            var = self.vars[v] = self._bind("V", v)
+        if k == 1:
+            return f"env[{var}]"
+        table = self.tables.get(k)
+        if table is None:
+            table = self.tables[k] = self._bind("T", self.ev.powers[k])
+        return f"{table}[env[{var}]]"
+
+    def _atom(self, equal: bool, steps: list[tuple[Any, int]]) -> str:
+        # lhs * rhs^-1 is the identity exactly when the product of all powers
+        # but the last is the inverse of the last
+        powers = _reduced(steps)
+        if not powers:
+            return str(equal)
+        v, k = powers.pop()
+        rel = " == " if equal else " != "
+        if not powers:
+            return self._power(v, -k) + rel + "e"
+        terms = [self._power(u, j) for u, j in powers]
+        if len(terms) == 1:
+            return terms[0] + rel + self._power(v, -k)
+        if len(terms) == 2:
+            return f"op[{terms[0]}][{terms[1]}]{rel}{self._power(v, -k)}"
+        # one flat call, however many powers
+        return f"fold(op, {', '.join(terms)}){rel}{self._power(v, -k)}"
+
+    def _expr(self, plan: tuple, depth: int) -> str:
+        tag, flag, body = plan
+        if tag == "atom":
+            return self._atom(flag, body)
+        if len(body) < 2:
+            return self._expr(body[0], depth) if body else str(flag)
+        if depth == _NESTING:
+            return self._bind("F", _Source(self.ev).function(plan)) + "()"
+        parts = [self._expr(part, depth + 1) for part in body]
+        return "(" + (" and " if flag else " or ").join(parts) + ")"
+
+    def function(self, plan: tuple, pair: tuple[bool, bool] | None = None) -> Callable:
+        """``plan`` as a ``() -> bool`` function, or, given ``pair``, as a
+        ``() -> (truth, exact)`` one whose exactness is ``pair[truth]``.  A
+        plan is ``("atom", is an equation, steps)`` or ``("join", is a
+        conjunction, plans)``."""
+        body = self._expr(plan, 0)
+        if pair is not None:
+            body = f"(True, {pair[1]}) if {body} else (False, {pair[0]})"
+        code = _code(f"lambda env, op, e, fold, {', '.join(self.names)}: {body}")
+        ev = self.ev
+        return FunctionType(code, _NO_BUILTINS, None,
+                            (ev.env, ev.s.op, ev.s.identity, _fold, *self.values))
+
+
 class _PowerTables(dict):
     """k -> the table of x^k over the domain of one structure, each built
     when first asked for."""
@@ -553,18 +672,15 @@ class _PowerTables(dict):
         return table
 
 
-def _pair(qf: bool, run: Callable) -> Callable[[], tuple[bool, bool]]:
-    """A compiled node's closure as a ``() -> (truth, exact)`` evaluation."""
-    return (lambda: (run(), True)) if qf else run
-
-
 class _Evaluation:
     """The state of one ``evaluate_exact`` call: the structure, the family
     bound, the values of the bound variables, which quantifiers assign in
     place and restore on leaving, and each node compiled so far, keyed by
     node identity and scope, the variables bound where the node sits.
     Compiled families keep the members they draw, so every key stays valid
-    until ``ev`` returns and drops the memo.
+    until ``ev`` returns and drops the memo.  A quantifier-free node
+    compiles to a plan, which ``_Source`` turns into a generated function
+    when the search first runs it; any other node to a closure.
 
     One backtracking search serves both quantifier blocks: Exists looks for
     an assignment that makes its body exactly true, Forall for one that
@@ -575,27 +691,34 @@ class _Evaluation:
         self.domain = range(s.size)
         self.bound = bound
         self.env = {} if env is None else env
-        self._compiled: dict[tuple[int, frozenset[str]], tuple[bool, Callable]] = {}
-        self._powers = _PowerTables(s)
+        self._compiled: dict[tuple[int, frozenset[str]], tuple[bool, Any]] = {}
+        self.powers = _PowerTables(s)
 
     def ev(self, f: Formula) -> tuple[bool, bool]:
         try:
-            return _pair(*self._compile(f, frozenset(self.env)))()
+            return self._run(*self._compile(f, frozenset(self.env)))()
         finally:  # the closures refer back to this state: free them without the cycle collector
             self._compiled.clear()
 
-    def _compile(self, f: Formula, scope: frozenset[str]) -> tuple[bool, Callable]:
-        """Whether ``f`` is quantifier-free, and its closure, compiled once per
-        call and scope: ``() -> bool`` if it is, else ``() -> (truth, exact)``.
-        ``scope`` holds the variables of the initial environment and of the
-        enclosing blocks; an atom with a variable outside it raises ValueError."""
+    def _run(self, qf: bool, part: Any) -> Callable[[], tuple[bool, bool]]:
+        """A compiled part as a ``() -> (truth, exact)`` evaluation."""
+        return _Source(self).function(part, (True, True)) if qf else part
+
+    def _compile(self, f: Formula, scope: frozenset[str]) -> tuple[bool, Any]:
+        """Whether ``f`` is quantifier-free, and its compiled part, once per
+        call and scope: its plan if it is, else a ``() -> (truth, exact)``
+        closure.  A plan is ``("atom", is an equation, steps)`` or
+        ``("join", is a conjunction, plans)``.  ``scope`` holds the variables
+        of the initial environment and of the enclosing blocks; an atom with
+        a variable outside it raises ValueError."""
         key = (id(f), scope)
         if key in self._compiled:
             return self._compiled[key]
         if isinstance(f, (Atomic, NegAtomic)):
-            compiled = True, self._atom(f, _atom_steps(f, scope))
+            compiled = True, ("atom", isinstance(f, Atomic), _atom_steps(f, scope))
         elif isinstance(f, (FiniteAnd, FiniteOr)):
-            compiled = self._connective(isinstance(f, FiniteAnd), f.items, scope)
+            compiled = self._join(isinstance(f, FiniteAnd),
+                                  [self._compile(c, scope) for c in f.items])
         elif isinstance(f, (FamilyAnd, FamilyOr)):
             compiled = False, self._family(f, scope)
         elif isinstance(f, (Exists, Forall)):
@@ -605,62 +728,14 @@ class _Evaluation:
         self._compiled[key] = compiled
         return compiled
 
-    def _atom(self, f: Atomic | NegAtomic, steps: list[tuple[str, int]]) -> Callable[[], bool]:
-        """The test of an atom whose ``lhs * rhs^-1`` has these steps.  That
-        product is the identity exactly when the product of all powers but
-        the last is the inverse of the last, so up to three powers compile
-        to one expression of table lookups; longer atoms fold a loop."""
-        equal = isinstance(f, Atomic)
-        powers = _reduced(steps)
-        if not powers:
-            return (lambda: True) if equal else (lambda: False)
-        op, env, tables = self.s.op, self.env, self._powers
-        v, k = powers.pop()
-        last = tables[-k]
-        if not powers:
-            e = self.s.identity
-            return (lambda: last[env[v]] == e) if equal else (lambda: last[env[v]] != e)
-        (v0, k0), *rest = powers
-        t0 = tables[k0]
-        if not rest:
-            if equal:
-                return lambda: t0[env[v0]] == last[env[v]]
-            return lambda: t0[env[v0]] != last[env[v]]
-        if len(rest) == 1:
-            (v1, k1), = rest
-            t1 = tables[k1]
-            if equal:
-                return lambda: op[t0[env[v0]]][t1[env[v1]]] == last[env[v]]
-            return lambda: op[t0[env[v0]]][t1[env[v1]]] != last[env[v]]
-        rest = [(u, tables[j]) for u, j in rest]
-
-        def holds() -> bool:
-            acc = t0[env[v0]]
-            for var, table in rest:
-                acc = op[acc][table[env[var]]]
-            return (acc == last[env[v]]) == equal
-        return holds
-
-    def _connective(self, every: bool, items: Sequence[Formula],
-                    scope: frozenset[str]) -> tuple[bool, Callable]:
-        """The conjunction (``every``) or disjunction of ``items``."""
-        return self._join(every, [self._compile(c, scope) for c in items])
-
-    @staticmethod
-    def _join(every: bool, parts: list[tuple[bool, Callable]]) -> tuple[bool, Callable]:
-        """The conjunction (``every``) or disjunction of compiled parts."""
+    def _join(self, every: bool, parts: list[tuple[bool, Any]]) -> tuple[bool, Any]:
+        """The conjunction (``every``) or disjunction of compiled parts: one
+        plan if all are quantifier-free."""
         if len(parts) == 1:
             return parts[0]
         if all(qf for qf, _ in parts):
-            tests = [run for _, run in parts]
-
-            def test() -> bool:
-                for t in tests:
-                    if t() != every:
-                        return not every
-                return every
-            return True, test
-        runs = [_pair(*part) for part in parts]
+            return True, ("join", every, [plan for _, plan in parts])
+        runs = [self._run(*part) for part in parts]
         return False, lambda: _combine((run() for run in runs), True, not every)
 
     def _family(self, f: FamilyAnd | FamilyOr, scope: frozenset[str]) -> Callable:
@@ -668,27 +743,26 @@ class _Evaluation:
         complete = size is not None and size <= self.bound
         count = size if complete else self.bound
         goal = isinstance(f, FamilyOr)  # a member with this value decides the family
-        drawn: list[tuple[Formula, bool, Callable]] = []
-        tests: list[Callable[[], bool]] = []  # set once all members are drawn and quantifier-free
+        drawn: list[tuple[bool, Any, Callable]] = []  # (quantifier-free, part, run)
+        whole: list[Callable] = []  # set once all members are drawn and quantifier-free
 
         def results() -> Iterator[tuple[bool, bool]]:
             # each member is drawn once, in index order, when first reached
             for i in range(count):
                 if i == len(drawn):
-                    member = f.gen(i)
-                    drawn.append((member, *self._compile(member, scope)))
-                    if i == count - 1 and all(qf for _, qf, _ in drawn):
-                        tests.extend(run for _, _, run in drawn)
-                _, qf, run = drawn[i]
+                    qf, part = self._compile(f.gen(i), scope)
+                    drawn.append((qf, part, _Source(self).function(part) if qf else part))
+                    if i == count - 1 and all(qf for qf, _, _ in drawn):
+                        plan = ("join", not goal, [part for _, part, _ in drawn])
+                        exact = (complete, True) if goal else (True, complete)
+                        whole.append(_Source(self).function(plan, exact))
+                qf, _, run = drawn[i]
                 yield (run(), True) if qf else run()
 
         def evaluate() -> tuple[bool, bool]:
-            if not tests:
-                return _combine(results(), complete, goal)
-            for test in tests:
-                if test() == goal:
-                    return (goal, True)
-            return (not goal, complete)
+            if whole:
+                return whole[0]()
+            return _combine(results(), complete, goal)
         return evaluate
 
     def _block(self, f: Exists | Forall, scope: frozenset[str]) -> Callable:
@@ -698,9 +772,9 @@ class _Evaluation:
             return lambda: shortcut
         scope = scope | frozenset(f.vars)
         ready, others = _block_plan(f, scope)
-        # each depth's checks are compiled when the search first reaches it
+        # each depth's checks are generated when the search first reaches it
         search = (f.vars, goal, ready, [None] * len(ready),
-                  _pair(*self._connective(goal, others, scope)))
+                  self._run(*self._join(goal, [self._compile(c, scope) for c in others])))
         env = self.env
 
         def run() -> tuple[bool, bool]:
@@ -732,8 +806,7 @@ class _Evaluation:
             return t == goal and e
         var, check, env = names[depth], checks[depth], self.env
         if check is None:
-            atoms = [(True, self._atom(f, steps)) for f, steps in ready[depth]]
-            check = checks[depth] = self._join(goal, atoms)[1]
+            check = checks[depth] = _Source(self).function(("join", goal, ready[depth]))
         for val in self.domain:
             env[var] = val
             if check() == goal and self._descend(search, depth + 1, inexact):
@@ -752,14 +825,21 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
     the evaluation starts, or, in a family member, when the member is
     first drawn.
 
-    Each node is compiled once per call and scope: quantifier-free parts
-    into plain boolean closures, atoms of up to three powers into one
-    expression of table lookups.  Each family member is drawn and compiled
-    at most once, when the evaluation first reaches it, however many
-    assignments read it.  The compiled closures and the power tables belong
-    to this call alone.  The members of a node built by ``family`` live as
-    long as that node, so a later call or ``render`` on the node reuses
-    them; a family node built directly draws its members anew in each call.
+    Each node is compiled once per call and scope.  Each quantifier-free
+    part the search runs (the atoms one search depth completes, a block's
+    other items, a connective of atoms, a family once all its members are
+    drawn and quantifier-free) becomes one Python expression of table
+    lookups.  The code of each expression text is compiled once and kept in
+    ``_CODE``, a bounded cache shared by all calls; the text names
+    variables, tables and helpers only by generated names, so it holds no
+    formula data, and each call binds the code to its own environment,
+    operation table, identity and power tables.  Each family member is
+    drawn and compiled at most once, when the evaluation first reaches it,
+    however many assignments read it.  The closures, the bound code and the
+    power tables belong to this call alone.  The members of a node built by
+    ``family`` live as long as that node, so a later call or ``render`` on
+    the node reuses them; a family node built directly draws its members
+    anew in each call.
     """
     if family_bound < 1:
         raise ValueError("family_bound must be >= 1")
@@ -880,7 +960,7 @@ def _term_json(t: Term) -> str:
         key, pairs = ('{"lin": [', t.coeffs) if cls is LinTerm else ('{"word": [', t.letters)
         return key + ", ".join([f"[{_quote(v)}, {k}]" for v, k in pairs]) + "]}"
     if cls is OpTerm or cls is InvTerm:  # a decoded kind may be any JSON value
-        kind = _quote(t.kind) if t.kind.__class__ is str else json.dumps(t.kind, sort_keys=True)
+        kind = _quote(t.kind) if t.kind.__class__ is str else _CANONICAL.encode(t.kind)
         if cls is InvTerm:
             return f'{{"arg": {_term_json(t.arg)}, "inv": {kind}}}'
         return f'{{"left": {_term_json(t.left)}, "op": {kind}, "right": {_term_json(t.right)}}}'

@@ -2,6 +2,9 @@ import collections
 import itertools
 import json
 import random
+import re
+import sys
+import threading
 
 import pytest
 
@@ -325,8 +328,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("steps", range(8))
     def test_atoms_of_every_step_count_agree_with_brute_force(self, steps):
-        # atoms of up to three powers run as one expression, longer ones as a
-        # loop; adjacent powers of one variable merge and may cancel
+        # atoms of up to three powers are generated as nested table lookups,
+        # longer ones as one flat call; adjacent powers of one variable merge
+        # and may cancel
         rng = random.Random(steps)
         tables = [fgab.cyclic_table(6), fgab.table_from_invariant_factors((2, 2)),
                   acceptance.dihedral_group(3), acceptance.dihedral_group(4)]
@@ -405,6 +409,121 @@ class TestEvaluate:
     def test_free_variable_is_rejected_before_evaluation(self, sentence, name):
         with pytest.raises(ValueError, match=f"variable '{name}' is free"):
             F.evaluate_exact(sentence, fgab.cyclic_table(2))
+
+    def test_parts_past_the_parsers_nesting_limit_agree_with_brute_force(self):
+        # CPython's parser refuses more than 200 nested brackets in one
+        # expression: a formula nested deeper, an atom of more powers and a
+        # complete family of more members must evaluate all the same
+        rng = random.Random(320)
+        s = acceptance.dihedral_group(3)
+
+        def power_atom():
+            a, b = rng.sample([1, 2, 3, -1, -2], 2)  # x^a = x^b holds for some x only
+            cls = rng.choice([F.Atomic, F.NegAtomic])
+            return cls(F.gword([("x", 1 if a > 0 else -1)] * abs(a)),
+                       F.gword([("x", 1 if b > 0 else -1)] * abs(b)))
+
+        deep = power_atom()
+        for _ in range(320):
+            cls = rng.choice([F.FiniteAnd, F.FiniteOr])
+            deep = cls((deep, power_atom()) if rng.random() < 0.5 else (power_atom(), deep))
+        deep = F.conj(deep, power_atom())  # a Forall keeps a conjunction whole
+        letters = [(("x", "y")[i % 2], rng.choice([1, -1])) for i in range(400)]
+        long_atom = F.Atomic(F.WordTerm(tuple(letters[:250])),
+                             F.InvTerm(F.MUL, F.WordTerm(tuple(letters[250:]))))
+        assert len(F._atom_steps(long_atom, frozenset("xy"))) == 400
+        # x^(6i+1) = x holds throughout D3, so every member is drawn; the last
+        # one holds for the rotations only
+        members = [F.Atomic(F.gword([("x", 1)] * (6 * i + 1)), F.lin({"x": 1}))
+                   for i in range(299)] + [F.Atomic(F.gword([("x", 1)] * 3), F.IDENT)]
+        wide = finite_family("and", members)
+        for sentence, bound in [(F.Forall(("x",), deep), 8), (F.Exists(("x",), deep), 8),
+                                (F.Forall(("x", "y"), long_atom), 8),
+                                (F.Exists(("x", "y"), long_atom), 8),
+                                (F.Forall(("x",), wide), 300), (F.Exists(("x",), wide), 300)]:
+            assert F.evaluate_exact(sentence, s, bound) == (brute_eval(sentence, s, {}), True)
+
+
+class TestGeneratedCode:
+    def test_generated_source_carries_no_formula_data(self):
+        hostile = "x'] or __import__('os').getpid() or env['"
+        text = json.dumps({"t": "all", "vars": [hostile, '"'], "body": {"t": "or", "items": [
+            {"t": "atom", "lhs": {"word": [[hostile, 1], ['"', 1], [hostile, 1]]},
+             "rhs": {"word": [['"', 1]]}},
+            {"t": "natom", "lhs": {"lin": [[hostile, 2]]}, "rhs": {"lin": [['"', -3]]}}]}})
+        key = (2, ("y", 3))
+        hand = F.Exists((1, key), F.conj(
+            F.Atomic(F.WordTerm(((1, 1), (key, 1), (1, 1))), F.WordTerm(((key, 1),))),
+            F.NegAtomic(F.LinTerm(((1, 3),)), F.IDENT)))
+        tables = [fgab.cyclic_table(4), fgab.table_from_invariant_factors((2, 2)),
+                  acceptance.dihedral_group(3)]
+        for sentence in (F.loads(text), hand):
+            for s in tables:
+                assert F.evaluate_exact(sentence, s) == (brute_eval(sentence, s, {}), True)
+        for f in emitted_sentences():
+            F.evaluate_exact(f, tables[-1], 5)
+        # every cached source: generated names, the operators and brackets the
+        # generator writes, and integer literals
+        words = {"lambda", "and", "or", "if", "else", "True", "False", "env", "op", "e",
+                 "fold"}
+        for source in F._CODE:
+            for token in re.findall(r"\w+|\S", source):
+                assert (token in words or re.fullmatch(r"[VTF]\d+|\d+", token)
+                        or token in "[](),:=!"), (token, source)
+
+    def test_code_cache_holds_at_most_its_bound(self, monkeypatch):
+        monkeypatch.setattr(F, "_CODE_LIMIT", 4)
+        monkeypatch.setattr(F, "_CODE", {})
+        s = acceptance.dihedral_group(3)
+        # one distinct source each: a conjunction of the atoms x^1 = e ... x^n = e
+        sentences = [F.Forall(("x",), F.conj(*(F.Atomic(F.gword([("x", 1)] * k), F.IDENT)
+                                               for k in range(1, n + 2))))
+                     for n in range(10)]
+        want = [(brute_eval(f, s, {}), True) for f in sentences]
+        assert F.evaluate_exact(sentences[0], s) == want[0]
+        first = set(F._CODE)
+        assert first
+        for f, answer in zip(sentences, want):
+            assert F.evaluate_exact(f, s) == answer
+            assert len(F._CODE) <= 4
+        assert not first <= set(F._CODE)  # evicted: the next evaluation compiles again
+        assert F.evaluate_exact(sentences[0], s) == want[0]
+        assert first <= set(F._CODE)
+
+    def test_code_cache_keeps_its_bound_across_threads(self, monkeypatch):
+        monkeypatch.setattr(F, "_CODE_LIMIT", 3)
+        monkeypatch.setattr(F, "_CODE", {})
+        s = acceptance.dihedral_group(3)
+        sentences = [F.Exists(("x",), F.conj(*(F.NegAtomic(F.gword([("x", 1)] * k), F.IDENT)
+                                               for k in range(1, n + 2))))
+                     for n in range(8)]
+        want = [(brute_eval(f, s, {}), True) for f in sentences]
+        faults = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(60):
+                    i = rng.randrange(len(sentences))
+                    if F.evaluate_exact(sentences[i], s) != want[i]:
+                        faults.append(i)
+                    if len(F._CODE) > 3:
+                        faults.append("size")
+            except Exception as exc:  # a thread's exception would not reach the test
+                faults.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not faults and len(F._CODE) <= 3
 
 
 def _term_vars(t):
@@ -542,6 +661,26 @@ class TestJson:
             again = F.loads(F.dumps(sentence))
             assert again == sentence
             assert classify_pair(again) == classify_pair(sentence)
+
+    def test_family_params_text_is_canonical(self):
+        # every declared family, with a parameter it does not declare and
+        # names that JSON escapes
+        fresh = (f"ω{i}" for i in itertools.count())
+        sample = {"name": lambda: next(fresh), "names": lambda: [next(fresh), next(fresh)],
+                  "pair": lambda: [next(fresh), next(fresh)],
+                  "triple": lambda: [next(fresh), next(fresh), next(fresh)],
+                  "int": lambda: 1, "ints": lambda: [2],
+                  "object": lambda: R.char_to_json(R.char({2: R.INF, 3: 1}))}
+        for table in (D.FAMILIES, fgab.FAMILIES, R.FAMILIES):
+            for enum_id, (_, kinds, _, _) in table.items():
+                params = {key: sample[kind]() for key, kind in kinds.items()}
+                params["zé"] = {"b": [None, True, -1.5, "\u2200\n"], "a": {}}
+                for kind in ("and", "or"):
+                    f = F.family(kind, enum_id, params)
+                    assert f.note.params == json.dumps(params, sort_keys=True)
+                    text = F.dumps(f)
+                    assert F.dumps(F.loads(text)) == text
+                    assert F.loads(text).note == f.note
 
     def test_unknown_enum_rejected(self):
         with pytest.raises(KeyError):
