@@ -104,6 +104,13 @@ def nonabelian_tables() -> list[tuple[str, F.FiniteStructure]]:
             ("Dic3", dicyclic_group(3, 7, 3))]
 
 
+def finite_zoo(max_order: int = 12) -> list[tuple[str, F.FiniteStructure]]:
+    """Criterion 3's groups, by name: the abelian ones of order <= max_order + 1
+    and the non-abelian ones of order <= max_order."""
+    classes = [(str(factors), t) for factors, t in fgab.abelian_tables_upto(max_order + 1)]
+    return classes + [(name, t) for name, t in nonabelian_tables() if t.size <= max_order]
+
+
 def relabel(t: F.FiniteStructure, rng: random.Random) -> F.FiniteStructure:
     """An isomorphic copy of ``t`` under a random renaming of its elements."""
     perm = list(range(t.size))
@@ -172,8 +179,7 @@ def criterion_finite_scott(max_order: int = 12) -> tuple[bool, str]:
     and fail on every other, and the isomorphism oracle must agree that the
     listed classes are pairwise distinct."""
     t0 = time.time()
-    classes = [(str(factors), t) for factors, t in fgab.abelian_tables_upto(max_order + 1)]
-    classes += [(name, t) for name, t in nonabelian_tables() if t.size <= max_order]
+    classes = finite_zoo(max_order)
     rng = random.Random(20160301)
     targets = [(name, relabel(t, rng)) for name, t in classes]
     mismatches = evaluations = 0
@@ -339,6 +345,49 @@ def criterion_derived_separation() -> tuple[bool, str]:
     return failures == 0, f"{checks} pairwise checks, {failures} failures"
 
 
+def infinite_target_sentences() -> list[tuple[str, F.Formula]]:
+    """The emitted sentences whose target is infinite, by name: D∞, Z^n for
+    n = 1..3, Z^n ⊕ T as d-Sigma(2) and as Sigma(3), and the nine rank-1 rows."""
+    out = [("Dinf", D.scott_sentence_dinf())]
+    out += [(f"Z^{n}", fgab.scott_sentence_zn(n)) for n in (1, 2, 3)]
+    for rank, torsion in ((1, (2,)), (2, (2,)), (1, (2, 2))):
+        desc = fgab.FgAbelianDesc(rank, torsion)
+        out += [(f"Z^{rank}+{torsion} dSigma2", fgab.scott_sentence_fg_abelian(desc)),
+                (f"Z^{rank}+{torsion} Sigma3", fgab.scott_sentence_sigma3_fg(desc))]
+    return out + [(f"rank1 row {row}", R.scott_sentence(c)) for row, c in ROW_EXAMPLES.items()]
+
+
+REFUTATION_BOUNDS = (4, 16, 64, 256)
+
+
+def criterion_finite_refutation(max_order: int = 12) -> tuple[bool, str]:
+    """8: every sentence of an infinite group is exactly false on every group
+    of criterion 3.  Each (sentence, group) pair is evaluated at family
+    bounds 4, 16, 64 and 256 until the result is exact; the detail names
+    every pair that needed more than bound 4, with its bound."""
+    t0 = time.time()
+    sentences, zoo = infinite_target_sentences(), finite_zoo(max_order)
+    refuted: dict[int, list[str]] = {bound: [] for bound in REFUTATION_BOUNDS}
+    failures = []
+    for sname, sentence in sentences:
+        for gname, t in zoo:
+            for bound in REFUTATION_BOUNDS:
+                result = F.evaluate_exact(sentence, t, bound)
+                if result[1]:
+                    break
+            if result == (False, True):
+                refuted[bound].append(f"{sname} on {gname}")
+            else:
+                failures.append(f"{sname} on {gname}: {result} at bound {bound}")
+    first, *later = REFUTATION_BOUNDS
+    detail = (f"{len(sentences)} sentences x {len(zoo)} groups, "
+              f"{len(refuted[first])} exact at bound {first}, "
+              + "".join(f"at {bound}: {refuted[bound]}, " for bound in later if refuted[bound])
+              + f"{len(failures)} failures{f' {failures}' if failures else ''}, "
+              f"{time.time()-t0:.1f}s")
+    return not failures, detail
+
+
 ALL_CRITERIA = [
     ("words-primitivity-oracle", criterion_words_oracle),
     ("dinf-generation-oracle", criterion_dinf_oracle),
@@ -347,6 +396,7 @@ ALL_CRITERIA = [
     ("rank1-case-table", criterion_rank1_table),
     ("construction-soundness", criterion_construction_sweep),
     ("derived-structure-separation", criterion_derived_separation),
+    ("finite-refutation", criterion_finite_refutation),
 ]
 
 

@@ -45,10 +45,6 @@ class DihedralWord:
     def start(self) -> str | None:
         return self.letters[0] if self.letters else None
 
-    @property
-    def end(self) -> str | None:
-        return self.letters[-1] if self.letters else None
-
 
 EPSILON = DihedralWord("")
 A = DihedralWord("a")

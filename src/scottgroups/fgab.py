@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 from itertools import count, product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import formula_module, record
 from .numtheory import Enumeration, factorize, int_tuple
@@ -97,27 +97,19 @@ def table_from_invariant_factors(factors: tuple[int, ...] | list[int]) -> F.Fini
          for s in elements])
 
 
-def _partitions(n: int) -> list[tuple[int, ...]]:
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts of at most ``largest``, parts falling,
+    in reverse lexicographic order."""
     if n == 0:
-        return [()]
-    out = []
-
-    def rec(remaining: int, largest: int, acc: list[int]):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return out
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
 
 
 def abelian_invariant_factor_lists(order: int) -> list[tuple[int, ...]]:
     """Invariant-factor tuples of every abelian group of the given order."""
-    per_prime = [[(p, part) for part in _partitions(e)] for p, e in factorize(order)]
+    per_prime = [[(p, part) for part in _partitions(e, e)] for p, e in factorize(order)]
     return sorted(_invariant_factors(chosen) for chosen in product(*per_prime))
 
 
@@ -156,19 +148,16 @@ def _element_order(t: F.FiniteStructure, x: int) -> int:
     return n
 
 
-def _order_profile(t: F.FiniteStructure) -> tuple[int, ...]:
-    return tuple(sorted(_element_order(t, x) for x in range(t.size)))
-
-
 def tables_isomorphic(t1: F.FiniteStructure, t2: F.FiniteStructure) -> bool:
     """Brute-force isomorphism test via generator images."""
     if t1.size != t2.size:
         return False
-    if _order_profile(t1) != _order_profile(t2):
+    orders1 = [_element_order(t1, x) for x in range(t1.size)]
+    orders2 = [_element_order(t2, y) for y in range(t2.size)]
+    if sorted(orders1) != sorted(orders2):
         return False
     gens, exprs = _element_expressions(t1)
-    gen_orders = [_element_order(t1, g) for g in gens]
-    candidates = [[y for y in range(t2.size) if _element_order(t2, y) == o] for o in gen_orders]
+    candidates = [[y for y in range(t2.size) if orders2[y] == orders1[g]] for g in gens]
     for images in product(*candidates):
         fmap = []
         for word in exprs:

@@ -967,14 +967,15 @@ def _term_json(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _json(f: Formula) -> str:
+def dumps(f: Formula) -> str:
+    """``f`` as ``json.dumps(to_json_dict(f), sort_keys=True)`` would write it."""
     cls = f.__class__
     if cls is Atomic or cls is NegAtomic:
         tag = '"atom"' if cls is Atomic else '"natom"'
         return f'{{"lhs": {_term_json(f.lhs)}, "rhs": {_term_json(f.rhs)}, "t": {tag}}}'
     if cls is FiniteAnd or cls is FiniteOr:
         tag = '"and"' if cls is FiniteAnd else '"or"'
-        return f'{{"items": [{", ".join(map(_json, f.items))}], "t": {tag}}}'
+        return f'{{"items": [{", ".join(map(_dumps, f.items))}], "t": {tag}}}'
     if cls is FamilyAnd or cls is FamilyOr:
         tag = '"fam-and"' if cls is FamilyAnd else '"fam-or"'
         # ``family`` stored the params as their canonical text
@@ -982,8 +983,12 @@ def _json(f: Formula) -> str:
     if cls is Exists or cls is Forall:
         tag = '"ex"' if cls is Exists else '"all"'
         names = ", ".join(map(_quote, f.vars))
-        return f'{{"body": {_json(f.body)}, "t": {tag}, "vars": [{names}]}}'
+        return f'{{"body": {_dumps(f.body)}, "t": {tag}, "vars": [{names}]}}'
     raise TypeError(f"not a formula: {f!r}")
+
+
+# the package's own calls go through this name, so a wrapper on ``dumps`` sees only outside calls
+_dumps = dumps
 
 
 def _expect(value: Any, kind: type, what: str) -> Any:
@@ -1046,13 +1051,8 @@ def from_json_dict(d: Any) -> Formula:
     raise ValueError(f"unknown formula tag: {tag!r}")
 
 
-def dumps(f: Formula) -> str:
-    """``f`` as ``json.dumps(to_json_dict(f), sort_keys=True)`` would write it."""
-    return _json(f)
-
-
 def to_json_dict(f: Formula) -> dict:
-    return json.loads(_json(f))  # the parse of dumps(f)
+    return json.loads(_dumps(f))
 
 
 def loads(text: str) -> Formula:

@@ -169,10 +169,6 @@ class VerificationReport:
     caveat: str = PREFIX_CAVEAT
 
 
-def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
-    checks.append((name, bool(ok), detail))
-
-
 def _ratio(num: int, den: int) -> tuple:
     """num/den, den > 0, as a reduced ``(num, den)`` pair."""
     g = gcd(num, den)
@@ -247,9 +243,9 @@ class _Run:
         self.fact_count += len(kept)
         return kept
 
-    def add(self, fact: tuple, delta: list) -> None:
-        """Record a fact that can repeat, once, and check it."""
-        if not self.facts_hold(self.keep([fact], delta)):
+    def add(self, facts: list[tuple], delta: list) -> None:
+        """Record facts that can repeat, once each, and check the new ones."""
+        if not self.facts_hold(self.keep(facts, delta)):
             self.sound = False
 
     def key(self, value):
@@ -638,8 +634,7 @@ class _DihedralRun(_Run):
             prod = used.get(ko - kc if ko & 1 else ko + kc)
             if prod is not None:
                 facts.append(("mul", other, c, prod))
-        if not self.facts_hold(self.keep(facts, delta)):
-            self.sound = False
+        self.add(facts, delta)
 
     def facts_hold(self, facts: Iterable[tuple]) -> bool:
         values = self.values
@@ -664,8 +659,7 @@ class _DihedralRun(_Run):
         aux = self.ensure(_dmul(self.a, _B), delta)
         # the defining relation a_old = a' b a' arrives as two product facts
         # recorded by the relation lookups; assert them explicitly too
-        self.add(("mul", a_new, 2, aux), delta)
-        self.add(("mul", aux, a_new, old_a), delta)
+        self.add([("mul", a_new, 2, aux), ("mul", aux, a_new, old_a)], delta)
 
     def grow(self, delta: list) -> None:
         """Name the next ``growth`` normal forms, in a and b, not yet named."""
@@ -798,7 +792,7 @@ class _Rank1Run(_Run):
         un, ud = unit
         prev = self.ensure(_ratio(un, ud * prime ** d), delta)
         new = self.ensure(_ratio(un, ud * prime ** (d + 1)), delta)
-        self.add(("scale", prime, new, prev), delta)
+        self.add([("scale", prime, new, prev)], delta)
 
     def seed(self, delta: list) -> None:
         self.units["H"] = self.ensure((1, 1), delta)
@@ -825,7 +819,7 @@ class _Rank1Run(_Run):
             bn, bd = self.values[unit_k]
             for _ in range(self.growth):
                 new = self.ensure(_ratio(bn * self.mult_cursor, bd), delta)
-                self.add(("scale", self.mult_cursor, unit_k, new), delta)
+                self.add([("scale", self.mult_cursor, unit_k, new)], delta)
                 self.mult_cursor += 1
         return target, True
 
@@ -894,20 +888,13 @@ def run_cofinality(c: R.Rank1Char, m: int, w_enum: set[int] | Sequence[int],
             a_primes.append(p)
     if len(a_primes) < m:
         raise ValueError(f"only {len(a_primes)} Pfin primes under bound {bound}, need {m}")
-    table: dict[int, int | float] = {}
-    for p in window:
-        v = R.exponent(c, p)
-        if p in a_primes:
-            idx = a_primes.index(p)
-            e = int(v)
-            table[p] = e if idx in w else e - 1
-        else:
-            table[p] = v
-    missed = tuple(sorted(k for k in range(m) if k not in w))
-    declared_finite = not missed or max(missed) < m // 2
+    table = {p: R.exponent(c, p) for p in window}
+    missed = tuple(k for k in range(m) if k not in w)
     multiplier = 1
-    for kk in missed:
-        multiplier *= a_primes[kk]
+    for k in missed:
+        table[a_primes[k]] -= 1
+        multiplier *= a_primes[k]
+    declared_finite = not missed or max(missed) < m // 2
     verdict = "isomorphic" if declared_finite else "not-isomorphic-at-window"
     result = CofinalityResult(table, verdict, multiplier, missed, tuple(a_primes))
     verification = _verify_cofinality(c, result, m, w, bound)
@@ -921,7 +908,6 @@ def _verify_cofinality(c: R.Rank1Char, result: CofinalityResult, m: int, w: set[
     exponent by exactly 1 at the window primes whose index is missing from w
     and keeps it everywhere else."""
     from . import rank1 as R
-    checks: list = []
     exponents = {p: R.exponent(c, p) for p in primes_upto(bound)}
     pfin = [p for p, v in exponents.items() if 0 < v != R.INF][:m]
     lowered = {p for k, p in enumerate(pfin) if k not in w}
@@ -930,11 +916,10 @@ def _verify_cofinality(c: R.Rank1Char, result: CofinalityResult, m: int, w: set[
         got = result.table[p]
         if (0 if got == v else v - got) != (1 if p in lowered else 0):
             conform = False
-    _check(checks, "rule-conformance", conform)
+    checks = [("rule-conformance", conform, "")]
     if result.verdict == "isomorphic":
         fixed = all(result.table[p] + valuation(result.multiplier, p)
                     == R.exponent(c, p) for p in result.a_primes)
-        _check(checks, "multiplier-restores-window", fixed,
-               f"multiplier {result.multiplier}")
+        checks.append(("multiplier-restores-window", fixed, f"multiplier {result.multiplier}"))
     return VerificationReport(all(ok for _, ok, _ in checks), tuple(checks))
 

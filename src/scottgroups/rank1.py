@@ -61,13 +61,8 @@ def _validate_rule(rule: Rule, allow_residue: bool = True) -> None:
 
 
 def _rule_value(rule: Rule, index: int) -> int | float:
-    if rule == ("zero",):
-        return 0
-    if rule == ("inf",):
-        return INF
-    if rule[0] == "linear":
-        return rule[1] * index + rule[2]
-    return _rule_value(rule[1][index % len(rule[1])], index)
+    sub = _class_rule(rule, index)
+    return INF if sub == INF_RULE else sub[1] * index + sub[2]
 
 
 def _default_exponent(rule: Rule, p: int) -> int | float:
@@ -467,16 +462,23 @@ def rank1_axioms() -> F.FiniteAnd:
 
 
 def scott_sentence_sigma3(c: Rank1Char) -> F.FiniteAnd:
-    """Sigma(3): a generator whose rational multiples are exactly the group."""
+    """Sigma(3): a non-zero x1 whose multiples q·x1, q in G, all exist and
+    make up the group.
+
+    x1 ≠ 0 in a torsion-free group makes q ↦ q·x1 injective, so the model
+    is G·x1 ≅ G.  Without that conjunct x1 = 0 satisfies both families, and
+    the trivial group is a model.
+    """
     from . import fgab
     F = formula_module()
     cj = char_to_json(c)
     realized = F.family("and", "rank1-lambda-exists", {"char": cj, "var": "x1"})
     onto = F.Forall(("y",), F.family("or", "rank1-lambda-onto",
                                      {"char": cj, "var": "x1", "target": "y"}))
+    nonzero = F.NegAtomic(F.lin({"x1": 1}), F.ZERO)
     return F.conj(F.abelian_axioms(),
                   fgab.torsion_free_sentence(),
-                  F.Exists(("x1",), F.conj(realized, onto)))
+                  F.Exists(("x1",), F.conj(realized, onto, nonzero)))
 
 
 def scott_sentence_dsigma2(c: Rank1Char) -> F.FiniteAnd:

@@ -39,3 +39,7 @@ def test_criterion_6_construction_soundness():
 
 def test_criterion_7_derived_structure_separation():
     _run("derived-structure-separation", acceptance.criterion_derived_separation)
+
+
+def test_criterion_8_finite_refutation():
+    _run("finite-refutation", acceptance.criterion_finite_refutation)

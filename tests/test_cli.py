@@ -313,6 +313,22 @@ class TestExitCodes:
         assert code == 0 and out.strip() == '{"contains": true}'  # an integer, in Z
 
 
+class TestSelftest:
+    """``--selftest`` runs ``acceptance.ALL_CRITERIA``: one PASS or FAIL line
+    per criterion on stderr, the verdict as JSON on stdout, exit 0 or 1."""
+
+    @pytest.mark.parametrize("ok, verdict, code", [(True, "pass", 0), (False, "fail", 1)])
+    def test_verdict_and_exit_code(self, capsys, monkeypatch, ok, verdict, code):
+        from scottgroups import acceptance
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", [
+            ("stub-pass", lambda: (True, "3 checks")),
+            ("stub-second", lambda: (ok, "1 check"))])
+        got, out, err = run(capsys, "--selftest")
+        assert got == code and json.loads(out) == {"selftest": verdict}
+        assert err.splitlines() == ["PASS  stub-pass: 3 checks",
+                                    f"{'PASS' if ok else 'FAIL'}  stub-second: 1 check"]
+
+
 class TestStrictIntegers:
     CHAR = '{"exceptions":{},"default":{"linear":[1,1]}}'
     SIM = ["--trace", "10"]

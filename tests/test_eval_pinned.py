@@ -6,7 +6,9 @@ order at most 6 at family bounds 1, 2, 5 and 8; the sha256 of every
 was computed at commit b0d9544, whose evaluator still walked each formula
 node by node through an `isinstance` dispatch and evaluated every atom
 term by term, so it pins the compiled evaluator to that implementation's
-answers, exactness flags included.
+answers, exactness flags included.  It was recomputed once, when the rank-1
+Sigma(3) sentence gained its x1 ≠ 0 conjunct, on commit fa1fce0 with only
+that conjunct added.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from scottgroups import fgab
 from scottgroups import formula as F
 from scottgroups import rank1 as R
 
-PINNED_SHA256 = "9ad1753b3fad3c85d000311546d4be8ffd93a657e34f8d1d22ec2c40c7220334"
+PINNED_SHA256 = "2859c5595ab381208ffa5f91cb846faf11c83ebe0f1cc7e88b79ff026f6710ae"
 
 BOUNDS = (1, 2, 5, 8)
 

@@ -589,7 +589,7 @@ class TestReplayFaults:
             run.advance(s1, s2)
         assert run.sound
         delta: list = []
-        run.add(false, delta)
+        run.add([false], delta)
         assert delta == [false] and not run.sound
         for s1, s2 in self.TRACE.steps[half:]:
             run.advance(s1, s2)

@@ -8,7 +8,9 @@ classification row is rendered as text and as LaTeX at family bounds 0, 1,
 The digest was computed at commit f3eebf8, whose `dumps` built nested dicts
 and ran `json.dumps(..., sort_keys=True)` over them and whose renderer
 dispatched through `isinstance` chains, so it pins the text writer and the
-class-dispatched renderer to that implementation's output.
+class-dispatched renderer to that implementation's output.  It was
+recomputed once, when the rank-1 Sigma(3) sentence gained its x1 ≠ 0
+conjunct, on commit fa1fce0 with only that conjunct added.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ from scottgroups import acceptance
 from scottgroups import formula as F
 from scottgroups import rank1 as R
 
-PINNED_SHA256 = "20a3f6fd6ddda2b0e9252aa0b6e54d7f94c08879ad6f144e1dfb61370459ba41"
+PINNED_SHA256 = "ba15803530aa447c3a5d78d6037953e4a324cbe4ad4196462593596cce3e96dc"
 
 BOUNDS = (0, 1, 3, 8, 20)
 
