@@ -360,13 +360,13 @@ def infinite_target_sentences() -> list[tuple[str, F.Formula]]:
 REFUTATION_BOUNDS = (4, 16, 64, 256)
 
 
-def criterion_finite_refutation(max_order: int = 12) -> tuple[bool, str]:
+def criterion_finite_refutation() -> tuple[bool, str]:
     """8: every sentence of an infinite group is exactly false on every group
     of criterion 3.  Each (sentence, group) pair is evaluated at family
     bounds 4, 16, 64 and 256 until the result is exact; the detail names
     every pair that needed more than bound 4, with its bound."""
     t0 = time.time()
-    sentences, zoo = infinite_target_sentences(), finite_zoo(max_order)
+    sentences, zoo = infinite_target_sentences(), finite_zoo()
     refuted: dict[int, list[str]] = {bound: [] for bound in REFUTATION_BOUNDS}
     failures = []
     for sname, sentence in sentences:
