@@ -22,6 +22,11 @@ from . import limitsim as L
 from . import rank1 as R
 from . import words as W
 
+# the gate's fixed sizes: criterion 1's and 2's word lengths, the zoo's order
+# (criteria 3 and 8), and criterion 6's trace length and sample count
+WORDS_MAX_TOTAL, DINF_MAX_LEN, ZOO_MAX_ORDER = 8, 10, 12
+SWEEP_TRACE_LEN, SWEEP_SAMPLES = 7, 200
+
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -104,11 +109,11 @@ def nonabelian_tables() -> list[tuple[str, F.FiniteStructure]]:
             ("Dic3", dicyclic_group(3, 7, 3))]
 
 
-def finite_zoo(max_order: int = 12) -> list[tuple[str, F.FiniteStructure]]:
-    """Criterion 3's groups, by name: the abelian ones of order <= max_order + 1
-    and the non-abelian ones of order <= max_order."""
-    classes = [(str(factors), t) for factors, t in fgab.abelian_tables_upto(max_order + 1)]
-    return classes + [(name, t) for name, t in nonabelian_tables() if t.size <= max_order]
+def finite_zoo() -> list[tuple[str, F.FiniteStructure]]:
+    """Criterion 3's groups, by name: the abelian ones of order <= ZOO_MAX_ORDER
+    + 1 and the non-abelian ones, all of order <= ZOO_MAX_ORDER."""
+    abelian = fgab.abelian_tables_upto(ZOO_MAX_ORDER + 1)
+    return [(str(factors), t) for factors, t in abelian] + nonabelian_tables()
 
 
 def relabel(t: F.FiniteStructure, rng: random.Random) -> F.FiniteStructure:
@@ -126,16 +131,16 @@ def relabel(t: F.FiniteStructure, rng: random.Random) -> F.FiniteStructure:
 # Criteria
 # ---------------------------------------------------------------------------
 
-def criterion_words_oracle(max_total: int = 8) -> tuple[bool, str]:
+def criterion_words_oracle() -> tuple[bool, str]:
     """1: primitivity decision agrees with the BFS closure on all F2 pairs."""
     t0 = time.time()
-    closure = primitive_closure(2, max_total)
+    closure = primitive_closure(2, WORDS_MAX_TOTAL)
     by_len: dict[int, list[W.FreeWord]] = {}
-    for w in all_reduced_words(2, max_total):
+    for w in all_reduced_words(2, WORDS_MAX_TOTAL):
         by_len.setdefault(len(w), []).append(w)
     checked = disagreements = 0
-    for l1 in range(max_total + 1):
-        for l2 in range(max_total + 1 - l1):
+    for l1 in range(WORDS_MAX_TOTAL + 1):
+        for l2 in range(WORDS_MAX_TOTAL + 1 - l1):
             for w1 in by_len[l1]:
                 for w2 in by_len[l2]:
                     t = W.WordTuple(2, (w1, w2))
@@ -146,12 +151,12 @@ def criterion_words_oracle(max_total: int = 8) -> tuple[bool, str]:
     return disagreements == 0, detail
 
 
-def criterion_dinf_oracle(max_len: int = 10) -> tuple[bool, str]:
+def criterion_dinf_oracle() -> tuple[bool, str]:
     """2: generation and primitivity decisions agree with semidirect-product
     arithmetic; a pair is primitive exactly when it generates and both of its
     elements are reflections."""
     t0 = time.time()
-    forms = [D.nth_normal_form(i) for i in range(2 * max_len + 1)]
+    forms = [D.nth_normal_form(i) for i in range(2 * DINF_MAX_LEN + 1)]
     disagreements = 0
     primitive_mismatches = 0
     primitive_count = 0
@@ -170,21 +175,21 @@ def criterion_dinf_oracle(max_len: int = 10) -> tuple[bool, str]:
     return disagreements == 0 and primitive_mismatches == 0, detail
 
 
-def criterion_finite_scott(max_order: int = 12) -> tuple[bool, str]:
+def criterion_finite_scott() -> tuple[bool, str]:
     """3: the finite sentence is true exactly on the isomorphism class.
 
-    The sentence of every group of order <= ``max_order`` (the abelian ones
+    The sentence of every group of order <= ZOO_MAX_ORDER (the abelian ones
     and D3, D4, D5, D6, Q8, A4, Dic3) is evaluated on a relabelled copy of
-    every group of order <= ``max_order + 1``: it must hold on its own group
-    and fail on every other, and the isomorphism oracle must agree that the
-    listed classes are pairwise distinct."""
+    every group of ``finite_zoo``: it must hold on its own group and fail on
+    every other, and the isomorphism oracle must agree that the listed
+    classes are pairwise distinct."""
     t0 = time.time()
-    classes = finite_zoo(max_order)
+    classes = finite_zoo()
     rng = random.Random(20160301)
     targets = [(name, relabel(t, rng)) for name, t in classes]
     mismatches = evaluations = 0
     for name1, t1 in classes:
-        if t1.size > max_order:
+        if t1.size > ZOO_MAX_ORDER:
             continue
         sentence = fgab.scott_sentence_finite(t1)
         for name2, t2 in targets:
@@ -277,30 +282,29 @@ def _walk_traces(run, length: int, steps: tuple = ()):
             yield from _walk_traces(child, length - 1, steps + (belief,))
 
 
-def criterion_construction_sweep(exhaustive_len: int = 7,
-                                 samples: int = 200) -> tuple[bool, str]:
-    """6: soundness sweep — every trace of length ``exhaustive_len`` for the
-    abelian (k = 2, 3) and rank-1 simulators (4^len traces = 2^14 at len 7),
-    walked as a tree through the same ``advance`` the CLI runs; randomized
-    samples for the dihedral and cofinality ones."""
+def criterion_construction_sweep() -> tuple[bool, str]:
+    """6: soundness sweep — every trace of length SWEEP_TRACE_LEN for the
+    abelian (k = 2, 3) and rank-1 simulators (4^7 = 2^14 traces each),
+    walked as a tree through the same ``advance`` the CLI runs; SWEEP_SAMPLES
+    randomized samples for the dihedral and cofinality ones."""
     t0 = time.time()
     failures = []
     c = R.char({2: R.INF})
     runs = 0
     for k in (2, 3):
-        for steps, run in _walk_traces(L._AbelianRun(k, growth=1), exhaustive_len):
+        for steps, run in _walk_traces(L._AbelianRun(k, growth=1), SWEEP_TRACE_LEN):
             runs += 1
             _, tag, ver = run.result()
             if not ver.ok or tag != _final_abelian_tag(k, *steps[-1]):
                 failures.append(f"abelian k={k} {steps}")
-    for steps, run in _walk_traces(L._Rank1Run(c, 3, 2, growth=1), exhaustive_len):
+    for steps, run in _walk_traces(L._Rank1Run(c, 3, 2, growth=1), SWEEP_TRACE_LEN):
         runs += 1
         _, fc, ver = run.result()
         if not ver.ok or fc != _final_rank1_char(c, 3, 2, *steps[-1]):
             failures.append(f"rank1 {steps}")
     rng = random.Random(20130905)
     case2 = R.char(default=("linear", 1, 1))
-    for _ in range(samples):
+    for _ in range(SWEEP_SAMPLES):
         length = rng.randint(1, 12)
         trace = L.ConstructionTrace(tuple((rng.random() < 0.5, rng.random() < 0.5)
                                           for _ in range(length)))
@@ -312,7 +316,7 @@ def criterion_construction_sweep(exhaustive_len: int = 7,
         res, ver = L.run_cofinality(case2, m, w, 60)
         if not ver.ok:
             failures.append(f"cofinality m={m} w={sorted(w)}")
-    detail = (f"{runs} exhaustive runs + {2 * samples} sampled, "
+    detail = (f"{runs} exhaustive runs + {2 * SWEEP_SAMPLES} sampled, "
               f"{len(failures)} failures, {time.time()-t0:.1f}s")
     return not failures, detail
 

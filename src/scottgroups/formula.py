@@ -9,11 +9,12 @@ blocks.  Negation occurs only on atoms.  The module provides
   QuantifierFree by counting alternations of {or, exists} against
   {and, forall} blocks, reporting the least class; a family counts at the
   level its declaration gives its members, so no member is drawn,
-* exact evaluation over finite group tables, with families truncated at a
-  caller-supplied bound and an honesty flag saying whether the truncated
-  answer is already decided; one backtracking search serves both
-  quantifier blocks, each node is compiled once per evaluation and scope,
-  and each quantifier-free part the search runs is one generated
+* exact evaluation over finite group tables, a family being the connective
+  of its first min(size, bound) members, which the evaluation draws, holds
+  and compiles before its search starts, and an honesty flag saying whether
+  the truncated answer is already decided; one backtracking search serves
+  both quantifier blocks, each node is compiled once per evaluation and
+  scope, and each quantifier-free part the search runs is one generated
   expression of table lookups, whose code is compiled once per text into a
   bounded cache, the one thing kept across evaluations; a node built by
   ``family`` draws each member once and keeps it while the node lives,
@@ -85,17 +86,23 @@ class WordTerm(Term):
 class OpTerm(Term):
     """Explicit binary application of the group operation."""
 
-    kind: str
+    kind: str  # ADD or MUL, the notation
     left: Term
     right: Term
+
+    def __post_init__(self):
+        if self.kind not in (ADD, MUL):
+            raise ValueError(f"operation kind must be {ADD!r} or {MUL!r}, got {self.kind!r}")
 
 
 @record
 class InvTerm(Term):
     """Explicit inverse (negation in additive notation)."""
 
-    kind: str
+    kind: str  # ADD or MUL, the notation
     arg: Term
+
+    __post_init__ = OpTerm.__post_init__
 
 
 ZERO = LinTerm(())
@@ -677,10 +684,10 @@ class _Evaluation:
     bound, the values of the bound variables, which quantifiers assign in
     place and restore on leaving, and each node compiled so far, keyed by
     node identity and scope, the variables bound where the node sits.
-    Compiled families keep the members they draw, so every key stays valid
-    until ``ev`` returns and drops the memo.  A quantifier-free node
-    compiles to a plan, which ``_Source`` turns into a generated function
-    when the search first runs it; any other node to a closure.
+    Compiled families keep the members they draw in ``_drawn``, so every
+    key stays valid until ``ev`` returns and drops the memo.  A node with no
+    quantifier and no truncated family compiles to a plan, which ``_Source``
+    turns into a generated function; any other node to a closure.
 
     One backtracking search serves both quantifier blocks: Exists looks for
     an assignment that makes its body exactly true, Forall for one that
@@ -692,6 +699,7 @@ class _Evaluation:
         self.bound = bound
         self.env = {} if env is None else env
         self._compiled: dict[tuple[int, frozenset[str]], tuple[bool, Any]] = {}
+        self._drawn: list[list[Formula]] = []  # the members of each compiled family
         self.powers = _PowerTables(s)
 
     def ev(self, f: Formula) -> tuple[bool, bool]:
@@ -705,12 +713,10 @@ class _Evaluation:
         return _Source(self).function(part, (True, True)) if qf else part
 
     def _compile(self, f: Formula, scope: frozenset[str]) -> tuple[bool, Any]:
-        """Whether ``f`` is quantifier-free, and its compiled part, once per
-        call and scope: its plan if it is, else a ``() -> (truth, exact)``
-        closure.  A plan is ``("atom", is an equation, steps)`` or
-        ``("join", is a conjunction, plans)``.  ``scope`` holds the variables
-        of the initial environment and of the enclosing blocks; an atom with
-        a variable outside it raises ValueError."""
+        """Whether ``f`` compiles to a plan (see ``_Source.function``), and
+        its plan or ``() -> (truth, exact)`` closure, once per call and scope.
+        ``scope`` holds the variables of the initial environment and of the
+        enclosing blocks; an atom with a variable outside it raises ValueError."""
         key = (id(f), scope)
         if key in self._compiled:
             return self._compiled[key]
@@ -720,7 +726,7 @@ class _Evaluation:
             compiled = self._join(isinstance(f, FiniteAnd),
                                   [self._compile(c, scope) for c in f.items])
         elif isinstance(f, (FamilyAnd, FamilyOr)):
-            compiled = False, self._family(f, scope)
+            compiled = self._family(f, scope)
         elif isinstance(f, (Exists, Forall)):
             compiled = False, self._block(f, scope)
         else:
@@ -728,42 +734,29 @@ class _Evaluation:
         self._compiled[key] = compiled
         return compiled
 
-    def _join(self, every: bool, parts: list[tuple[bool, Any]]) -> tuple[bool, Any]:
+    def _join(self, every: bool, parts: list[tuple[bool, Any]],
+              complete: bool = True) -> tuple[bool, Any]:
         """The conjunction (``every``) or disjunction of compiled parts: one
-        plan if all are quantifier-free."""
-        if len(parts) == 1:
+        plan if all are plans.  Unless ``complete`` (the parts of a truncated
+        family), only a value that settles the whole connective is exact."""
+        if complete and len(parts) == 1:
             return parts[0]
         if all(qf for qf, _ in parts):
-            return True, ("join", every, [plan for _, plan in parts])
+            plan = ("join", every, [p for _, p in parts])
+            if complete:
+                return True, plan
+            return False, _Source(self).function(plan, (every, not every))
         runs = [self._run(*part) for part in parts]
-        return False, lambda: _combine((run() for run in runs), True, not every)
+        return False, lambda: _combine((run() for run in runs), complete, not every)
 
-    def _family(self, f: FamilyAnd | FamilyOr, scope: frozenset[str]) -> Callable:
-        size = f.note.size
-        complete = size is not None and size <= self.bound
-        count = size if complete else self.bound
-        goal = isinstance(f, FamilyOr)  # a member with this value decides the family
-        drawn: list[tuple[bool, Any, Callable]] = []  # (quantifier-free, part, run)
-        whole: list[Callable] = []  # set once all members are drawn and quantifier-free
-
-        def results() -> Iterator[tuple[bool, bool]]:
-            # each member is drawn once, in index order, when first reached
-            for i in range(count):
-                if i == len(drawn):
-                    qf, part = self._compile(f.gen(i), scope)
-                    drawn.append((qf, part, _Source(self).function(part) if qf else part))
-                    if i == count - 1 and all(qf for qf, _, _ in drawn):
-                        plan = ("join", not goal, [part for _, part, _ in drawn])
-                        exact = (complete, True) if goal else (True, complete)
-                        whole.append(_Source(self).function(plan, exact))
-                qf, _, run = drawn[i]
-                yield (run(), True) if qf else run()
-
-        def evaluate() -> tuple[bool, bool]:
-            if whole:
-                return whole[0]()
-            return _combine(results(), complete, goal)
-        return evaluate
+    def _family(self, f: FamilyAnd | FamilyOr, scope: frozenset[str]) -> tuple[bool, Any]:
+        """The connective of the family's first min(size, bound) members, drawn,
+        held until ``ev`` returns (their ids key the memo) and compiled now."""
+        members = family_members(f, self.bound)
+        self._drawn.append(members)
+        complete = f.note.size is not None and f.note.size <= self.bound
+        return self._join(isinstance(f, FamilyAnd),
+                          [self._compile(m, scope) for m in members], complete)
 
     def _block(self, f: Exists | Forall, scope: frozenset[str]) -> Callable:
         goal = isinstance(f, Exists)  # a witness gives the body this value, and so the block
@@ -821,25 +814,25 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
     ``family_bound`` members; the second component reports whether the
     truncated value is already the exact one (a disjunction with a true
     member, a conjunction with a false member, or a family whose declared
-    size fits under the bound).  A free variable raises ValueError before
-    the evaluation starts, or, in a family member, when the member is
-    first drawn.
+    size fits under the bound).  A free variable, in the sentence or in one
+    of the members drawn, raises ValueError before the search starts.
 
-    Each node is compiled once per call and scope.  Each quantifier-free
-    part the search runs (the atoms one search depth completes, a block's
-    other items, a connective of atoms, a family once all its members are
-    drawn and quantifier-free) becomes one Python expression of table
-    lookups.  The code of each expression text is compiled once and kept in
-    ``_CODE``, a bounded cache shared by all calls; the text names
+    A family is the connective of its first min(size, ``family_bound``)
+    members.  They are drawn once per call, and held until it returns, so a
+    ``gen`` that builds a new node per call is evaluated member by member;
+    each node, members too, is compiled once per call and scope, before the
+    search starts.  Each quantifier-free part the search runs (the atoms one
+    search depth completes, a block's other items, a connective of atoms or
+    of a family's quantifier-free members) becomes one Python expression of
+    table lookups.  The code of each expression text is compiled once and
+    kept in ``_CODE``, a bounded cache shared by all calls; the text names
     variables, tables and helpers only by generated names, so it holds no
     formula data, and each call binds the code to its own environment,
-    operation table, identity and power tables.  Each family member is
-    drawn and compiled at most once, when the evaluation first reaches it,
-    however many assignments read it.  The closures, the bound code and the
-    power tables belong to this call alone.  The members of a node built by
-    ``family`` live as long as that node, so a later call or ``render`` on
-    the node reuses them; a family node built directly draws its members
-    anew in each call.
+    operation table, identity and power tables.  The closures, the bound
+    code and the power tables belong to this call alone.  The members of a
+    node built by ``family`` live as long as that node, so a later call or
+    ``render`` on the node reuses them; a family node built directly draws
+    its members anew in each call.
     """
     if family_bound < 1:
         raise ValueError("family_bound must be >= 1")
@@ -959,8 +952,8 @@ def _term_json(t: Term) -> str:
     if cls is LinTerm or cls is WordTerm:
         key, pairs = ('{"lin": [', t.coeffs) if cls is LinTerm else ('{"word": [', t.letters)
         return key + ", ".join([f"[{_quote(v)}, {k}]" for v, k in pairs]) + "]}"
-    if cls is OpTerm or cls is InvTerm:  # a decoded kind may be any JSON value
-        kind = _quote(t.kind) if t.kind.__class__ is str else _CANONICAL.encode(t.kind)
+    if cls is OpTerm or cls is InvTerm:
+        kind = _quote(t.kind)
         if cls is InvTerm:
             return f'{{"arg": {_term_json(t.arg)}, "inv": {kind}}}'
         return f'{{"left": {_term_json(t.left)}, "op": {kind}, "right": {_term_json(t.right)}}}'

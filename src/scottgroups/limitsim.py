@@ -204,8 +204,8 @@ class _Run:
     earlier constant go into the delta, as one marker, without a comparison.
     A ``sum``, ``mul`` or ``scale`` fact can repeat, so ``record`` and ``add``
     keep it once in ``_seen`` and check it on the values, a batch at a time,
-    save the scale facts of a rank-1 ``record``: each is found by an exact
-    division, which is its relation, so ``final-replay`` alone checks them.
+    save the scale facts of a rank-1 ``record``: each is new, and found by an
+    exact division, which is its relation, so ``final-replay`` alone checks them.
 
     ``stage-soundness`` is proved without replaying facts: values change
     only by ``_AbelianRun.rewrite``, checked linear (and, by the re-index,
@@ -755,22 +755,25 @@ class _Rank1Run(_Run):
         # the scale facts of each pair follow its inequation, so they ride in
         # c's ``Inequations``; x = m·y needs den(x) | den(y), as both pairs
         # are reduced, and then m = num(x)·(den(y)/den(x)) / num(y), an
-        # integer m > 1 or no fact.  ``keep`` is inlined as the seen-set; remainder
-        # 0 is the fact's relation, so only ``final-replay`` checks it
+        # integer m > 1 or no fact.  Remainder 0 is the fact's relation, so
+        # only ``final-replay`` checks it.  Every fact is new to ``_seen``:
+        # each names the fresh constant c, which no earlier fact names, as
+        # ``add`` only runs after ``ensure``; and no two coincide, as each
+        # names a distinct ``other``, and c = m·o with o = m'·c would need
+        # m·m' = 1
         nc, dc = self.values[c]
         self.num_gcd, self.den_lcm = gcd(self.num_gcd, nc), lcm(self.den_lcm, dc)
-        seen, scales = self._seen, []
+        scales = []
         for other, (no, do) in zip(range(c), self.values):
             if not do % dc:  # c = m·other
                 m, r = divmod(nc * (do // dc), no)
-                if m > 1 and not r and (fact := ("scale", m, other, c)) not in seen:
-                    seen.add(fact)
-                    scales.append(fact)
+                if m > 1 and not r:
+                    scales.append(("scale", m, other, c))
             if not dc % do:  # other = m·c
                 m, r = divmod(no * (dc // do), nc)
-                if m > 1 and not r and (fact := ("scale", m, c, other)) not in seen:
-                    seen.add(fact)
-                    scales.append(fact)
+                if m > 1 and not r:
+                    scales.append(("scale", m, c, other))
+        self._seen.update(scales)
         self.inequations(c, delta, tuple(scales))
 
     def facts_hold(self, facts: Iterable[tuple]) -> bool:

@@ -142,6 +142,13 @@ class TestFormulaCommands:
         assert code == 1 and out == ""
         assert err == "error: not a sentence: variable 'y' is free\n"
 
+    def test_operation_kind_other_than_add_or_mul_is_a_domain_error(self, capsys):
+        atom = {"t": "atom", "lhs": {"op": 5, "left": {"lin": []}, "right": {"word": []}},
+                "rhs": {"lin": []}}
+        code, out, err = run(capsys, "formula", "classify", json.dumps(atom))
+        assert code == 1 and out == ""
+        assert err == "error: operation kind must be 'add' or 'mul', got 5\n"
+
 
 class TestSimCommands:
     def test_abelian_stream(self, capsys):

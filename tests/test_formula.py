@@ -1,4 +1,5 @@
 import collections
+import copy
 import itertools
 import json
 import random
@@ -211,13 +212,15 @@ def random_term(rng, scope, depth=2):
                     for _ in range(rng.randint(1, 3))])
 
 
-def finite_family(kind, members):
+def finite_family(kind, members, fresh=False):
     """A family node of exactly ``members``, built without the registry; its
-    declared level is the greatest of the members' levels."""
+    declared level is the greatest of the members' levels.  A ``fresh``
+    family draws a new copy of the member on every call."""
     levels = [F._levels(m) for m in members]
     level = (max((s for s, _ in levels), default=0), max((p for _, p in levels), default=0))
     note = F.FamilyNote("test-members", "{}", len(members), level)
-    return (F.FamilyAnd if kind == "and" else F.FamilyOr)(note, members.__getitem__)
+    gen = (lambda i: copy.deepcopy(members[i])) if fresh else members.__getitem__
+    return (F.FamilyAnd if kind == "and" else F.FamilyOr)(note, gen)
 
 
 def term_of_steps(rng, steps):
@@ -257,7 +260,7 @@ def random_formula(rng, depth, free_vars):
         # fewer members than the bound 8, so the evaluation sees them all
         members = tuple(random_formula(rng, depth - 1, free_vars)
                         for _ in range(rng.randint(0, 4)))
-        return finite_family(rng.choice(["and", "or"]), members)
+        return finite_family(rng.choice(["and", "or"]), members, rng.random() < 0.5)
     names = tuple(f"v{rng.randint(0, 20)}" for _ in range(rng.randint(1, 3)))
     body = random_formula(rng, depth - 1, free_vars + list(names))
     return (F.Exists if rng.random() < 0.5 else F.Forall)(names, body)
@@ -288,6 +291,30 @@ class TestEvaluate:
         # a deeper bound reaches the refuting member everywhere
         truth, exact = F.evaluate_exact(F.Exists(("x",), fam), z5, 5)
         assert (truth, exact) == (False, True)
+        # a truncated disjunction is exact only by a true member: on Z/5 a
+        # nonzero x needs the ninth member, 5·x = 0
+        torsion = F.Forall(("x",), F.family("or", "nonzero-combo-eq", {"vars": ["x"]}))
+        assert F.evaluate_exact(torsion, z5, 8) == (False, False)
+        assert F.evaluate_exact(torsion, z5, 9) == (True, True)
+        # members with a quantifier: 2 and 3 divide every element of Z/5, 5 does not
+        every = F.Forall(("y",), F.family("and", "primes-divisible", {"target": "y"}))
+        assert F.evaluate_exact(every, z5, 2) == (True, False)
+        assert F.evaluate_exact(every, z5, 3) == (False, True)
+        # in Z/6 no prime before 5 divides 1
+        some = F.Forall(("y",), F.family("or", "primes-divisible", {"target": "y"}))
+        assert F.evaluate_exact(some, fgab.cyclic_table(6), 2) == (False, False)
+        assert F.evaluate_exact(some, fgab.cyclic_table(6), 3) == (True, True)
+
+    def test_family_of_fresh_members_is_evaluated_member_by_member(self):
+        # ``gen`` builds a new node on every call, so a member could get the
+        # id of an earlier one already dropped; the evaluation holds each
+        # member it draws, so no member runs another's plan
+        def gen(i):
+            return F.Atomic(F.lin({"x": i + 1}), F.ZERO)
+
+        torsion = F.FamilyOr(F.FamilyNote("fresh", "{}", 5, (0, 0)), gen)
+        sentence = F.Exists(("x",), F.conj(F.NegAtomic(X, F.ZERO), torsion))
+        assert F.evaluate_exact(sentence, fgab.cyclic_table(5), 8) == (True, True)
 
     def test_monotone_once_decided(self):
         z5 = fgab.cyclic_table(5)
@@ -619,13 +646,10 @@ def hand_built_formulas():
     add = F.OpTerm(F.ADD, lin, F.InvTerm(F.ADD, F.ZERO))
     body = F.conj(F.Atomic(mul, F.IDENT), F.NegAtomic(add, lin), F.conj(), F.disj(),
                   F.disj(F.Atomic(F.ZERO, F.IDENT)))
-    # a decoded operation kind may be any JSON value, an object among them
-    odd_kind = F.loads('{"t": "atom", "lhs": {"op": 5, "left": {"lin": []}, "right": '
-                       '{"word": []}}, "rhs": {"inv": {"b": [1], "a": null}, "arg": {"lin": []}}}')
     return [body, F.Exists(ODD_NAMES[:-1], body), F.Forall(("α1",), F.disj(body, F.conj())),
             F.family("and", "multiple-neq", {"var": 'x"y'}),
             F.family("or", "nonzero-combo-eq", {"vars": list(ODD_NAMES[:4])}),
-            F.conj(), F.disj(), F.Atomic(F.ZERO, F.IDENT), odd_kind]
+            F.conj(), F.disj(), F.Atomic(F.ZERO, F.IDENT)]
 
 
 class TestJson:
@@ -642,6 +666,17 @@ class TestJson:
         for f in hand_built_formulas():
             text = F.dumps(f)
             assert F.dumps(F.loads(text)) == text
+
+    @pytest.mark.parametrize("kind", [5, None, {"b": [1], "a": None}, "Add", ""])
+    def test_operation_kind_other_than_add_or_mul_is_rejected(self, kind):
+        with pytest.raises(ValueError, match="operation kind must be 'add' or 'mul'"):
+            F.OpTerm(kind, F.ZERO, F.IDENT)
+        with pytest.raises(ValueError, match="operation kind must be 'add' or 'mul'"):
+            F.InvTerm(kind, F.ZERO)
+        for term in ({"op": kind, "left": {"lin": []}, "right": {"word": []}},
+                     {"inv": kind, "arg": {"lin": []}}):
+            with pytest.raises(ValueError, match="operation kind must be 'add' or 'mul'"):
+                F.from_json_dict({"t": "atom", "lhs": term, "rhs": {"lin": []}})
 
     def test_writer_rejects_what_is_not_a_node(self):
         with pytest.raises(TypeError):
