@@ -23,12 +23,15 @@ def _emit(payload: dict) -> None:
 
 
 def _read_structured(arg: str):
-    if arg == "-":
-        return json.load(sys.stdin)
-    if arg.startswith("@"):
-        with open(arg[1:], encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(arg)
+    try:
+        if arg == "-":
+            return json.load(sys.stdin)
+        if arg.startswith("@"):
+            with open(arg[1:], encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(arg)
+    except RecursionError:  # the decoder's own stack limit
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _int_list(arg: str, what: str, below: int | None = None) -> list[int]:

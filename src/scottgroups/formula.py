@@ -10,14 +10,14 @@ blocks.  Negation occurs only on atoms.  The module provides
   {and, forall} blocks, reporting the least class; a family counts at the
   level its declaration gives its members, so no member is drawn,
 * exact evaluation over finite group tables, a family being the connective
-  of its first min(size, bound) members, which the evaluation draws, holds
-  and compiles before its search starts, and an honesty flag saying whether
+  of its first min(size, bound) members, and an honesty flag saying whether
   the truncated answer is already decided; one backtracking search serves
-  both quantifier blocks, each node is compiled once per evaluation and
-  scope, and each quantifier-free part the search runs is one generated
-  expression of table lookups, whose code is compiled once per text into a
-  bounded cache, the one thing kept across evaluations; a node built by
-  ``family`` draws each member once and keeps it while the node lives,
+  both quantifier blocks, each occurrence of a node is compiled once, where
+  it sits, before the search starts, and each quantifier-free part the
+  search runs is one generated expression of table lookups, whose code is
+  kept in an LRU cache of 512 texts, the one thing kept across evaluations;
+  a node built by ``family`` draws each member once and keeps it while the
+  node lives,
 * deterministic text / LaTeX rendering,
 * a JSON codec: ``dumps`` writes the canonical text directly (sorted keys,
   default separators, ASCII escapes; no keyword arguments), ``to_json_dict``
@@ -30,10 +30,10 @@ Only finite classification levels are supported.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import sys
-import threading
 from json.encoder import encode_basestring_ascii as _quote
 from types import CodeType, FunctionType
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -557,26 +557,16 @@ def _reduced(steps: list[tuple[str, int]]) -> list[tuple[str, int]]:
 # Generated code of quantifier-free parts
 # ---------------------------------------------------------------------------
 
-# source text -> the code of its function; the oldest entry goes first once
-# full.  Evaluations in several threads share it: the lock keeps its bound.
-_CODE: dict[str, CodeType] = {}
-_CODE_LIMIT = 512
-_CODE_LOCK = threading.Lock()
 # the brackets one generated expression may nest before a connective becomes
 # a function of its own: CPython's parser stops at 200
 _NESTING = 40
 _NO_BUILTINS: dict[str, Any] = {"__builtins__": {}}
 
 
+@functools.lru_cache(maxsize=512)
 def _code(source: str) -> CodeType:
-    code = _CODE.get(source)
-    if code is None:
-        code = eval(source, _NO_BUILTINS).__code__  # the text holds no formula data
-        with _CODE_LOCK:
-            while len(_CODE) >= _CODE_LIMIT:
-                del _CODE[next(iter(_CODE))]
-            _CODE[source] = code
-    return code
+    """The code of the function ``source`` defines; the texts used last are kept."""
+    return eval(source, _NO_BUILTINS).__code__  # the text holds no formula data
 
 
 def _fold(op: tuple[tuple[int, ...], ...], acc: int, *values: int) -> int:
@@ -620,7 +610,7 @@ class _Source:
             return f"env[{var}]"
         table = self.tables.get(k)
         if table is None:
-            table = self.tables[k] = self._bind("T", self.ev.powers[k])
+            table = self.tables[k] = self._bind("T", self.ev.powers(k))
         return f"{table}[env[{var}]]"
 
     def _atom(self, equal: bool, steps: list[tuple[Any, int]]) -> str:
@@ -666,28 +656,14 @@ class _Source:
                             (ev.env, ev.s.op, ev.s.identity, _fold, *self.values))
 
 
-class _PowerTables(dict):
-    """k -> the table of x^k over the domain of one structure, each built
-    when first asked for."""
-
-    def __init__(self, s: FiniteStructure):
-        super().__init__()
-        self.s = s
-
-    def __missing__(self, k: int) -> tuple[int, ...]:
-        table = self[k] = tuple(self.s.power(x, k) for x in range(self.s.size))
-        return table
-
-
 class _Evaluation:
     """The state of one ``evaluate_exact`` call: the structure, the family
     bound, the values of the bound variables, which quantifiers assign in
-    place and restore on leaving, and each node compiled so far, keyed by
-    node identity and scope, the variables bound where the node sits.
-    Compiled families keep the members they draw in ``_drawn``, so every
-    key stays valid until ``ev`` returns and drops the memo.  A node with no
-    quantifier and no truncated family compiles to a plan, which ``_Source``
-    turns into a generated function; any other node to a closure.
+    place and restore on leaving, and the power tables.  Each occurrence of
+    a node is compiled once, where it sits, before the search starts.  A
+    node with no quantifier and no truncated family compiles to a plan,
+    which ``_Source`` turns into a generated function; any other node to a
+    closure.
 
     One backtracking search serves both quantifier blocks: Exists looks for
     an assignment that makes its body exactly true, Forall for one that
@@ -698,15 +674,11 @@ class _Evaluation:
         self.domain = range(s.size)
         self.bound = bound
         self.env = {} if env is None else env
-        self._compiled: dict[tuple[int, frozenset[str]], tuple[bool, Any]] = {}
-        self._drawn: list[list[Formula]] = []  # the members of each compiled family
-        self.powers = _PowerTables(s)
+        # k -> the table of x^k over the domain, each built when first asked for
+        self.powers = functools.cache(lambda k: tuple(s.power(x, k) for x in range(s.size)))
 
     def ev(self, f: Formula) -> tuple[bool, bool]:
-        try:
-            return self._run(*self._compile(f, frozenset(self.env)))()
-        finally:  # the closures refer back to this state: free them without the cycle collector
-            self._compiled.clear()
+        return self._run(*self._compile(f, frozenset(self.env)))()
 
     def _run(self, qf: bool, part: Any) -> Callable[[], tuple[bool, bool]]:
         """A compiled part as a ``() -> (truth, exact)`` evaluation."""
@@ -714,25 +686,18 @@ class _Evaluation:
 
     def _compile(self, f: Formula, scope: frozenset[str]) -> tuple[bool, Any]:
         """Whether ``f`` compiles to a plan (see ``_Source.function``), and
-        its plan or ``() -> (truth, exact)`` closure, once per call and scope.
-        ``scope`` holds the variables of the initial environment and of the
-        enclosing blocks; an atom with a variable outside it raises ValueError."""
-        key = (id(f), scope)
-        if key in self._compiled:
-            return self._compiled[key]
+        its plan or ``() -> (truth, exact)`` closure.  ``scope`` holds the
+        variables of the initial environment and of the enclosing blocks; an
+        atom with a variable outside it raises ValueError."""
         if isinstance(f, (Atomic, NegAtomic)):
-            compiled = True, ("atom", isinstance(f, Atomic), _atom_steps(f, scope))
-        elif isinstance(f, (FiniteAnd, FiniteOr)):
-            compiled = self._join(isinstance(f, FiniteAnd),
-                                  [self._compile(c, scope) for c in f.items])
-        elif isinstance(f, (FamilyAnd, FamilyOr)):
-            compiled = self._family(f, scope)
-        elif isinstance(f, (Exists, Forall)):
-            compiled = False, self._block(f, scope)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._compiled[key] = compiled
-        return compiled
+            return True, ("atom", isinstance(f, Atomic), _atom_steps(f, scope))
+        if isinstance(f, (FiniteAnd, FiniteOr)):
+            return self._join(isinstance(f, FiniteAnd), [self._compile(c, scope) for c in f.items])
+        if isinstance(f, (FamilyAnd, FamilyOr)):
+            return self._family(f, scope)
+        if isinstance(f, (Exists, Forall)):
+            return False, self._block(f, scope)
+        raise TypeError(f"not a formula: {f!r}")
 
     def _join(self, every: bool, parts: list[tuple[bool, Any]],
               complete: bool = True) -> tuple[bool, Any]:
@@ -750,13 +715,12 @@ class _Evaluation:
         return False, lambda: _combine((run() for run in runs), complete, not every)
 
     def _family(self, f: FamilyAnd | FamilyOr, scope: frozenset[str]) -> tuple[bool, Any]:
-        """The connective of the family's first min(size, bound) members, drawn,
-        held until ``ev`` returns (their ids key the memo) and compiled now."""
-        members = family_members(f, self.bound)
-        self._drawn.append(members)
+        """The connective of the family's first min(size, bound) members,
+        drawn and compiled now."""
         complete = f.note.size is not None and f.note.size <= self.bound
         return self._join(isinstance(f, FamilyAnd),
-                          [self._compile(m, scope) for m in members], complete)
+                          [self._compile(m, scope) for m in family_members(f, self.bound)],
+                          complete)
 
     def _block(self, f: Exists | Forall, scope: frozenset[str]) -> Callable:
         goal = isinstance(f, Exists)  # a witness gives the body this value, and so the block
@@ -818,21 +782,21 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
     of the members drawn, raises ValueError before the search starts.
 
     A family is the connective of its first min(size, ``family_bound``)
-    members.  They are drawn once per call, and held until it returns, so a
-    ``gen`` that builds a new node per call is evaluated member by member;
-    each node, members too, is compiled once per call and scope, before the
-    search starts.  Each quantifier-free part the search runs (the atoms one
-    search depth completes, a block's other items, a connective of atoms or
-    of a family's quantifier-free members) becomes one Python expression of
-    table lookups.  The code of each expression text is compiled once and
-    kept in ``_CODE``, a bounded cache shared by all calls; the text names
-    variables, tables and helpers only by generated names, so it holds no
-    formula data, and each call binds the code to its own environment,
-    operation table, identity and power tables.  The closures, the bound
-    code and the power tables belong to this call alone.  The members of a
-    node built by ``family`` live as long as that node, so a later call or
-    ``render`` on the node reuses them; a family node built directly draws
-    its members anew in each call.
+    members, drawn once per call where the family sits, so a ``gen`` that
+    builds a new node per call is evaluated member by member; each
+    occurrence of a node, members too, is compiled once, where it sits,
+    before the search starts.  Each quantifier-free part the search runs
+    (the atoms one search depth completes, a block's other items, a
+    connective of atoms or of a family's quantifier-free members) becomes
+    one Python expression of table lookups.  The code of each expression
+    text is kept by ``_code``, an LRU cache of 512 texts shared by all
+    calls; the text names variables, tables and helpers only by generated
+    names, so it holds no formula data, and each call binds the code to its
+    own environment, operation table, identity and power tables.  The
+    closures, the bound code and the power tables belong to this call
+    alone.  The members of a node built by ``family`` live as long as that
+    node, so a later call or ``render`` on the node reuses them; a family
+    node built directly draws its members anew in each call.
     """
     if family_bound < 1:
         raise ValueError("family_bound must be >= 1")

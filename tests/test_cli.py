@@ -320,6 +320,38 @@ class TestExitCodes:
         assert code == 0 and out.strip() == '{"contains": true}'  # an integer, in Z
 
 
+def nested_formula(depth):
+    """The JSON text of ``depth`` one-item conjunctions around the atom 0 = 0."""
+    atom = '{"t": "atom", "lhs": {"lin": []}, "rhs": {"lin": []}}'
+    return '{"t": "and", "items": [' * depth + atom + "]}" * depth
+
+
+class TestDeepJson:
+    TABLE = '{"table": [[0, 1], [1, 0]]}'
+
+    @pytest.mark.parametrize("argv", [
+        ["formula", "classify", "@f.json"],
+        ["formula", "eval", nested_formula(2000), "--table", TABLE],
+        ["formula", "render", nested_formula(2500)],
+        ["q", "member", '{"default": ' + '{"residue": [' * 3000 + '"zero"' + "]}" * 3000 + "}",
+         "1"],
+        ["sim", "dihedral", "--trace", '{"steps": ' + "[" * 5000 + "]" * 5000 + "}"],
+    ])
+    def test_over_deep_input_is_a_domain_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.json").write_text(nested_formula(1500), encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: JSON input is nested too deeply\n")
+
+    def test_a_formula_300_deep_still_answers(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(nested_formula(300), encoding="utf-8")
+        assert run_json(capsys, "formula", "classify", f"@{path}")["class"] == "quantifier-free"
+        verdict = run_json(capsys, "formula", "eval", f"@{path}", "--table", self.TABLE)
+        assert verdict["truth"] is True
+        assert run_json(capsys, "formula", "render", f"@{path}")["rendered"].startswith("(")
+
+
 class TestSelftest:
     """``--selftest`` runs ``acceptance.ALL_CRITERIA``: one PASS or FAIL line
     per criterion on stderr, the verdict as JSON on stdout, exit 0 or 1."""

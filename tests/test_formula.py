@@ -1,5 +1,7 @@
 import collections
 import copy
+import functools
+import gc
 import itertools
 import json
 import random
@@ -471,8 +473,54 @@ class TestEvaluate:
             assert F.evaluate_exact(sentence, s, bound) == (brute_eval(sentence, s, {}), True)
 
 
+class TestSharedNodes:
+    """A node object used at several places is compiled at each of them."""
+
+    TABLES = [fgab.cyclic_table(n) for n in range(1, 7)]
+    HALF = F.Exists(("y",), F.Atomic(F.lin({"y": 2}), X))  # x is a double
+
+    def agree(self, sentence):
+        for s in self.TABLES:
+            assert F.evaluate_exact(sentence, s) == (brute_eval(sentence, s, {}), True)
+
+    def test_one_node_twice_in_a_conjunction(self):
+        inner = F.disj(self.HALF, F.Atomic(F.lin({"x": 3}), F.ZERO))
+        self.agree(F.Forall(("x",), F.conj(inner, inner)))
+        self.agree(F.Forall(("x",), F.conj(self.HALF, self.HALF)))
+
+    def test_one_block_under_two_blocks(self):
+        z = F.lin({"z": 1})
+        self.agree(F.conj(F.Forall(("x",), self.HALF),
+                          F.Exists(("x", "z"), F.conj(self.HALF, F.NegAtomic(z, X)))))
+        self.agree(F.disj(F.Forall(("x",), self.HALF),
+                          F.Exists(("z", "x"), F.conj(F.NegAtomic(X, F.ZERO), self.HALF,
+                                                      F.Atomic(F.lin({"x": 1, "z": 1}), z)))))
+
+    @pytest.mark.parametrize("member", [HALF, F.Atomic(F.lin({"x": 3}), F.ZERO)])
+    def test_family_of_one_shared_member(self, member):
+        note = F.FamilyNote("shared", "{}", 4, F._levels(member))
+        shared = F.FamilyOr(note, lambda i: member)
+        self.agree(F.Forall(("x",), shared))
+        self.agree(F.Exists(("x",), F.conj(F.NegAtomic(X, F.ZERO), shared)))
+
+    def test_evaluation_leaves_no_cycle(self):
+        sentences = emitted_sentences()
+        s = acceptance.dihedral_group(3)
+        gc.collect()
+        gc.disable()
+        try:
+            for f in sentences:
+                F.evaluate_exact(f, s, 5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestGeneratedCode:
-    def test_generated_source_carries_no_formula_data(self):
+    def test_generated_source_carries_no_formula_data(self, monkeypatch):
+        sources = []  # every source compiled or looked up, not only those still cached
+        code = F._code
+        monkeypatch.setattr(F, "_code", lambda source: sources.append(source) or code(source))
         hostile = "x'] or __import__('os').getpid() or env['"
         text = json.dumps({"t": "all", "vars": [hostile, '"'], "body": {"t": "or", "items": [
             {"t": "atom", "lhs": {"word": [[hostile, 1], ['"', 1], [hostile, 1]]},
@@ -489,18 +537,19 @@ class TestGeneratedCode:
                 assert F.evaluate_exact(sentence, s) == (brute_eval(sentence, s, {}), True)
         for f in emitted_sentences():
             F.evaluate_exact(f, tables[-1], 5)
-        # every cached source: generated names, the operators and brackets the
+        # every source: generated names, the operators and brackets the
         # generator writes, and integer literals
         words = {"lambda", "and", "or", "if", "else", "True", "False", "env", "op", "e",
                  "fold"}
-        for source in F._CODE:
+        assert sources
+        for source in sources:
             for token in re.findall(r"\w+|\S", source):
                 assert (token in words or re.fullmatch(r"[VTF]\d+|\d+", token)
                         or token in "[](),:=!"), (token, source)
 
     def test_code_cache_holds_at_most_its_bound(self, monkeypatch):
-        monkeypatch.setattr(F, "_CODE_LIMIT", 4)
-        monkeypatch.setattr(F, "_CODE", {})
+        assert F._code.cache_parameters()["maxsize"] == 512
+        monkeypatch.setattr(F, "_code", functools.lru_cache(maxsize=4)(F._code.__wrapped__))
         s = acceptance.dihedral_group(3)
         # one distinct source each: a conjunction of the atoms x^1 = e ... x^n = e
         sentences = [F.Forall(("x",), F.conj(*(F.Atomic(F.gword([("x", 1)] * k), F.IDENT)
@@ -508,18 +557,16 @@ class TestGeneratedCode:
                      for n in range(10)]
         want = [(brute_eval(f, s, {}), True) for f in sentences]
         assert F.evaluate_exact(sentences[0], s) == want[0]
-        first = set(F._CODE)
-        assert first
+        assert F._code.cache_info().currsize > 0
         for f, answer in zip(sentences, want):
             assert F.evaluate_exact(f, s) == answer
-            assert len(F._CODE) <= 4
-        assert not first <= set(F._CODE)  # evicted: the next evaluation compiles again
+            assert F._code.cache_info().currsize <= 4
+        misses = F._code.cache_info().misses
         assert F.evaluate_exact(sentences[0], s) == want[0]
-        assert first <= set(F._CODE)
+        assert F._code.cache_info().misses > misses  # evicted: it compiles again
 
     def test_code_cache_keeps_its_bound_across_threads(self, monkeypatch):
-        monkeypatch.setattr(F, "_CODE_LIMIT", 3)
-        monkeypatch.setattr(F, "_CODE", {})
+        monkeypatch.setattr(F, "_code", functools.lru_cache(maxsize=3)(F._code.__wrapped__))
         s = acceptance.dihedral_group(3)
         sentences = [F.Exists(("x",), F.conj(*(F.NegAtomic(F.gword([("x", 1)] * k), F.IDENT)
                                                for k in range(1, n + 2))))
@@ -534,7 +581,7 @@ class TestGeneratedCode:
                     i = rng.randrange(len(sentences))
                     if F.evaluate_exact(sentences[i], s) != want[i]:
                         faults.append(i)
-                    if len(F._CODE) > 3:
+                    if F._code.cache_info().currsize > 3:
                         faults.append("size")
             except Exception as exc:  # a thread's exception would not reach the test
                 faults.append(exc)
@@ -550,7 +597,7 @@ class TestGeneratedCode:
             assert not any(t.is_alive() for t in threads)
         finally:
             sys.setswitchinterval(interval)
-        assert not faults and len(F._CODE) <= 3
+        assert not faults and F._code.cache_info().currsize <= 3
 
 
 def _term_vars(t):
