@@ -23,15 +23,12 @@ def _emit(payload: dict) -> None:
 
 
 def _read_structured(arg: str):
-    try:
-        if arg == "-":
-            return json.load(sys.stdin)
-        if arg.startswith("@"):
-            with open(arg[1:], encoding="utf-8") as fh:
-                return json.load(fh)
-        return json.loads(arg)
-    except RecursionError:  # the decoder's own stack limit
-        raise ValueError("JSON input is nested too deeply") from None
+    if arg == "-":
+        return json.load(sys.stdin)
+    if arg.startswith("@"):
+        with open(arg[1:], encoding="utf-8") as fh:
+            return json.load(fh)
+    return json.loads(arg)
 
 
 def _int_list(arg: str, what: str, below: int | None = None) -> list[int]:
@@ -458,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
         payload = args.func(args)
     except (ValueError, KeyError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # the decoder, a JSON reader or the evaluator
+        print("error: input is nested too deeply", file=sys.stderr)
         return 1
     _emit(payload)
     return 0

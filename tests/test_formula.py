@@ -308,9 +308,9 @@ class TestEvaluate:
         assert F.evaluate_exact(some, fgab.cyclic_table(6), 3) == (True, True)
 
     def test_family_of_fresh_members_is_evaluated_member_by_member(self):
-        # ``gen`` builds a new node on every call, so a member could get the
-        # id of an earlier one already dropped; the evaluation holds each
-        # member it draws, so no member runs another's plan
+        # ``gen`` builds a new node on every call; each member is compiled
+        # where the family sits, so no state keyed by a node's identity can
+        # hand one member another's plan
         def gen(i):
             return F.Atomic(F.lin({"x": i + 1}), F.ZERO)
 
