@@ -339,13 +339,10 @@ def _pad(v: tuple, dim: int) -> tuple:
     return v + (0,) * (dim - len(v))
 
 
-def _squash(v: tuple, coord: int, m: int) -> tuple:
-    """Fold coordinate ``coord`` into coordinate 0 with weight ``m`` and drop
+def _squash(v: tuple, m: int) -> tuple:
+    """Fold the last coordinate into coordinate 0 with weight ``m`` and drop
     it; injective on vectors whose entries are below m/2 in absolute value."""
-    folded = list(v)
-    folded[0] += m * v[coord]
-    del folded[coord]
-    return tuple(folded)
+    return (v[0] + m * v[-1],) + v[1:-1]
 
 
 def _unit_vector(dim: int, i: int) -> tuple:
@@ -392,6 +389,11 @@ class _AbelianRun(_Run):
     values differs from a named value by at most 3·maxabs in each entry, so
     the lookups in ``record`` find exactly the named sums and differences.
 
+    The layers s1 and s2 (held only while s1 is) are the trailing
+    coordinates k − 1 and k, so ``dim`` is the target dimension: a stage
+    adds (``expand``) or folds (``collapse``) trailing coordinates to reach
+    the dimension its belief wants, never both.
+
     ``cursor`` is the index in ``int_tuple`` order of the first vector that
     ``grow`` has not seen named.  Between rewrites the named set only grows,
     so no vector before it becomes unnamed and ``grow`` resumes there;
@@ -405,7 +407,6 @@ class _AbelianRun(_Run):
             raise ValueError("k must be >= 2")
         super().__init__(growth)
         self.k, self.dim, self.seeds = k, k - 1, k
-        self.gen_layers: dict[str, int] = {}  # "s1"/"s2" -> coordinate index
         self.maxabs = self.width = self.cursor = 0
 
     def rekey(self) -> None:
@@ -478,41 +479,35 @@ class _AbelianRun(_Run):
         for i in range(self.dim):
             self.ensure(_unit_vector(self.dim, i), delta)
 
-    def expand(self, layers: list[str], delta: list) -> None:
-        """Give each layer a fresh coordinate, in one rewrite, and name its
-        unit vector."""
+    def expand(self, n: int, delta: list) -> None:
+        """Add ``n`` trailing coordinates, the new layers, in one rewrite, and
+        name their unit vectors."""
         first = self.dim
-        self.dim += len(layers)
+        self.dim += n
         self.rewrite(lambda v: _pad(v, self.dim))
-        for coord, layer in enumerate(layers, first):
-            self.gen_layers[layer] = coord
+        for coord in range(first, self.dim):
             self.ensure(_unit_vector(self.dim, coord), delta)
 
-    def collapse(self, layers: list[str]) -> None:
-        """Fold each layer's coordinate into coordinate 0 and drop it, in one
-        rewrite.  Each fold weighs its coordinate by m = 1 + 2·(the largest
-        entry before it), so it is injective on the named values."""
-        folds: list[tuple[int, int]] = []
+    def collapse(self, n: int) -> None:
+        """Fold the last coordinate into coordinate 0 and drop it, ``n`` times
+        in one rewrite, each fold weighing it by m = 1 + 2·(the largest entry
+        before it), so that every fold is injective on the named values."""
+        weights: list[int] = []
 
         def fold(v: tuple) -> tuple:
-            for coord, m in folds:
-                v = _squash(v, coord, m)
+            for m in weights:
+                v = _squash(v, m)
             return v
 
         maxabs = self.maxabs
-        for layer in layers:
-            if folds:
+        for _ in range(n):
+            if weights:
                 # the largest entry after the folds so far, exactly: entries
                 # off coordinate 0 are old, and the last fold put m > maxabs
                 # at coordinate 0 of its coordinate's named unit vector
                 maxabs = max(maxabs, max(abs(fold(v)[0]) for v in self.values))
-            coord = self.gen_layers.pop(layer)
-            folds.append((coord, 1 + 2 * maxabs))
-            self.dim -= 1
-            # surviving layer coordinates shift down past the removed one
-            for name, idx in self.gen_layers.items():
-                if idx > coord:
-                    self.gen_layers[name] = idx - 1
+            weights.append(1 + 2 * maxabs)
+        self.dim -= n
         self.rewrite(fold)
 
     def grow(self, delta: list) -> None:
@@ -523,19 +518,13 @@ class _AbelianRun(_Run):
             self.cursor += 1
 
     def step(self, s1: bool, s2: bool, delta: list) -> tuple[str, bool]:
-        # s2 collapses first so indices stay sane; a stage that collapses
-        # expands nothing (s2 is a layer only while s1 is)
-        down = [layer for layer, keep in (("s2", s1 and s2), ("s1", s1))
-                if layer in self.gen_layers and not keep]
-        up = [layer for layer, want in (("s1", s1), ("s2", s1 and s2))
-              if want and layer not in self.gen_layers]
-        if down:
-            self.collapse(down)
-        if up:
-            self.expand(up, delta)
+        want, have = _abelian_dim(self.k, s1, s2), self.dim
+        if want < have:
+            self.collapse(have - want)
+        elif want > have:
+            self.expand(want - have, delta)
         self.grow(delta)
-        dim = _abelian_dim(self.k, s1, s2)
-        return f"Z{dim}", _abelian_dim(self.k, *self.belief) > dim
+        return f"Z{want}", have > want
 
     def result(self) -> tuple[list[StageReport], str, VerificationReport]:
         want_dim = _abelian_dim(self.k, *self.belief)
@@ -657,8 +646,9 @@ class _DihedralRun(_Run):
         self.depth += 1
         a_new = self.ensure(self.a, delta)
         aux = self.ensure(_dmul(self.a, _B), delta)
-        # the defining relation a_old = a' b a' arrives as two product facts
-        # recorded by the relation lookups; assert them explicitly too
+        # the lookups in record(aux) find aux·a' = a_old, but a'·b = aux has
+        # the new constant as its product, which no lookup finds: only this
+        # add records it, and dihedral_tower_depth reads it
         self.add([("mul", a_new, 2, aux), ("mul", aux, a_new, old_a)], delta)
 
     def grow(self, delta: list) -> None:

@@ -27,7 +27,7 @@ from . import formula_module, json_int, record
 # re-exported: rank1 code calls these through its own names, so that a
 # wrapper installed on rank1.prime_index sees every call made here
 from .numtheory import Enumeration, diagonal_pair, factorize, is_prime, nth_prime, \
-    prime_index, primes, primes_upto
+    prime_index, primes, primes_upto, valuation
 
 if TYPE_CHECKING:
     from . import formula as F
@@ -139,11 +139,20 @@ def contains(c: Rank1Char, q: Fraction) -> bool:
 
 
 def admits_denominator(c: Rank1Char, den: int) -> bool:
-    """Whether the reduced fractions with denominator den lie in the subgroup c describes."""
-    for p, k in factorize(den):  # smallest prime first
-        if k > exponent(c, p):
+    """Whether the reduced fractions with denominator den lie in the subgroup
+    c describes.  Each exception prime is divided out by its valuation; only
+    a rule whose exponent depends on the prime factors what is left, so Z, Q
+    and every zero or infinite default answer at any size."""
+    for p, v in c.exceptions:
+        k = valuation(den, p)
+        if k > v:
             return False
-    return True
+        den //= p ** k
+    if den == 1 or c.default == INF_RULE:
+        return True
+    if c.default == ZERO_RULE:
+        return False
+    return all(k <= _default_exponent(c.default, p) for p, k in factorize(den))
 
 
 # ---------------------------------------------------------------------------

@@ -303,12 +303,8 @@ def nielsen_reduce(t: WordTuple) -> tuple[WordTuple, list[NielsenMove]]:
         found = _escape_plateau(current, moves)
         if found is None:
             break
-        path, reducing = found
-        for pm in path:
-            current = apply_move(current, pm)
-            applied.append(pm)
-        current = apply_move(current, reducing)
-        applied.append(reducing)
+        current, path = found
+        applied += path
     if _is_permuted_basis(current):
         for m in _canonical_basis_moves(current):
             current = apply_move(current, m)
@@ -317,7 +313,9 @@ def nielsen_reduce(t: WordTuple) -> tuple[WordTuple, list[NielsenMove]]:
 
 
 def _escape_plateau(t: WordTuple,
-                    moves: Sequence[NielsenMove]) -> tuple[list[NielsenMove], NielsenMove] | None:
+                    moves: Sequence[NielsenMove]) -> tuple[WordTuple, list[NielsenMove]] | None:
+    """(the first shorter tuple that preserving moves and then one reducing
+    move reach, those moves), or None."""
     bound = max(t.total_length(), 1)
     seen = {t.key()}
     frontier: list[tuple[WordTuple, list[NielsenMove]]] = [(t, [])]
@@ -332,7 +330,7 @@ def _escape_plateau(t: WordTuple,
                 seen.add(key)
                 reducing = _first_reducing_move(cand, moves)
                 if reducing is not None:
-                    return path + [m], reducing
+                    return apply_move(cand, reducing), path + [m, reducing]
                 nxt.append((cand, path + [m]))
         if not nxt:
             return None

@@ -74,6 +74,14 @@ class TestFgabCommands:
         payload = run_json(capsys, "fgab", "scott", "--rank", "2", "--torsion", "2")
         assert payload["kind"] == "DSigma" and payload["level"] == 2
 
+    def test_scott_of_rank_zero_is_the_finite_sentence(self, capsys):
+        payload = run_json(capsys, "fgab", "scott", "--rank", "0", "--torsion", "2,3")
+        assert payload["class"] == "d-Sigma(1)"
+
+    def test_scott_sigma3(self, capsys):
+        payload = run_json(capsys, "fgab", "scott", "--rank", "2", "--sigma3")
+        assert payload["class"] == "Sigma(3)"
+
     def test_scott_finite(self, capsys):
         table = json.dumps({"order": 2, "table": [[0, 1], [1, 0]]})
         payload = run_json(capsys, "fgab", "scott-finite", "--table", table)
@@ -93,6 +101,17 @@ class TestQCommands:
         dyadic = json.dumps({"exceptions": {"2": "inf"}, "default": "zero"})
         assert run_json(capsys, "q", "member", dyadic, "5/8") == {"contains": True}
         assert run_json(capsys, "q", "member", dyadic, "1/3") == {"contains": False}
+
+    def test_member_answers_at_any_size_where_no_factoring_is_needed(self, capsys):
+        # n is past trial division and is not below 2^64, so factoring it fails;
+        # Z, Q and a failing exception prime answer without factoring it
+        n = (2 ** 61 - 1) * (2 ** 62 - 57)
+        q = json.dumps({"exceptions": {}, "default": "inf"})
+        z = json.dumps({"exceptions": {}, "default": "zero"})
+        linear = json.dumps({"exceptions": {"5003": 0}, "default": {"linear": [1, 1]}})
+        assert run_json(capsys, "q", "member", q, f"1/{n}") == {"contains": True}
+        assert run_json(capsys, "q", "member", z, f"1/{n}") == {"contains": False}
+        assert run_json(capsys, "q", "member", linear, f"1/{5003 * n}") == {"contains": False}
 
     def test_member_of_a_negative_rational_after_double_dash(self, capsys):
         dyadic = json.dumps({"exceptions": {"2": "inf"}, "default": "zero"})

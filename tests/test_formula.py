@@ -473,6 +473,19 @@ class TestEvaluate:
             assert F.evaluate_exact(sentence, s, bound) == (brute_eval(sentence, s, {}), True)
 
 
+    def test_forall_naming_only_some_pairs_goes_through_the_search(self):
+        # the disjuncts leave y0 = y2 out, so this is not "some two coincide"
+        # and the cardinality shortcut must not answer it
+        y = {v: F.lin({v: 1}) for v in ("y0", "y1", "y2")}
+        sentence = F.Forall(("y0", "y1", "y2"), F.FiniteOr(
+            (F.Atomic(y["y0"], y["y1"]), F.Atomic(y["y1"], y["y2"]))))
+        tables = [fgab.cyclic_table(n) for n in range(1, 7)] + [acceptance.dihedral_group(3)]
+        for s in tables:
+            assert F._all_distinct_shortcut(sentence, s) is None
+            assert F.evaluate_exact(sentence, s) == (brute_eval(sentence, s, {}), True)
+        assert [F.evaluate_exact(sentence, s)[0] for s in tables] == [True] + [False] * 6
+
+
 class TestSharedNodes:
     """A node object used at several places is compiled at each of them."""
 
@@ -642,6 +655,12 @@ class TestRender:
             assert out.startswith(r"\[") and out.endswith(r"\]")
             assert out.count("(") == out.count(")")
             assert out.count("{") == out.count("}")
+
+    def test_empty_connectives_render_as_constants(self):
+        assert F.render(F.FiniteAnd(())) == "⊤"
+        assert F.render(F.FiniteOr(())) == "⊥"
+        assert F.render(F.FiniteAnd(()), "latex") == r"\[ \top \]"
+        assert F.render(F.FiniteOr(()), "latex") == r"\[ \bot \]"
 
     def test_deterministic(self):
         s = fgab.scott_sentence_zn(2)
