@@ -203,9 +203,9 @@ def criterion_finite_scott() -> tuple[bool, str]:
     return mismatches == 0, detail
 
 
-def criterion_classifier() -> tuple[bool, str]:
-    """4: the six named sentences classify exactly as stated."""
-    cases = [
+def classifier_cases() -> list[tuple[str, F.Formula, tuple[str, int]]]:
+    """Criterion 4's six named sentences: (name, sentence, stated class)."""
+    return [
         ("generating-tuple Sigma3", fgab.scott_sentence_sigma3_fg(fgab.FgAbelianDesc(2, (2,))),
          ("Sigma", 3)),
         ("rank1 Sigma3", R.scott_sentence_sigma3(R.Z_CHAR), ("Sigma", 3)),
@@ -215,6 +215,11 @@ def criterion_classifier() -> tuple[bool, str]:
         ("dihedral d-Sigma2", D.scott_sentence_dinf(), ("DSigma", 2)),
         ("rationals Pi2", R.scott_sentence_rationals(), ("Pi", 2)),
     ]
+
+
+def criterion_classifier() -> tuple[bool, str]:
+    """4: the six named sentences classify exactly as stated."""
+    cases = classifier_cases()
     failures = []
     for name, sentence, want in cases:
         got = F.classify(sentence)

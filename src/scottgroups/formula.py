@@ -15,9 +15,9 @@ blocks.  Negation occurs only on atoms.  The module provides
   both quantifier blocks, each occurrence of a node is compiled once, where
   it sits, before the search starts, and each quantifier-free part the
   search runs is one generated expression of table lookups, whose code is
-  kept in an LRU cache of 512 texts, the one thing kept across evaluations;
-  a node built by ``family`` draws each member once and keeps it while the
-  node lives,
+  kept in an LRU cache of 512 texts; ``family`` keeps one node per distinct
+  family for the process, up to ``FAMILY_NODE_LIMIT`` of them, and the node
+  draws each member once and keeps it,
 * deterministic text / LaTeX rendering,
 * a JSON codec: ``dumps`` writes the canonical text directly (sorted keys,
   default separators, ASCII escapes; no keyword arguments), ``to_json_dict``
@@ -34,6 +34,7 @@ import functools
 import itertools
 import json
 import sys
+import threading
 from json.encoder import encode_basestring_ascii as _quote
 from types import CodeType, FunctionType
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -255,6 +256,11 @@ _NAME_KINDS = ("name", "names", "pair", "triple")  # the kinds that name variabl
 # writes what ``json.dumps(value, sort_keys=True)`` writes, without a new encoder per call
 _CANONICAL = json.JSONEncoder(sort_keys=True)
 
+# the distinct families ``family`` keeps for the process, oldest out first
+FAMILY_NODE_LIMIT = 512
+_FAMILY_NODES: dict[tuple, FamilyAnd | FamilyOr] = {}
+_FAMILY_NODES_LOCK = threading.Lock()
+
 
 def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | FamilyOr:
     """Build a family node from its declaration (the only supported path).
@@ -269,9 +275,14 @@ def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | Fa
     the note.  A missing or ill-typed parameter raises ValueError, and so
     does a variable named twice, or named where the members bind it.
 
-    The node draws each member from the builder once and keeps it for as
-    long as the node lives, so rendering, ``family_members`` and every
-    ``evaluate_exact`` on the node share one copy of member i.
+    Equal families share one node: a call whose params are JSON values
+    returns the node of any earlier call with the same kind, id, canonical
+    params text and declaration, while the process keeps it among the last
+    ``FAMILY_NODE_LIMIT`` distinct families built.  The node draws each
+    member from the builder once and keeps it, so rendering,
+    ``family_members`` and every ``evaluate_exact`` on any equal family
+    share one copy of member i.  The params are decoded on every call, so
+    every error is raised as if nothing were kept.
     """
     for name in _FAMILY_OWNERS:
         owner = sys.modules.get(name)
@@ -285,6 +296,9 @@ def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | Fa
         raise KeyError(f"unknown family enumeration {enum_id!r}")
     builder, kinds, level, bound = entry
     args, names = {}, [*bound]
+    # only JSON values are told apart by their text (a tuple writes as a list
+    # would, yet a builder may refuse it); every kind but "object" admits no other
+    plain = isinstance(params, dict) and (len(params) == len(kinds) or _is_json(params))
     for key, param_kind in kinds.items():
         what, fits = _PARAM_KINDS[param_kind]
         if key not in params:
@@ -294,18 +308,43 @@ def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | Fa
         args[key] = value = tuple(value) if isinstance(value, list) else value
         if param_kind in _NAME_KINDS:
             names.extend((value,) if param_kind == "name" else value)
+        elif param_kind == "object":
+            plain = plain and _is_json(value)
     for i, var in enumerate(names):
         if var in names[:i]:
             why = ", a variable its members bind" if var in bound else " twice"
             raise ValueError(f"family {enum_id!r} names {var!r}{why}")
+    ident = None
+    if plain:
+        text = _CANONICAL.encode(params)
+        ident = (kind, enum_id, text, builder, level, bound, *kinds.items())
+        node = _FAMILY_NODES.get(ident)  # one dict read, atomic under the interpreter lock
+        if node is not None:
+            return node
     build, size = builder(**args)
-    text = _CANONICAL.encode(params if isinstance(params, dict) else dict(params))
-    note = FamilyNote(enum_id, text, size, level)
-    if kind == "and":
-        return FamilyAnd(note, _drawn_once(build))
-    if kind == "or":
-        return FamilyOr(note, _drawn_once(build))
-    raise ValueError(f"family kind must be 'and' or 'or', got {kind!r}")
+    if ident is None:
+        text = _CANONICAL.encode(dict(params))
+    if kind not in ("and", "or"):
+        raise ValueError(f"family kind must be 'and' or 'or', got {kind!r}")
+    node = (FamilyAnd if kind == "and" else FamilyOr)(FamilyNote(enum_id, text, size, level),
+                                                      _drawn_once(build))
+    if ident is None:
+        return node
+    with _FAMILY_NODES_LOCK:
+        # of two concurrent first calls, both return the node inserted first
+        node = _FAMILY_NODES.setdefault(ident, node)
+        if len(_FAMILY_NODES) > FAMILY_NODE_LIMIT:
+            del _FAMILY_NODES[next(iter(_FAMILY_NODES))]  # the oldest
+    return node
+
+
+def _is_json(v: Any) -> bool:
+    """Whether ``v`` holds only what ``json.loads`` returns."""
+    if isinstance(v, dict):
+        return all(isinstance(k, str) and _is_json(x) for k, x in v.items())
+    if isinstance(v, list):
+        return all(map(_is_json, v))
+    return v is None or isinstance(v, (str, int, float))
 
 
 def _drawn_once(build: Callable[[int], Formula]) -> Callable[[int], Formula]:
@@ -729,9 +768,11 @@ class _Evaluation:
             return lambda: shortcut
         scope = scope | frozenset(f.vars)
         ready, others = _block_plan(f, scope)
-        # each depth's checks are generated when the search first reaches it
-        search = (f.vars, goal, ready, [None] * len(ready),
-                  self._run(*self._join(goal, [self._compile(c, scope) for c in others])))
+        # the other items are compiled now, so their scope is checked; each
+        # depth's checks, and the rest at a full assignment, are generated
+        # when the search first reaches them
+        search = (f.vars, goal, ready, [None] * (len(ready) + 1),
+                  self._join(goal, [self._compile(c, scope) for c in others]))
         env = self.env
 
         def run() -> tuple[bool, bool]:
@@ -756,12 +797,15 @@ class _Evaluation:
         the body the other value is not extended.  A method, so that no
         closure calling itself outlives the call in a cycle."""
         names, goal, ready, checks, rest = search
+        check = checks[depth]
         if depth == len(names):
-            t, e = rest()
+            if check is None:
+                check = checks[depth] = self._run(*rest)
+            t, e = check()
             if not e:
                 inexact.add(t)
             return t == goal and e
-        var, check, env = names[depth], checks[depth], self.env
+        var, env = names[depth], self.env
         if check is None:
             check = checks[depth] = _Source(self).function(("join", goal, ready[depth]))
         for val in self.domain:
@@ -794,9 +838,11 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
     names, so it holds no formula data, and each call binds the code to its
     own environment, operation table, identity and power tables.  The
     closures, the bound code and the power tables belong to this call
-    alone.  The members of a node built by ``family`` live as long as that
-    node, so a later call or ``render`` on the node reuses them; a family
-    node built directly draws its members anew in each call.
+    alone.  The members of a node built by ``family`` are kept once per
+    distinct family for the process, up to ``FAMILY_NODE_LIMIT`` families,
+    so a later call, ``render``, or a node that ``family`` returns for an
+    equal family (an emitter's or ``loads``'s) reuses them; a family node
+    built directly draws its members anew in each call.
     """
     if family_bound < 1:
         raise ValueError("family_bound must be >= 1")

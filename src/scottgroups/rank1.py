@@ -89,6 +89,7 @@ def _class_rule(rule: Rule, residue: int) -> Rule:
 
 ZERO_RULE: Rule = ("zero",)
 INF_RULE: Rule = ("inf",)
+_ZERO_RULES = {ZERO_RULE, ("linear", 0, 0)}  # the rules that are 0 at every prime
 
 
 @record
@@ -142,15 +143,19 @@ def admits_denominator(c: Rank1Char, den: int) -> bool:
     """Whether the reduced fractions with denominator den lie in the subgroup
     c describes.  Each exception prime is divided out by its valuation; only
     a rule whose exponent depends on the prime factors what is left, so Z, Q
-    and every zero or infinite default answer at any size."""
+    and every default that is 0 on every residue class, or ∞ on every one,
+    answer at any size."""
     for p, v in c.exceptions:
         k = valuation(den, p)
         if k > v:
             return False
         den //= p ** k
-    if den == 1 or c.default == INF_RULE:
+    if den == 1:
         return True
-    if c.default == ZERO_RULE:
+    classes = set(c.default[1]) if c.default[0] == "residue" else {c.default}
+    if classes == {INF_RULE}:
+        return True
+    if classes <= _ZERO_RULES:
         return False
     return all(k <= _default_exponent(c.default, p) for p, k in factorize(den))
 

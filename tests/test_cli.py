@@ -113,6 +113,23 @@ class TestQCommands:
         assert run_json(capsys, "q", "member", z, f"1/{n}") == {"contains": False}
         assert run_json(capsys, "q", "member", linear, f"1/{5003 * n}") == {"contains": False}
 
+    @pytest.mark.parametrize("default,contains", [
+        ({"linear": [0, 0]}, False),
+        ({"residue": ["zero", "zero"]}, False),
+        ({"residue": ["zero", {"linear": [0, 0]}]}, False),
+        ({"residue": ["inf", "inf"]}, True),
+    ])
+    def test_member_under_one_exponent_on_every_class_needs_no_factoring(
+            self, capsys, default, contains):
+        # a default that is 0 on every residue class, or ∞ on every one, reads
+        # no prime of n, which cannot be factored
+        n = (2 ** 61 - 1) * (2 ** 62 - 57)
+        c = json.dumps({"exceptions": {"3": 1}, "default": default})
+        t0 = time.perf_counter()
+        assert run_json(capsys, "q", "member", c, f"1/{3 * n}") == {"contains": contains}
+        assert run_json(capsys, "q", "member", c, "1/3") == {"contains": True}
+        assert time.perf_counter() - t0 < 1
+
     def test_member_of_a_negative_rational_after_double_dash(self, capsys):
         dyadic = json.dumps({"exceptions": {"2": "inf"}, "default": "zero"})
         assert run_json(capsys, "q", "member", dyadic, "--", "-5/8") == {"contains": True}

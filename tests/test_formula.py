@@ -8,6 +8,7 @@ import random
 import re
 import sys
 import threading
+import time
 
 import pytest
 
@@ -411,9 +412,10 @@ class TestEvaluate:
         assert drawn == {i: 1 for i in range(5)}  # kept for as long as the node lives
 
         later = F.family("and", "test-counted", {})
+        assert later is family  # an equal family is the same node, with its members
         assert later.gen(5) == member(5) and later.gen(2) == member(2)
         assert later.gen(5) is later.gen(5)
-        assert drawn == {**{i: 1 for i in range(5)}, 2: 2, 5: 1}
+        assert drawn == {i: 1 for i in range(6)}
 
     def test_variable_named_twice_in_one_block(self):
         x = F.lin({"x": 1})
@@ -527,6 +529,115 @@ class TestSharedNodes:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestInterning:
+    """``family`` returns one node per distinct family, with its drawn members."""
+
+    CHAR = {"exceptions": {"7": 2}, "default": {"residue": ["zero", "inf"]}}
+
+    def test_equal_params_give_the_identical_node(self):
+        pair = F.family("and", "dinf-relations", {"pair": ["x1", "x2"]})
+        assert F.family("and", "dinf-relations", {"pair": ["x1", "x2"]}) is pair
+        triples = F.family("or", "dinf-generating-triples",
+                           {"pair": ["x1", "x2"], "targets": ["u", "v", "w"]})
+        assert F.family("or", "dinf-generating-triples",
+                        {"targets": ["u", "v", "w"], "pair": ["x1", "x2"]}) is triples
+        lam = F.family("or", "rank1-lambda-exists", {"char": self.CHAR, "var": "x"})
+        reordered = {"default": {"residue": ["zero", "inf"]}, "exceptions": {"7": 2}}
+        assert F.family("or", "rank1-lambda-exists", {"var": "x", "char": reordered}) is lam
+
+    def test_another_kind_params_or_builder_gives_another_node(self, monkeypatch):
+        node = F.family("and", "multiple-neq", {"var": "x"})
+        assert F.family("or", "multiple-neq", {"var": "x"}) is not node
+        assert F.family("and", "multiple-neq", {"var": "y"}) is not node
+        extra = F.family("and", "multiple-neq", {"var": "x", "note": 1})
+        assert extra is not node and extra.note.params == '{"note": 1, "var": "x"}'
+        marker = F.Atomic(F.lin({"x": 1}), F.lin({"x": 1}))
+        _, kinds, level, bound = fgab.FAMILIES["multiple-neq"]
+        with monkeypatch.context() as m:
+            m.setitem(fgab.FAMILIES, "multiple-neq", (lambda var: (lambda i: marker, None),
+                                                      kinds, level, bound))
+            patched = F.family("and", "multiple-neq", {"var": "x"})
+            assert patched is not node and patched.gen(0) is marker
+        assert F.family("and", "multiple-neq", {"var": "x"}) is node
+        assert node.gen(0) != marker
+
+    def test_params_that_are_not_json_values_are_never_kept(self):
+        # a tuple writes as a list would, but the characteristic decoder refuses it
+        good = {"exceptions": {}, "default": {"linear": [1, 1]}}
+        bad = {"exceptions": {}, "default": {"linear": (1, 1)}}
+        node = F.family("or", "rank1-lambda-exists", {"char": good, "var": "x"})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="malformed rule"):
+                F.family("or", "rank1-lambda-exists", {"char": bad, "var": "x"})
+        # a tuple where the declared kind wants a list is refused as before
+        with pytest.raises(ValueError, match="must be a list of two strings"):
+            F.family("and", "dinf-relations", {"pair": ("x1", "x2")})
+        assert F.family("or", "rank1-lambda-exists", {"char": good, "var": "x"}) is node
+
+    @pytest.mark.parametrize("name", [name for name, _, _ in acceptance.classifier_cases()])
+    def test_loads_returns_the_emitted_family_nodes(self, name):
+        sentence = {n: s for n, s, _ in acceptance.classifier_cases()}[name]
+        emitted = family_nodes(sentence)
+        loaded = family_nodes(F.loads(F.dumps(sentence)))
+        assert emitted and len(loaded) == len(emitted)
+        assert all(a is b for a, b in zip(loaded, emitted))
+
+    def test_members_equal_those_of_a_fresh_builder(self):
+        tables = (D.FAMILIES, fgab.FAMILIES, R.FAMILIES)
+        nodes = {id(n): n for f in emitted_sentences() for n in family_nodes(f)}
+        assert len(nodes) >= 10
+        for node in nodes.values():
+            builder, kinds, _, _ = next(t[node.note.enum_id] for t in tables
+                                        if node.note.enum_id in t)
+            params = json.loads(node.note.params)
+            build, size = builder(**{k: tuple(v) if isinstance(v, list) else v
+                                     for k, v in params.items() if k in kinds})
+            assert size == node.note.size
+            for i in range(20 if size is None else min(20, size)):
+                assert node.gen(i) == build(i)
+
+    def test_the_table_holds_no_more_than_its_bound(self):
+        limit = F.FAMILY_NODE_LIMIT
+        nodes = []
+        for i in range(limit + 10):
+            nodes.append(F.family("and", "multiple-neq", {"var": f"bound{i}"}))
+            assert len(F._FAMILY_NODES) <= limit
+        assert len(F._FAMILY_NODES) == limit
+        assert F.family("and", "multiple-neq", {"var": f"bound{limit + 9}"}) is nodes[-1]
+        assert F.family("and", "multiple-neq", {"var": "bound0"}) is not nodes[0]  # oldest out
+
+    def test_concurrent_calls_agree(self, monkeypatch):
+        def slow(var):  # a wide window between the lookup and the insertion
+            time.sleep(0.001)
+            return (lambda i: F.Atomic(F.lin({var: i + 1}), F.ZERO)), None
+
+        monkeypatch.setitem(fgab.FAMILIES, "test-slow", (slow, {"var": "name"}, (0, 0), ()))
+        names = [f"t{i}" for i in range(20)]
+        got = {var: [] for var in names}
+
+        def worker():
+            for var in names:
+                node = F.family("and", "test-slow", {"var": var})
+                got[var].append((node, node.gen(3)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for var in names:
+            assert len(got[var]) == 8
+            node, member = got[var][0]
+            assert all(n is node and m is member for n, m in got[var])
+            assert F.family("and", "test-slow", {"var": var}) is node
 
 
 class TestGeneratedCode:
