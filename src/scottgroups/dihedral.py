@@ -223,9 +223,6 @@ def _free_words():
                     if not w or w[-1] != (l[0], -l[1])]
 
 
-_FREE_WORDS = Enumeration(_free_words())
-
-
 # ---------------------------------------------------------------------------
 # Scott sentence
 # ---------------------------------------------------------------------------
@@ -236,43 +233,30 @@ def _word_letters(w: DihedralWord, names: tuple[str, str]) -> list[tuple[str, in
 
 def _build_triple_family(pair: tuple[str, str], targets: tuple[str, str, str]):
     F = formula_module()
-
-    def gen(i: int) -> F.Formula:
-        triple = map(nth_normal_form, _TRIPLES[i])
-        return F.conj(*(F.Atomic(F.gword([(t, 1)]), F.gword(_word_letters(w, pair)))
-                        for t, w in zip(targets, triple)))
-
-    return gen, None
-
-
-# triples of naturals by their sum, then the first, then the second entry
-_TRIPLES = Enumeration((a, b, s - a - b) for s in count()
-                       for a in range(s + 1) for b in range(s + 1 - a))
+    # triples of naturals by their sum, then the first, then the second entry
+    triples = ((a, b, s - a - b) for s in count() for a in range(s + 1) for b in range(s + 1 - a))
+    return (F.conj(*(F.Atomic(F.gword([(t, 1)]), F.gword(_word_letters(nth_normal_form(k), pair)))
+                     for t, k in zip(targets, triple))) for triple in triples), None
 
 
 def _build_relations_family(pair: tuple[str, str]):
     F = formula_module()
 
-    def gen(i: int) -> F.Formula:
-        letters = _FREE_WORDS[i]
+    def member(letters: tuple[tuple[str, int], ...]) -> F.Formula:
         mapped = F.gword([(pair[0] if var == "x1" else pair[1], e)
                           for var, e in letters]) if letters else F.IDENT
         # a and b are involutions: the exponent signs are moot
         holds = not normalize("".join("a" if var == "x1" else "b" for var, _ in letters))
         return F.Atomic(mapped, F.IDENT) if holds else F.NegAtomic(mapped, F.IDENT)
 
-    return gen, None
+    return map(member, _free_words()), None
 
 
 def _build_imprimitive_family(pair: tuple[str, str], others: tuple[str, str]):
     F = formula_module()
-
-    def gen(i: int) -> F.Formula:
-        u, v = nth_imprimitive_pair(i)
-        return F.disj(F.NegAtomic(F.gword(_word_letters(u, others)), F.gword([(pair[0], 1)])),
-                      F.NegAtomic(F.gword(_word_letters(v, others)), F.gword([(pair[1], 1)])))
-
-    return gen, None
+    return (F.disj(F.NegAtomic(F.gword(_word_letters(u, others)), F.gword([(pair[0], 1)])),
+                   F.NegAtomic(F.gword(_word_letters(v, others)), F.gword([(pair[1], 1)])))
+            for u, v in map(nth_imprimitive_pair, count())), None
 
 
 # enum_id -> (builder, param kinds, member level, bound variables): see formula.family

@@ -11,12 +11,12 @@ tables double as evaluation structures for the formula module.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
-from itertools import count, product
+from functools import partial
+from itertools import count, islice, product
 from typing import TYPE_CHECKING, Iterator
 
 from . import formula_module, record
-from .numtheory import Enumeration, factorize, int_tuple
+from .numtheory import factorize, int_tuple, int_tuples  # int_tuple is re-exported
 
 if TYPE_CHECKING:
     from . import formula as F
@@ -177,49 +177,32 @@ def tables_isomorphic(t1: F.FiniteStructure, t2: F.FiniteStructure) -> bool:
 # Family enumerations over integer tuples
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _span_coefficients(n: int) -> Enumeration:
-    """(k, m̄) for k >= 2 and nonzero m̄ in {0..k-1}^n, by k and then m̄ lexicographically."""
-    return Enumeration((k, m) for k in count(2) for m in product(range(k), repeat=n) if any(m))
-
-
 def _build_multiple_neq(var: str):
     F = formula_module()
-
-    def gen(i: int) -> F.Formula:
-        return F.NegAtomic(F.lin({var: i + 1}), F.ZERO)
-
-    return gen, None
+    return (F.NegAtomic(F.lin({var: k}), F.ZERO) for k in count(1)), None
 
 
 def _build_pure_span(targets: tuple[str, ...], witness: str):
+    """k·witness ≠ m̄·targets for k >= 2 and nonzero m̄ in {0..k-1}^n, by k and then m̄."""
     F = formula_module()
-
-    def gen(i: int) -> F.Formula:
-        k, m = _span_coefficients(len(targets))[i]
-        return F.NegAtomic(F.lin({witness: k, **{x: -c for x, c in zip(targets, m)}}), F.ZERO)
-
-    return gen, None if targets else 0  # no targets: no nonzero m̄, no member
+    members = (F.NegAtomic(F.lin({witness: k, **{x: -c for x, c in zip(targets, m)}}), F.ZERO)
+               for k in count(2) for m in product(range(k), repeat=len(targets)) if any(m))
+    return members, None if targets else 0  # no targets: no nonzero m̄, no member
 
 
 def _build_nonzero_combo(vars: tuple[str, ...], equal: bool):
     F = formula_module()
     atom = F.Atomic if equal else F.NegAtomic
-
-    def gen(i: int) -> F.Formula:
-        return atom(F.lin(dict(zip(vars, int_tuple(len(vars), i)))), F.ZERO)
-
-    return gen, None if vars else 0  # no variables: no nonzero combination
+    members = (atom(F.lin(dict(zip(vars, combo))), F.ZERO)
+               for combo in islice(int_tuples(len(vars)), 1, None))
+    return members, None if vars else 0  # no variables: no nonzero combination
 
 
 def _build_all_combo_eq(target: str, vars: tuple[str, ...]):
     F = formula_module()
-
-    def gen(i: int) -> F.Formula:
-        combo = int_tuple(len(vars), i, include_zero=True)
-        return F.Atomic(F.lin({target: 1}), F.lin(dict(zip(vars, combo))))
-
-    return gen, None if vars else 1  # no variables: the empty combination only
+    members = (F.Atomic(F.lin({target: 1}), F.lin(dict(zip(vars, combo))))
+               for combo in int_tuples(len(vars)))
+    return members, None if vars else 1  # no variables: the empty combination only
 
 
 def _build_fg_relations(rank: int, torsion: tuple[int, ...], vars: tuple[str, ...]):
@@ -229,16 +212,11 @@ def _build_fg_relations(rank: int, torsion: tuple[int, ...], vars: tuple[str, ..
                          f"one variable per generator, got rank {rank}, torsion "
                          f"{list(torsion)} and vars {list(vars)}")
 
-    def gen(i: int) -> F.Formula:
-        combo = int_tuple(len(vars), i, include_zero=True)
-        term = F.lin(dict(zip(vars, combo)))
-        free_zero = all(k == 0 for k in combo[:rank])
-        torsion_zero = all(k % d == 0 for k, d in zip(combo[rank:], torsion))
-        if free_zero and torsion_zero:
-            return F.Atomic(term, F.ZERO)
-        return F.NegAtomic(term, F.ZERO)
+    def member(combo: tuple[int, ...]) -> F.Formula:
+        zero = not any(combo[:rank]) and all(k % d == 0 for k, d in zip(combo[rank:], torsion))
+        return (F.Atomic if zero else F.NegAtomic)(F.lin(dict(zip(vars, combo))), F.ZERO)
 
-    return gen, None if vars else 1
+    return map(member, int_tuples(len(vars))), None if vars else 1
 
 
 # enum_id -> (builder, param kinds, member level, bound variables): see formula.family

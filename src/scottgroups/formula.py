@@ -17,7 +17,7 @@ blocks.  Negation occurs only on atoms.  The module provides
   search runs is one generated expression of table lookups, whose code is
   kept in an LRU cache of 512 texts; ``family`` keeps one node per distinct
   family for the process, up to ``FAMILY_NODE_LIMIT`` of them, and the node
-  draws each member once and keeps it,
+  keeps the members its builder yields in one ``numtheory.Enumeration``,
 * deterministic text / LaTeX rendering,
 * a JSON codec: ``dumps`` writes the canonical text directly (sorted keys,
   default separators, ASCII escapes; no keyword arguments), ``to_json_dict``
@@ -273,20 +273,23 @@ def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | Fa
     three.  Each declared parameter is decoded here and passed to
     ``builder`` by keyword; parameters not declared are ignored, and kept in
     the note.  A missing or ill-typed parameter raises ValueError, and so
-    does a variable named twice, or named where the members bind it.
+    does a variable named twice, or named where the members bind it.  The
+    builder returns ``(members, size)``: an iterator over the members in
+    order, and their number, or None for an infinite family; only the
+    first ``size`` are read.
 
     Equal families share one node: a call whose params are JSON values
     returns the node of any earlier call with the same kind, id, canonical
     params text and declaration, while the process keeps it among the last
-    ``FAMILY_NODE_LIMIT`` distinct families built.  The node draws each
-    member from the builder once and keeps it, so rendering,
-    ``family_members`` and every ``evaluate_exact`` on any equal family
-    share one copy of member i.  The params are decoded on every call, so
-    every error is raised as if nothing were kept.
+    ``FAMILY_NODE_LIMIT`` distinct families built.  The node's ``gen``
+    reads an ``Enumeration`` of the members, which draws each once, so
+    rendering, ``family_members`` and every ``evaluate_exact`` on any equal
+    family, in any thread, share one copy of member i.  The params are
+    decoded on every call, so every error is raised as if nothing were kept.
     """
     for name in _FAMILY_OWNERS:
-        owner = sys.modules.get(name)
-        if owner and enum_id in owner.FAMILIES:
+        owner = sys.modules.get(name)  # None, or a module whose body may still be running
+        if enum_id in getattr(owner, "FAMILIES", ()):
             entry = owner.FAMILIES[enum_id]
             break
     else:
@@ -321,13 +324,14 @@ def family(kind: str, enum_id: str, params: Mapping[str, Any]) -> FamilyAnd | Fa
         node = _FAMILY_NODES.get(ident)  # one dict read, atomic under the interpreter lock
         if node is not None:
             return node
-    build, size = builder(**args)
+    from .numtheory import Enumeration
+    members, size = builder(**args)
     if ident is None:
         text = _CANONICAL.encode(dict(params))
     if kind not in ("and", "or"):
         raise ValueError(f"family kind must be 'and' or 'or', got {kind!r}")
-    node = (FamilyAnd if kind == "and" else FamilyOr)(FamilyNote(enum_id, text, size, level),
-                                                      _drawn_once(build))
+    gen = Enumeration(members if size is None else itertools.islice(members, size)).__getitem__
+    node = (FamilyAnd if kind == "and" else FamilyOr)(FamilyNote(enum_id, text, size, level), gen)
     if ident is None:
         return node
     with _FAMILY_NODES_LOCK:
@@ -345,18 +349,6 @@ def _is_json(v: Any) -> bool:
     if isinstance(v, list):
         return all(map(_is_json, v))
     return v is None or isinstance(v, (str, int, float))
-
-
-def _drawn_once(build: Callable[[int], Formula]) -> Callable[[int], Formula]:
-    """``build`` with each member kept at its own index once drawn, for as
-    long as the family node lives; ``setdefault`` keeps the first of two
-    concurrent draws of one index, so both callers share it."""
-    members: dict[int, Formula] = {}
-
-    def gen(i: int) -> Formula:
-        member = members.get(i)
-        return members.setdefault(i, build(i)) if member is None else member
-    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +830,11 @@ def evaluate_exact(f: Formula, s: FiniteStructure, family_bound: int = 8) -> tup
     names, so it holds no formula data, and each call binds the code to its
     own environment, operation table, identity and power tables.  The
     closures, the bound code and the power tables belong to this call
-    alone.  The members of a node built by ``family`` are kept once per
-    distinct family for the process, up to ``FAMILY_NODE_LIMIT`` families,
-    so a later call, ``render``, or a node that ``family`` returns for an
-    equal family (an emitter's or ``loads``'s) reuses them; a family node
-    built directly draws its members anew in each call.
+    alone.  A node built by ``family`` keeps its members, in one
+    ``Enumeration``, while the process keeps the node (up to
+    ``FAMILY_NODE_LIMIT`` families), so a later call, ``render``, or the
+    node of an equal family (an emitter's or ``loads``'s) reuses them; a
+    family node built directly may draw its members anew in each call.
     """
     if family_bound < 1:
         raise ValueError("family_bound must be >= 1")

@@ -14,14 +14,15 @@ Jiang and Deng 2014).  ``factorize`` divides out the primes up to
 ``TRIAL_BOUND``, then splits what is left with Pollard's rho (Pollard 1975,
 in Brent's form); that cofactor must lie below ``MR_LIMIT``.
 
-``Enumeration`` indexes an infinite iterator, computing each item once; the
-Scott-sentence families whose members are found by a search or built in
-order read them through one, as ``int_tuple`` reads the integer tuples.
+``Enumeration`` indexes an iterator, computing each item once, from any
+number of threads; each Scott-sentence family node reads its members
+through one, as ``int_tuple`` reads the integer tuples.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
@@ -210,40 +211,52 @@ class Enumeration:
     """The items of an iterator, by index: ``e[i]`` is its i-th item (from 0).
 
     Items are drawn from the iterator when an index first reaches them and
-    kept, so each is computed once however often or in what order it is read.
-    An index past the end of a finite iterator raises ``IndexError``; an
-    error raised by the iterator ends the enumeration where it was raised.
+    kept, so each is computed once however often, in what order or from how
+    many threads it is read.  A read of an item already drawn takes no lock;
+    drawing takes one.  An index past the end of a finite iterator raises
+    ``IndexError``; an error raised by the iterator ends the enumeration
+    where it was raised, and every later read past that point raises it
+    again.
     """
 
     def __init__(self, items: Iterable):
         self._source = iter(items)
         self._items: list = []
+        self._error: Exception | None = None
+        self._lock = threading.RLock()  # a source that reads itself back raises, not hangs
 
     def __getitem__(self, i: int):
         if i < 0:
             raise IndexError(f"enumeration indices are natural numbers, not {i}")
         items = self._items
         if i >= len(items):
-            items.extend(islice(self._source, i + 1 - len(items)))
-            if i >= len(items):
-                raise IndexError(f"the enumeration ends after {len(items)} items")
+            with self._lock:
+                if self._error is not None:
+                    raise self._error.with_traceback(None)
+                if i >= len(items):  # another thread may have drawn it meanwhile
+                    try:
+                        items.extend(islice(self._source, i + 1 - len(items)))
+                    except Exception as error:
+                        self._error = error
+                        raise
+                    if i >= len(items):
+                        raise IndexError(f"the enumeration ends after {len(items)} items")
         return items[i]
 
 
-@lru_cache(maxsize=None)
-def _int_tuples(n: int) -> Enumeration:
+def int_tuples(n: int) -> Iterator[tuple[int, ...]]:
     """Z^n by max |k| and then lexicographically in the integer order
     0 < 1 < -1 < 2 < -2 < ...; the zero tuple comes first (and alone, for n = 0)."""
-    def shells():
-        yield (0,) * n
-        if not n:
-            return
-        ordered = [0]
-        for r in count(1):
-            ordered += (r, -r)
-            yield from (t for t in product(ordered, repeat=n) if max(map(abs, t)) == r)
+    yield (0,) * n
+    if not n:
+        return
+    ordered = [0]
+    for r in count(1):
+        ordered += (r, -r)
+        yield from (t for t in product(ordered, repeat=n) if max(map(abs, t)) == r)
 
-    return Enumeration(shells())
+
+_int_tuples = lru_cache(maxsize=None)(lambda n: Enumeration(int_tuples(n)))
 
 
 def int_tuple(n: int, i: int, include_zero: bool = False) -> tuple[int, ...]:

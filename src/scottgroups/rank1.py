@@ -21,13 +21,13 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 from . import formula_module, json_int, record
 # re-exported: rank1 code calls these through its own names, so that a
 # wrapper installed on rank1.prime_index sees every call made here
-from .numtheory import Enumeration, diagonal_pair, factorize, is_prime, nth_prime, \
-    prime_index, primes, primes_upto, valuation
+from .numtheory import Enumeration, factorize, is_prime, prime_index, primes, primes_upto, \
+    valuation
 
 if TYPE_CHECKING:
     from . import formula as F
@@ -369,23 +369,15 @@ def _rationals_diagonal() -> Iterator[Fraction]:
                     yield Fraction(num, den)
 
 
-class _Enumerations(NamedTuple):
-    members: Enumeration  # the rationals in the group, by _rationals_diagonal
-    pinf: Enumeration  # the primes with infinite exponent, increasing
-    non_pinf: Enumeration  # the other primes, increasing
-
-
 @lru_cache(maxsize=64)
-def _enumerations(c: Rank1Char) -> _Enumerations:
-    """The characteristic's enumerations, kept for the 64 most recently used."""
-    return _Enumerations(Enumeration(q for q in _rationals_diagonal() if contains(c, q)),
-                         Enumeration(p for p in primes() if exponent(c, p) == INF),
-                         Enumeration(p for p in primes() if exponent(c, p) != INF))
+def _lambda_members(c: Rank1Char) -> Enumeration:
+    """The rationals in the group, kept for the 64 most recently used characteristics."""
+    return Enumeration(q for q in _rationals_diagonal() if contains(c, q))
 
 
 def lambda_member(c: Rank1Char, i: int) -> Fraction:
     """i-th rational of the group, ordered by max(|num|, den) then numerator."""
-    return _enumerations(c).members[i]
+    return _lambda_members(c)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -397,32 +389,34 @@ def _build_lambda(char: dict, var: str, onto: bool, target: str = "y"):
     F = formula_module()
     c = char_from_json(char)
 
-    def gen(i: int) -> F.Formula:
+    def member(i: int) -> F.Formula:
         q = lambda_member(c, i)
-        member = F.Atomic(F.lin({target: q.denominator, var: -q.numerator}), F.ZERO)
-        return member if onto else F.Exists(("y",), member)
+        atom = F.Atomic(F.lin({target: q.denominator, var: -q.numerator}), F.ZERO)
+        return atom if onto else F.Exists(("y",), atom)
 
-    return gen, None
+    return map(member, count()), None
 
 
 def _build_pinf_divisible(char: dict, target: str):
+    """∃z p^k·z = target for the primes p of infinite exponent and k >= 1, by
+    diagonals of (p's index, k) if the rule gives infinitely many p, else by k."""
     F = formula_module()
     c = char_from_json(char)
     rule_inf = _rule_class_flags(c)[2]
     finite_pinf = sorted(p for p, v in c.exceptions if v == INF) if not rule_inf else []
     size = None if rule_inf or finite_pinf else 0
 
-    def member(p: int, k: int) -> F.Formula:
-        return F.Exists(("z",), F.Atomic(F.lin({"z": p ** k, target: -1}), F.ZERO))
-
-    def gen(i: int) -> F.Formula:
+    def powers() -> Iterator[tuple[int, int]]:
         if rule_inf:
-            a, k = diagonal_pair(i)
-            return member(_enumerations(c).pinf[a], k + 1)
-        m = len(finite_pinf)
-        return member(finite_pinf[i % m], i // m + 1)
+            pinf = Enumeration(p for p in primes() if exponent(c, p) == INF)
+            for s in count():
+                yield from ((pinf[a], s - a + 1) for a in range(s + 1))
+        else:
+            for k in count(1):
+                yield from ((p, k) for p in finite_pinf)
 
-    return gen, size
+    return (F.Exists(("z",), F.Atomic(F.lin({"z": p ** k, target: -1}), F.ZERO))
+            for p, k in powers()), size
 
 
 def _build_non_pinf_indivisible(char: dict, var: str):
@@ -430,21 +424,14 @@ def _build_non_pinf_indivisible(char: dict, var: str):
     c = char_from_json(char)
     all_inf = _rule_class_flags(c) == (False, False, True)
     size = sum(1 for _, v in c.exceptions if v != INF) if all_inf else None
-
-    def gen(i: int) -> F.Formula:
-        p = _enumerations(c).non_pinf[i]
-        return F.Forall(("z",), F.NegAtomic(F.lin({"z": p, var: -1}), F.ZERO))
-
-    return gen, size
+    return (F.Forall(("z",), F.NegAtomic(F.lin({"z": p, var: -1}), F.ZERO))
+            for p in primes() if exponent(c, p) != INF), size
 
 
 def _build_all_primes_divisible(target: str):
     F = formula_module()
-
-    def gen(i: int) -> F.Formula:
-        return F.Exists(("z",), F.Atomic(F.lin({"z": nth_prime(i), target: -1}), F.ZERO))
-
-    return gen, None
+    return (F.Exists(("z",), F.Atomic(F.lin({"z": p, target: -1}), F.ZERO))
+            for p in primes()), None
 
 
 # enum_id -> (builder, param kinds, member level, bound variables): see formula.family

@@ -191,4 +191,9 @@ class TestFamilyEnumerations:
     def test_triples_by_sum_then_entries(self):
         want = sorted((t for t in itertools.product(range(13), repeat=3) if sum(t) <= 12),
                       key=lambda t: (sum(t), t[0], t[1]))
-        assert [D._TRIPLES[i] for i in range(len(want))] == want
+        index = {D.nth_normal_form(k).letters: k for k in range(2 * 13)}
+        fam = F.family("or", "dinf-generating-triples",
+                       {"pair": ["a", "b"], "targets": ["u", "v", "w"]})
+        got = [tuple(index["".join(var for var, _ in atom.rhs.letters)] for atom in m.items)
+               for m in F.family_members(fam, len(want))]
+        assert got == want

@@ -2,6 +2,7 @@ import collections
 import copy
 import functools
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -394,10 +395,11 @@ class TestEvaluate:
             return F.Atomic(F.gword([("x", 1)] * i + [("x", -1)] * i), F.IDENT)
 
         def counted():
-            def gen(i):
-                drawn[i] += 1
-                return member(i)
-            return gen, None
+            def members():
+                for i in itertools.count():
+                    drawn[i] += 1
+                    yield member(i)
+            return members(), None
 
         monkeypatch.setitem(fgab.FAMILIES, "test-counted", (counted, {}, (0, 0), ()))
         family = F.family("and", "test-counted", {})
@@ -556,8 +558,8 @@ class TestInterning:
         marker = F.Atomic(F.lin({"x": 1}), F.lin({"x": 1}))
         _, kinds, level, bound = fgab.FAMILIES["multiple-neq"]
         with monkeypatch.context() as m:
-            m.setitem(fgab.FAMILIES, "multiple-neq", (lambda var: (lambda i: marker, None),
-                                                      kinds, level, bound))
+            m.setitem(fgab.FAMILIES, "multiple-neq",
+                      (lambda var: (itertools.repeat(marker), None), kinds, level, bound))
             patched = F.family("and", "multiple-neq", {"var": "x"})
             assert patched is not node and patched.gen(0) is marker
         assert F.family("and", "multiple-neq", {"var": "x"}) is node
@@ -592,11 +594,11 @@ class TestInterning:
             builder, kinds, _, _ = next(t[node.note.enum_id] for t in tables
                                         if node.note.enum_id in t)
             params = json.loads(node.note.params)
-            build, size = builder(**{k: tuple(v) if isinstance(v, list) else v
-                                     for k, v in params.items() if k in kinds})
+            members, size = builder(**{k: tuple(v) if isinstance(v, list) else v
+                                       for k, v in params.items() if k in kinds})
             assert size == node.note.size
-            for i in range(20 if size is None else min(20, size)):
-                assert node.gen(i) == build(i)
+            fresh = list(itertools.islice(members, 20 if size is None else min(20, size)))
+            assert F.family_members(node, 20) == fresh
 
     def test_the_table_holds_no_more_than_its_bound(self):
         limit = F.FAMILY_NODE_LIMIT
@@ -611,7 +613,7 @@ class TestInterning:
     def test_concurrent_calls_agree(self, monkeypatch):
         def slow(var):  # a wide window between the lookup and the insertion
             time.sleep(0.001)
-            return (lambda i: F.Atomic(F.lin({var: i + 1}), F.ZERO)), None
+            return (F.Atomic(F.lin({var: k}), F.ZERO) for k in itertools.count(1)), None
 
         monkeypatch.setitem(fgab.FAMILIES, "test-slow", (slow, {"var": "name"}, (0, 0), ()))
         names = [f"t{i}" for i in range(20)]
@@ -638,6 +640,83 @@ class TestInterning:
             node, member = got[var][0]
             assert all(n is node and m is member for n, m in got[var])
             assert F.family("and", "test-slow", {"var": var}) is node
+
+
+    def test_concurrent_member_draws_agree(self):
+        # four threads draw the members of the same fresh nodes at once
+        vars = {n: [f"race{n}_{k}" for k in range(n)] for n in range(5, 12)}
+        got, faults = [], []
+
+        def worker():
+            try:
+                got.append([F.family_members(F.family("and", "nonzero-combo-neq",
+                                                      {"vars": vars[n]}), 400)
+                            for n in vars])
+            except Exception as exc:  # a thread's exception would not reach the test
+                faults.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert faults == []
+        assert len(got) == 4 and all(g == got[0] for g in got)
+        for n, members in zip(vars, got[0]):
+            combos = [tuple(dict(m.lhs.coeffs).get(v, 0) for v in vars[n]) for m in members]
+            assert combos == [fgab.int_tuple(n, i) for i in range(400)]
+
+
+# sample params for every FAMILIES id: widths 0-3, six characteristics
+PINNED_CHARS = [
+    {"exceptions": {}, "default": "inf"},  # Q
+    {"exceptions": {}, "default": "zero"},  # Z
+    {"exceptions": {"7": 2}, "default": {"residue": ["zero", "inf"]}},
+    {"exceptions": {"2": 3}, "default": "inf"},
+    {"exceptions": {"2": "inf", "5": "inf", "3": 1}, "default": "zero"},
+    {"exceptions": {"3": "inf"}, "default": {"residue": [{"linear": [1, 0]}, "inf", "zero"]}},
+]
+
+
+def pinned_family_params():
+    names = [[f"v{k}" for k in range(n)] for n in range(4)]
+    yield "dinf-generating-triples", {"pair": ["x1", "x2"], "targets": ["u", "v", "w"]}
+    yield "dinf-relations", {"pair": ["x1", "x2"]}
+    yield "dinf-imprimitive-pairs", {"pair": ["x1", "x2"], "others": ["y1", "y2"]}
+    yield "multiple-neq", {"var": "x"}
+    for vs in names:
+        yield "pure-span", {"targets": vs, "witness": "w"}
+        yield "nonzero-combo-neq", {"vars": vs}
+        yield "nonzero-combo-eq", {"vars": vs}
+        yield "all-combo-eq", {"target": "t", "vars": vs}
+    for rank, torsion in ((0, []), (1, []), (0, [2]), (1, [2]), (0, [2, 4]), (2, [3])):
+        yield "fg-abelian-relations", {"rank": rank, "torsion": torsion,
+                                       "vars": names[rank + len(torsion)]}
+    for c in PINNED_CHARS:
+        yield "rank1-lambda-exists", {"char": c, "var": "x"}
+        yield "rank1-lambda-onto", {"char": c, "var": "x", "target": "y"}
+        yield "rank1-pinf-divisible", {"char": c, "target": "y"}
+        yield "rank1-non-pinf-indivisible", {"char": c, "var": "x"}
+    yield "primes-divisible", {"target": "y"}
+
+
+def test_every_family_keeps_its_pinned_members():
+    digest = hashlib.sha256()
+    for enum_id, params in pinned_family_params():
+        node = F.family("and", enum_id, params)
+        digest.update(f"{F.dumps(node)} {node.note.size}\n".encode())
+        for m in F.family_members(node, 40):
+            digest.update((F.dumps(m) + "\n").encode())
+    assert {enum_id for enum_id, _ in pinned_family_params()} == {
+        *D.FAMILIES, *fgab.FAMILIES, *R.FAMILIES}
+    assert digest.hexdigest() == \
+        "894538a1d890fa118409b2401054c043241cce0bc9b84bbc1d084c46be2c0049"
 
 
 class TestGeneratedCode:

@@ -146,3 +146,29 @@ def test_formula_registry_loads_the_family_modules():
     assert loaded_after(FAMILY_ROUND_TRIPS) == [
         "scottgroups.dihedral", "scottgroups.fgab", "scottgroups.formula",
         "scottgroups.numtheory", "scottgroups.rank1"]
+
+
+def test_concurrent_first_family_calls_wait_for_the_owner_import():
+    # a thread may find an owner in sys.modules while another still runs its body
+    code = ("import json, sys, threading\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "from scottgroups import formula as F\n"
+            "faults = []\n"
+            "def first(enum_id, params):\n"
+            "    try:\n"
+            "        F.family('and', enum_id, params)\n"
+            "    except Exception as exc:\n"
+            "        faults.append(repr(exc))\n"
+            "calls = [('dinf-relations', {'pair': ['a', 'b']}),\n"
+            "         ('multiple-neq', {'var': 'x'}),\n"
+            "         ('primes-divisible', {'target': 'y'}),\n"
+            "         ('dinf-relations', {'pair': ['c', 'd']})]\n"
+            "threads = [threading.Thread(target=first, args=c) for c in calls]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join()\n"
+            "print(json.dumps(faults))")
+    for _ in range(3):
+        assert last_json_line(code) == []
+

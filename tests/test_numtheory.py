@@ -138,6 +138,18 @@ def test_enumeration_draws_each_item_once():
     assert drawn == [0, 1, 2, 3, 4]
 
 
+def test_enumeration_raises_its_source_error_again():
+    def failing():
+        yield 1
+        raise ValueError("no second item")
+
+    e = nt.Enumeration(failing())
+    for i in (1, 2, 1):
+        with pytest.raises(ValueError, match="no second item"):
+            e[i]
+    assert e[0] == 1
+
+
 class TestRegressionBounds:
     def test_linear_membership_near_10007(self):
         c = R.char(default=("linear", 1, 0))

@@ -192,11 +192,20 @@ class TestLambdaEnumeration:
         for c in (CASE2, ROW1, ROW3, ROW4, ROW5, ROW7):
             lam = [q for q in rationals if R.contains(c, q)]
             assert [R.lambda_member(c, i) for i in range(len(lam))] == lam
-            enums = R._enumerations(c)
+            cj = R.char_to_json(c)
             pinf = [p for p in primes if R.exponent(c, p) == R.INF]
             non_pinf = [p for p in primes if R.exponent(c, p) != R.INF]
-            assert [enums.pinf[i] for i in range(len(pinf))] == pinf
-            assert [enums.non_pinf[i] for i in range(len(non_pinf))] == non_pinf
+            # the pinf primes first appear as z-coefficients p^1, on the diagonal (a, 0)
+            divisible = F.family("and", "rank1-pinf-divisible", {"char": cj, "target": "y"})
+            found = {}
+            for m in F.family_members(divisible, len(pinf) * (len(pinf) + 3) // 2):
+                k = dict(m.body.lhs.coeffs)["z"]
+                if k <= 600 and R.is_prime(k):
+                    found.setdefault(k)
+            assert list(found) == pinf
+            indivisible = F.family("and", "rank1-non-pinf-indivisible", {"char": cj, "var": "x"})
+            assert [dict(m.body.lhs.coeffs)["z"]
+                    for m in F.family_members(indivisible, len(non_pinf))] == non_pinf
 
 
 class TestScottSentences:
